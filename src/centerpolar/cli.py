@@ -13,12 +13,14 @@ import csv
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .data import (
     BenchmarkSpec,
     CsvFormatError,
+    DataSet,
     GenerationError,
     generate_benchmark,
     load_csv,
@@ -144,14 +146,11 @@ def cmd_gen_data(args) -> int:
 
 def _resolve_train_config(args) -> tuple[TrainConfig, list[Path]]:
     inputs = []
-    cfg_dict = {}
+    config = TrainConfig()
     if args.config:
         cfg_path = Path(args.config)
-        cfg_dict = json.loads(cfg_path.read_text())
-        if not isinstance(cfg_dict, dict):
-            raise ValueError("training config JSON must be an object")
+        config = TrainConfig.from_dict(json.loads(cfg_path.read_text()))
         inputs.append(cfg_path)
-    config = TrainConfig.from_dict(cfg_dict)
     # CLI flags override JSON config fields override defaults
     updates = {}
     if args.ablation:
@@ -162,14 +161,9 @@ def _resolve_train_config(args) -> tuple[TrainConfig, list[Path]]:
         updates["embed_dim"] = args.embed_dim
     if args.lr_theta is not None:
         updates["lr_theta"] = args.lr_theta
-    if updates or args.step_size is not None:
-        d = config.to_dict()
-        d.update(updates)
-        if args.step_size is not None:
-            d["expansion"]["step_size"] = args.step_size
-        d["loss"] = d["loss"]
-        config = TrainConfig.from_dict(d)
-    return config, inputs
+    if args.step_size is not None:
+        updates["expansion"] = replace(config.expansion, step_size=args.step_size)
+    return replace(config, **updates), inputs
 
 
 def _load_data_dir(data_dir: Path):
@@ -183,8 +177,6 @@ def _load_data_dir(data_dir: Path):
         ds = load_csv(path)
         for s in ds.samples:
             tests.setdefault(s.domain_tag, []).append(s)
-    from .data import DataSet  # local import to avoid cycle noise at module top
-
     tests = {name: DataSet(samples) for name, samples in tests.items()}
     return train_set, tests, [train_path] + test_paths
 

@@ -15,11 +15,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
+from . import rng, schema
 
 _PROTOTYPE_ATTEMPTS = 1000
 RESERVED_DOMAIN_TAGS = ("source", "expanded")
@@ -106,7 +106,7 @@ class DomainTransform:
     name: str
     scale: float = 1.0
     rotation_seed: int | None = None
-    rotation_angles: tuple | None = None
+    rotation_angles: tuple[float, ...] | None = None
     bias_seed: int | None = None
     bias_std: float = 0.0
 
@@ -172,7 +172,7 @@ class BenchmarkSpec:
     input_dim: int
     class_separation: float
     intra_std: float
-    domain_transforms: tuple
+    domain_transforms: tuple[DomainTransform, ...]
     seed: int
     # optional signal/nuisance split: prototypes confined to the first
     # signal_dim coordinates, class-independent noise on the rest
@@ -211,59 +211,11 @@ class BenchmarkSpec:
         object.__setattr__(self, "domain_transforms", transforms)
 
     def to_dict(self) -> dict:
-        transforms = []
-        for t in self.domain_transforms:
-            entry = {"name": t.name, "scale": t.scale, "bias_std": t.bias_std}
-            if t.rotation_angles is not None:
-                entry["rotation_angles"] = list(t.rotation_angles)
-            if t.rotation_seed is not None:
-                entry["rotation_seed"] = t.rotation_seed
-            if t.bias_seed is not None:
-                entry["bias_seed"] = t.bias_seed
-            transforms.append(entry)
-        return {
-            "n_classes_total": self.n_classes_total,
-            "n_classes_seen": self.n_classes_seen,
-            "samples_per_class": self.samples_per_class,
-            "input_dim": self.input_dim,
-            "class_separation": self.class_separation,
-            "intra_std": self.intra_std,
-            "signal_dim": self.signal_dim,
-            "nuisance_std": self.nuisance_std,
-            "domain_transforms": transforms,
-            "seed": self.seed,
-        }
+        return schema.to_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchmarkSpec":
-        try:
-            transforms = tuple(
-                DomainTransform(
-                    name=t["name"],
-                    scale=float(t.get("scale", 1.0)),
-                    rotation_seed=t.get("rotation_seed"),
-                    rotation_angles=(
-                        tuple(t["rotation_angles"]) if "rotation_angles" in t else None
-                    ),
-                    bias_seed=t.get("bias_seed"),
-                    bias_std=float(t.get("bias_std", 0.0)),
-                )
-                for t in d.get("domain_transforms", [])
-            )
-            return cls(
-                n_classes_total=int(d["n_classes_total"]),
-                n_classes_seen=int(d["n_classes_seen"]),
-                samples_per_class=int(d["samples_per_class"]),
-                input_dim=int(d["input_dim"]),
-                class_separation=float(d["class_separation"]),
-                intra_std=float(d["intra_std"]),
-                domain_transforms=transforms,
-                seed=int(d["seed"]),
-                signal_dim=int(d.get("signal_dim", 0)),
-                nuisance_std=float(d.get("nuisance_std", 0.0)),
-            )
-        except KeyError as e:
-            raise ValueError(f"benchmark spec missing field {e.args[0]!r}") from e
+        return schema.from_dict(cls, d)
 
     @classmethod
     def from_json(cls, text: str) -> "BenchmarkSpec":

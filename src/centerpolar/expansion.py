@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import CentroidTable, Tensor, euclidean_distance, geodesic_distance
-from .losses import LossConfig
+from .losses import LossConfig, c3e_objective, c3e_reference
 from .tensor import DomainError, backward, record
 
 CALL_COUNTS = {"expand_batch": 0}
@@ -31,7 +31,7 @@ class ExpansionDivergedError(ArithmeticError):
 class ExpansionConfig:
     iterations_te: int = 10  # gradient steps per expansion round
     step_size: float = 1e-2  # input-space SGD step
-    expansion_epochs: tuple = (1, 4, 7)  # epochs (1-based) that run a round
+    expansion_epochs: tuple[int, ...] = (1, 4, 7)  # epochs (1-based) that run a round
 
     def __post_init__(self):
         if not isinstance(self.iterations_te, int) or self.iterations_te < 1:
@@ -141,17 +141,10 @@ def _expand_sample(
 ) -> np.ndarray:
     x0 = np.array(x, dtype=np.float64).reshape(-1)
     mu = centroids.vector(class_id)
-    # the hinge reference: embedding distance of the unperturbed input
-    e0 = model.forward(Tensor(x0), frozen=True)
-    d_orig = euclidean_distance(Tensor(mu), e0).item()
+    d_orig = c3e_reference(x0, mu, model)
 
     def build_loss(xt: Tensor) -> Tensor:
-        mu_t = Tensor(mu)
-        e_t = model.forward(xt, frozen=True)
-        geo = -geodesic_distance(mu_t, e_t)
-        sem_low = (Tensor(x0) - xt).square().sum()
-        hinge = (euclidean_distance(mu_t, e_t) - d_orig + lconfig.margin_m).relu()
-        return geo + sem_low + hinge
+        return c3e_objective(x0, xt, mu, d_orig, model, lconfig.margin_m)
 
     x_cur = x0.copy()
     if sink is not None:

@@ -3,9 +3,10 @@
 Phase one perturbs inputs: each sample is pushed away from its class
 centroid on the embedding sphere (`loss_geo`) while two semantic terms
 tether it, a quadratic one in input space (`loss_sem_low`) and a hinge on
-embedding-space drift past a margin (`loss_sem_high`).  `loss_c3e` sums the
-three with unit weights and is differentiated with respect to the inputs
-only; the encoder and centroids stay frozen.
+embedding-space drift past a margin (`loss_sem_high`).  `c3e_objective`
+sums the three with unit weights for one sample and is differentiated with
+respect to the input only; the encoder and centroids stay frozen.
+`loss_c3e` is its batch mean.
 
 Phase two updates the encoder: a margin contrastive term over sample pairs
 (`loss_dom`) plus a weighted centripetal term pulling every embedding back
@@ -15,7 +16,7 @@ toward its class centroid along the sphere (`loss_dis`), combined in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .geometry import CentroidTable, euclidean_distance, geodesic_distance
 from .tensor import Tensor
@@ -31,7 +32,7 @@ def reset_call_counts() -> None:
 @dataclass(frozen=True)
 class LossConfig:
     margin_m: float = 1.0  # expansion drift margin
-    lam: float = 0.75  # weight of the centripetal term ("lambda" in configs)
+    lam: float = field(default=0.75, metadata={"key": "lambda"})  # centripetal weight
     margin_pos: float = 0.0
     margin_neg: float = 1.0
 
@@ -65,31 +66,49 @@ def loss_sem_high(x_embed, x_tilde_embed, centroid, margin: float) -> Tensor:
     is closer than `original distance - margin`.
     """
     d_tilde = euclidean_distance(centroid, x_tilde_embed)
-    d_orig = euclidean_distance(centroid, x_embed)
+    return _drift_hinge(d_tilde, euclidean_distance(centroid, x_embed), margin)
+
+
+def _drift_hinge(d_tilde: Tensor, d_orig, margin: float) -> Tensor:
     return (d_tilde - d_orig + float(margin)).relu()
 
 
+def c3e_reference(x, centroid, model) -> float:
+    """Hinge reference of `c3e_objective`: the centroid distance of the
+    unperturbed input's embedding, fixed while that input is expanded."""
+    return euclidean_distance(Tensor(centroid), model.forward(x, frozen=True)).item()
+
+
+def c3e_objective(x, x_tilde, centroid, d_orig: float, model, margin: float) -> Tensor:
+    """Expansion objective of one sample: geo + sem_low + sem_high, unit weights.
+
+    `d_orig` is `c3e_reference(x, centroid, model)`.  The encoder is applied
+    frozen, so gradients flow to `x_tilde` only when `x` is constant.
+    """
+    CALL_COUNTS["loss_c3e"] += 1
+    mu = Tensor(centroid)
+    e_tilde = model.forward(x_tilde, frozen=True)
+    return (
+        loss_geo(e_tilde, mu)
+        + loss_sem_low(x, x_tilde)
+        + _drift_hinge(euclidean_distance(mu, e_tilde), d_orig, margin)
+    )
+
+
 def loss_c3e(batch, model, centroids: CentroidTable, config: LossConfig) -> Tensor:
-    """Mean expansion objective over a batch of (x, x_tilde, class_id).
+    """Mean of `c3e_objective` over a batch of (x, x_tilde, class_id).
 
     Gradients flow to the x_tilde entries only: the encoder is applied
     frozen and the original-sample branch is constant.
     """
     if not batch:
         raise ValueError("loss_c3e: empty batch")
-    CALL_COUNTS["loss_c3e"] += 1
     terms = []
     for x, x_tilde, class_id in batch:
         x_const = (x if isinstance(x, Tensor) else Tensor(x)).detach()
-        mu = Tensor(centroids.vector(class_id))
-        e_tilde = model.forward(x_tilde, frozen=True)
-        e_orig = model.forward(x_const, frozen=True)
-        term = (
-            loss_geo(e_tilde, mu)
-            + loss_sem_low(x_const, x_tilde)
-            + loss_sem_high(e_orig, e_tilde, mu, config.margin_m)
-        )
-        terms.append(term)
+        mu = centroids.vector(class_id)
+        d_orig = c3e_reference(x_const, mu, model)
+        terms.append(c3e_objective(x_const, x_tilde, mu, d_orig, model, config.margin_m))
     return _mean_scalars(terms)
 
 

@@ -1,0 +1,94 @@
+"""JSON form of the frozen config dataclasses, derived from their fields.
+
+`to_dict` writes every init field under its key (`metadata["key"]` when
+set, else the field name), nested dataclasses as objects and tuples as
+lists.  `from_dict` is its strict inverse: an unknown key at any depth, a
+missing field without a default, or a value that does not match the
+field's annotation raises ValueError naming the dotted path of the key.
+`int` takes JSON integers only, `float` any JSON number (stored as a
+float), and neither takes a boolean.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import types
+import typing
+
+_JSON_TYPES = {
+    dict: "object",
+    list: "array",
+    str: "string",
+    bool: "boolean",
+    int: "integer",
+    float: "number",
+    type(None): "null",
+}
+_WANTED = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _key(f: dataclasses.Field) -> str:
+    return f.metadata.get("key", f.name)
+
+
+def to_dict(obj) -> dict:
+    return {
+        _key(f): _dump(getattr(obj, f.name)) for f in dataclasses.fields(obj) if f.init
+    }
+
+
+def _dump(value):
+    if dataclasses.is_dataclass(value):
+        return to_dict(value)
+    if isinstance(value, tuple):
+        return [_dump(v) for v in value]
+    return value
+
+
+def from_dict(cls, d, path: str = ""):
+    if not isinstance(d, dict):
+        raise _mismatch(path or cls.__name__, "an object", d)
+    fields = {_key(f): f for f in dataclasses.fields(cls) if f.init}
+    unknown = [_join(path, k) for k in sorted(set(d) - set(fields), key=str)]
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, f in fields.items():
+        if key in d:
+            kwargs[f.name] = _load(hints[f.name], d[key], _join(path, key))
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ValueError(f"missing required key {_join(path, key)!r}")
+    return cls(**kwargs)
+
+
+def _load(tp, value, path: str):
+    if dataclasses.is_dataclass(tp):
+        return from_dict(tp, value, path)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        # only `X | None` occurs in the configs
+        if value is None:
+            return None
+        (tp,) = (a for a in args if a is not type(None))
+        return _load(tp, value, path)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise _mismatch(path, "an array", value)
+        return tuple(_load(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if isinstance(value, bool):
+        raise _mismatch(path, _WANTED[tp], value)
+    if tp is float and isinstance(value, (int, float)):
+        return float(value)
+    if isinstance(value, tp):
+        return value
+    raise _mismatch(path, _WANTED[tp], value)
+
+
+def _join(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
+def _mismatch(path: str, wanted: str, value) -> ValueError:
+    got = _JSON_TYPES.get(type(value), type(value).__name__)
+    return ValueError(f"{path}: expected {wanted}, got {got} {value!r}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import expansion as expansion_mod
 from . import losses as losses_mod
-from . import rng
+from . import rng, schema
 from .data import DataSet
 from .encoder import EncoderModel
 from .evaluation import RetrievalReport, evaluate
@@ -76,67 +76,11 @@ class TrainConfig:
         rng.check_seed(self.seed)
 
     def to_dict(self) -> dict:
-        return {
-            "total_epochs": self.total_epochs,
-            "batch_size": self.batch_size,
-            "lr_theta": self.lr_theta,
-            "adam_beta1": self.adam_beta1,
-            "adam_beta2": self.adam_beta2,
-            "adam_eps": self.adam_eps,
-            "seed": self.seed,
-            "ablation": self.ablation,
-            "embed_dim": self.embed_dim,
-            "hidden_dim": self.hidden_dim,
-            "eval_every": self.eval_every,
-            "loss": {
-                "margin_m": self.loss.margin_m,
-                "lambda": self.loss.lam,
-                "margin_pos": self.loss.margin_pos,
-                "margin_neg": self.loss.margin_neg,
-            },
-            "expansion": {
-                "iterations_te": self.expansion.iterations_te,
-                "step_size": self.expansion.step_size,
-                "expansion_epochs": list(self.expansion.expansion_epochs),
-            },
-        }
+        return schema.to_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        base = cls()
-        loss_d = d.get("loss", {})
-        loss = LossConfig(
-            margin_m=float(loss_d.get("margin_m", base.loss.margin_m)),
-            lam=float(loss_d.get("lambda", base.loss.lam)),
-            margin_pos=float(loss_d.get("margin_pos", base.loss.margin_pos)),
-            margin_neg=float(loss_d.get("margin_neg", base.loss.margin_neg)),
-        )
-        exp_d = d.get("expansion", {})
-        exp = ExpansionConfig(
-            iterations_te=int(exp_d.get("iterations_te", base.expansion.iterations_te)),
-            step_size=float(exp_d.get("step_size", base.expansion.step_size)),
-            expansion_epochs=tuple(
-                exp_d.get("expansion_epochs", base.expansion.expansion_epochs)
-            ),
-        )
-        known = {
-            "total_epochs",
-            "batch_size",
-            "lr_theta",
-            "adam_beta1",
-            "adam_beta2",
-            "adam_eps",
-            "seed",
-            "ablation",
-            "embed_dim",
-            "hidden_dim",
-            "eval_every",
-        }
-        unknown = set(d) - known - {"loss", "expansion"}
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        kwargs = {k: d[k] for k in known if k in d}
-        return cls(loss=loss, expansion=exp, **kwargs)
+        return schema.from_dict(cls, d)
 
 
 @dataclass
@@ -224,11 +168,7 @@ def train(
     counts_before["expand_batch"] = expansion_mod.CALL_COUNTS["expand_batch"]
 
     input_dim = dataset.samples[0].features.shape[0]
-    model = EncoderModel.build(
-        [input_dim, config.hidden_dim, config.embed_dim],
-        ["tanh", "identity"],
-        config.seed,
-    )
+    model = EncoderModel.default(input_dim, config.embed_dim, config.hidden_dim, config.seed)
     params = model.parameters()
     adam = AdamState.init(params)
     batch_gen = rng.stream(config.seed, rng.STREAM_BATCH_ORDER)

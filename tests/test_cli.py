@@ -182,6 +182,8 @@ class TestTrain:
         assert manifest["call_counts"]["loss_dis"] == 0
         assert manifest["call_counts"]["loss_c4"] == 0
         assert manifest["call_counts"]["expand_batch"] == 1
+        # 10 train samples x 2 iterations x 1 round of objective evaluations
+        assert manifest["call_counts"]["loss_c3e"] == 10 * 2 * 1
 
     def test_flags_override_config_file(self, tmp_path, data_dir):
         cfg_path = tmp_path / "config.json"
@@ -453,3 +455,37 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "d" / "train.csv").exists()
     assert "train: 10 samples" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "command, content, key",
+    [
+        ("train", {"total_epochs": "3"}, "total_epochs"),
+        ("train", {"loss": [1, 2]}, "loss"),
+        ("train", {"total_epochs": 1.5}, "total_epochs"),
+        ("train", {"batch_size": 8.0}, "batch_size"),
+        ("train", {"loss": {"lamda": 0.1}}, "loss.lamda"),
+        ("gen-data", [1], "BenchmarkSpec"),
+        ("gen-data", spec_dict(nuisance_sd=1.0), "nuisance_sd"),
+        ("gen-data", spec_dict(samples_per_class=2.9), "samples_per_class"),
+        (
+            "gen-data",
+            spec_dict(domain_transforms=[{"name": "near", "scael": 2.0}]),
+            "domain_transforms[0].scael",
+        ),
+    ],
+)
+def test_malformed_input_file_is_exit_2(tmp_path, data_dir, capsys, command, content, key):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    out = str(tmp_path / "out")
+    if command == "train":
+        argv = ["train", "--data", str(data_dir), "--config", str(path), "--out", out]
+    else:
+        argv = ["gen-data", "--spec", str(path), "--out", out]
+    capsys.readouterr()
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert key in err

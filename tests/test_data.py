@@ -1,9 +1,13 @@
 """Data layer: synthetic benchmark generation, domain transforms, CSV I/O."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from centerpolar.data import (
     BenchmarkSpec,
@@ -16,6 +20,7 @@ from centerpolar.data import (
     load_csv,
     save_csv,
 )
+from schema_paths import object_paths
 
 
 def small_spec(**overrides):
@@ -35,6 +40,55 @@ def small_spec(**overrides):
     )
     kwargs.update(overrides)
     return BenchmarkSpec(**kwargs)
+
+
+seeds = st.integers(0, 2**32 - 1)
+domain_transforms = st.builds(
+    DomainTransform,
+    name=st.text(min_size=1, max_size=8).filter(lambda n: n not in ("source", "expanded")),
+    scale=st.floats(min_value=1e-3, max_value=10.0),
+    rotation_seed=st.none() | seeds,
+    rotation_angles=st.none() | st.lists(st.floats(-7.0, 7.0), max_size=4).map(tuple),
+    bias_seed=st.none() | seeds,
+    bias_std=st.floats(min_value=0.0, max_value=5.0),
+)
+
+
+@st.composite
+def benchmark_specs(draw):
+    transforms = draw(st.lists(domain_transforms, max_size=3, unique_by=lambda t: t.name))
+    seen = draw(st.integers(1, 10))
+    input_dim = draw(st.integers(2, 32))
+    signal_dim = draw(st.integers(0, input_dim))
+    return BenchmarkSpec(
+        n_classes_total=seen + draw(st.integers(1 if transforms else 0, 10)),
+        n_classes_seen=seen,
+        samples_per_class=draw(st.integers(2, 50)),
+        input_dim=input_dim,
+        class_separation=draw(st.floats(min_value=1e-3, max_value=10.0)),
+        intra_std=draw(st.floats(min_value=0.0, max_value=5.0)),
+        domain_transforms=tuple(transforms),
+        seed=draw(seeds),
+        signal_dim=signal_dim,
+        nuisance_std=draw(st.floats(0.0, 5.0)) if signal_dim else 0.0,
+    )
+
+
+# a spec as the hand-written serializer read it: no subspace fields and
+# no keys for a transform's unset optional fields
+PARENT_SPEC = """{
+  "n_classes_total": 4,
+  "n_classes_seen": 2,
+  "samples_per_class": 5,
+  "input_dim": 4,
+  "class_separation": 2.0,
+  "intra_std": 0.1,
+  "domain_transforms": [
+    {"name": "angles", "scale": 1.0, "bias_std": 0.0, "rotation_angles": [0.3, 0.7]},
+    {"name": "rot", "scale": 1.5, "bias_std": 0.2, "rotation_seed": 11, "bias_seed": 4}
+  ],
+  "seed": 0
+}"""
 
 
 class TestLabeledSample:
@@ -117,8 +171,6 @@ class TestBenchmarkSpec:
         assert BenchmarkSpec.from_dict(spec.to_dict()) == spec
 
     def test_from_json(self):
-        import json
-
         spec = small_spec()
         assert BenchmarkSpec.from_json(json.dumps(spec.to_dict())) == spec
 
@@ -126,6 +178,64 @@ class TestBenchmarkSpec:
         d = small_spec().to_dict()
         del d["intra_std"]
         with pytest.raises(ValueError, match="intra_std"):
+            BenchmarkSpec.from_dict(d)
+
+    @given(spec=benchmark_specs())
+    def test_json_round_trip_property(self, spec):
+        assert BenchmarkSpec.from_json(json.dumps(spec.to_dict())) == spec
+
+    @given(spec=benchmark_specs(), data=st.data())
+    def test_unknown_key_at_any_depth_named(self, spec, data):
+        d = spec.to_dict()
+        path, obj = data.draw(st.sampled_from(object_paths(d)))
+        obj["typo"] = 1
+        dotted = f"{path}.typo" if path else "typo"
+        with pytest.raises(ValueError, match=re.escape(dotted)):
+            BenchmarkSpec.from_dict(d)
+
+    def test_parent_format_loads(self):
+        assert BenchmarkSpec.from_json(PARENT_SPEC) == small_spec(
+            domain_transforms=(
+                DomainTransform(name="angles", rotation_angles=(0.3, 0.7)),
+                DomainTransform(
+                    name="rot", scale=1.5, rotation_seed=11, bias_seed=4, bias_std=0.2
+                ),
+            )
+        )
+
+    def test_to_dict_lists_unset_transform_fields_as_null(self):
+        entry = small_spec().to_dict()["domain_transforms"][0]
+        assert entry == {
+            "name": "near",
+            "scale": 1.0,
+            "rotation_seed": None,
+            "rotation_angles": None,
+            "bias_seed": None,
+            "bias_std": 0.0,
+        }
+
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            (lambda d: d.update(nuisance_sd=1.0), "nuisance_sd"),
+            (lambda d: d["domain_transforms"][1].update(scael=2.0), "domain_transforms[1].scael"),
+            (lambda d: d.update(samples_per_class=2.9), "samples_per_class"),
+            (lambda d: d.update(input_dim="4"), "input_dim"),
+            (lambda d: d.update(intra_std=None), "intra_std"),
+            (lambda d: d.update(domain_transforms={}), "domain_transforms"),
+            (lambda d: d["domain_transforms"].append(3), "domain_transforms[3]"),
+            (lambda d: d["domain_transforms"][0].pop("name"), "domain_transforms[0].name"),
+            (lambda d: d["domain_transforms"][2].update(bias_seed=1.0), "domain_transforms[2].bias_seed"),
+            (
+                lambda d: d["domain_transforms"][0].update(rotation_angles=[0.1, "x"]),
+                "domain_transforms[0].rotation_angles[1]",
+            ),
+        ],
+    )
+    def test_from_dict_rejects_bad_values_by_key(self, change, key):
+        d = small_spec().to_dict()
+        change(d)
+        with pytest.raises(ValueError, match=re.escape(key)):
             BenchmarkSpec.from_dict(d)
 
 

@@ -10,8 +10,8 @@ from centerpolar.expansion import (
     expansion_trajectory,
 )
 from centerpolar.geometry import compute_centroids, geodesic_distance
-from centerpolar.losses import LossConfig
-from centerpolar.tensor import Tensor
+from centerpolar.losses import LossConfig, loss_c3e
+from centerpolar.tensor import Tensor, backward, record
 
 
 def linear_encoder(W):
@@ -225,3 +225,20 @@ def test_call_counter():
     assert expansion_mod.CALL_COUNTS["expand_batch"] == 1
     expansion_mod.reset_call_counts()
     assert expansion_mod.CALL_COUNTS["expand_batch"] == 0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_one_step_is_a_gradient_step_on_loss_c3e(seed):
+    # expansion descends exactly the objective that loss_c3e evaluates
+    gen = np.random.default_rng(seed)
+    model = EncoderModel.default(4, embed_dim=3, hidden_dim=5, seed=seed)
+    cents = compute_centroids([(0, gen.normal(size=3)), (1, gen.normal(size=3))])
+    econf = ExpansionConfig(iterations_te=1, step_size=0.05)
+    lconf = LossConfig(margin_m=0.5)
+    for sid in range(10):
+        x, c = gen.normal(size=4), sid % 2
+        (out,) = expand_batch([(sid, x, c)], model, cents, econf, lconf).samples
+        with record():
+            xt = Tensor(x, requires_grad=True)
+            backward(loss_c3e([(x, xt, c)], model, cents, lconf))
+        assert np.array_equal(out.features, x - econf.step_size * xt.grad)

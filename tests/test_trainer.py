@@ -2,9 +2,12 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from centerpolar.data import DataSet, LabeledSample
 from centerpolar.encoder import EncoderModel, Layer
@@ -12,7 +15,9 @@ from centerpolar.expansion import ExpansionConfig
 from centerpolar.geometry import compute_centroids
 from centerpolar.losses import LossConfig
 from centerpolar.tensor import ShapeError, Tensor
+from schema_paths import object_paths
 from centerpolar.trainer import (
+    ABLATIONS,
     AdamState,
     CheckpointError,
     TrainConfig,
@@ -55,6 +60,90 @@ def small_config(**overrides):
     )
     kwargs.update(overrides)
     return TrainConfig(**kwargs)
+
+
+positive_floats = st.floats(min_value=1e-9, max_value=1e3)
+unit_floats = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+train_configs = st.builds(
+    TrainConfig,
+    total_epochs=st.integers(0, 100),
+    batch_size=st.integers(2, 512),
+    lr_theta=positive_floats,
+    adam_beta1=unit_floats,
+    adam_beta2=unit_floats,
+    adam_eps=positive_floats,
+    seed=st.integers(0, 2**64 - 1),
+    ablation=st.sampled_from(ABLATIONS),
+    embed_dim=st.integers(1, 64),
+    hidden_dim=st.integers(1, 64),
+    eval_every=st.integers(1, 10),
+    loss=st.builds(
+        LossConfig,
+        margin_m=positive_floats,
+        lam=st.floats(min_value=0.0, max_value=1e3),
+        margin_pos=st.floats(min_value=0.0, max_value=1.0),
+        margin_neg=st.floats(min_value=1.5, max_value=10.0),
+    ),
+    expansion=st.builds(
+        ExpansionConfig,
+        iterations_te=st.integers(1, 100),
+        step_size=positive_floats,
+        expansion_epochs=st.lists(st.integers(1, 50), max_size=5).map(tuple),
+    ),
+)
+
+# a checkpoint exactly as the hand-written serializer wrote it
+PARENT_CHECKPOINT = """{
+  "config": {
+    "ablation": "c4_only",
+    "adam_beta1": 0.9,
+    "adam_beta2": 0.999,
+    "adam_eps": 1e-08,
+    "batch_size": 8,
+    "embed_dim": 2,
+    "eval_every": 2,
+    "expansion": {
+      "expansion_epochs": [
+        1
+      ],
+      "iterations_te": 2,
+      "step_size": 0.05
+    },
+    "hidden_dim": 3,
+    "loss": {
+      "lambda": 0.5,
+      "margin_m": 1.0,
+      "margin_neg": 1.0,
+      "margin_pos": 0.0
+    },
+    "lr_theta": 0.001,
+    "seed": 5,
+    "total_epochs": 3
+  },
+  "epoch": 3,
+  "layers": [
+    {
+      "activation": "tanh",
+      "bias": "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA",
+      "weight": "eA3IJ90Izz98JK2vEAPuv+BB2LWNTaE/zpmMGGoI5D8gbR9fJejYPwB41xCQukg/",
+      "weight_shape": [
+        3,
+        2
+      ]
+    },
+    {
+      "activation": "identity",
+      "bias": "AAAAAAAAAAAAAAAAAAAAAA==",
+      "weight": "EDF8XCxI5z9Q8RVZaQC1v0gn99l6zNa/lG+VKfRA1T+Olggy7ZrhP5htuUWuoMI/",
+      "weight_shape": [
+        2,
+        3
+      ]
+    }
+  ],
+  "seed": 5
+}
+"""
 
 
 class TestTrainConfig:
@@ -104,6 +193,44 @@ class TestTrainConfig:
         cfg = TrainConfig.from_dict({"total_epochs": 7})
         assert cfg.total_epochs == 7
         assert cfg.batch_size == TrainConfig().batch_size
+
+    @given(cfg=train_configs)
+    def test_json_round_trip_property(self, cfg):
+        assert TrainConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    @given(cfg=train_configs, data=st.data())
+    def test_unknown_key_at_any_depth_named(self, cfg, data):
+        d = cfg.to_dict()
+        path, obj = data.draw(st.sampled_from(object_paths(d)))
+        obj["typo"] = 1
+        dotted = f"{path}.typo" if path else "typo"
+        with pytest.raises(ValueError, match=re.escape(dotted)):
+            TrainConfig.from_dict(d)
+
+    @pytest.mark.parametrize(
+        "d, key",
+        [
+            ({"loss": {"lamda": 0.1}}, "loss.lamda"),
+            ({"expansion": {"stepsize": 0.1}}, "expansion.stepsize"),
+            ({"total_epochs": "3"}, "total_epochs"),
+            ({"total_epochs": 1.5}, "total_epochs"),
+            ({"batch_size": 8.0}, "batch_size"),
+            ({"seed": True}, "seed"),
+            ({"lr_theta": False}, "lr_theta"),
+            ({"ablation": 1}, "ablation"),
+            ({"loss": [1, 2]}, "loss"),
+            ({"loss": None}, "loss"),
+            ({"expansion": {"expansion_epochs": 1}}, "expansion.expansion_epochs"),
+            ({"expansion": {"expansion_epochs": [1, 2.5]}}, "expansion.expansion_epochs[1]"),
+        ],
+    )
+    def test_from_dict_rejects_bad_values_by_key(self, d, key):
+        with pytest.raises(ValueError, match=re.escape(key)):
+            TrainConfig.from_dict(d)
+
+    def test_from_dict_stores_json_integers_as_floats(self):
+        cfg = TrainConfig.from_dict({"lr_theta": 1, "loss": {"lambda": 2}})
+        assert type(cfg.lr_theta) is float and type(cfg.loss.lam) is float
 
 
 class TestAdam:
@@ -204,6 +331,8 @@ class TestTrainLoop:
     def test_c3e_only_expands_without_centripetal(self):
         report = train(toy_dataset(), small_config(ablation="c3e_only"))
         assert report.call_counts["expand_batch"] == 2  # epochs 1 and 3
+        # one objective evaluation per sample, iteration and round
+        assert report.call_counts["loss_c3e"] == 20 * 2 * 2
         assert report.call_counts["loss_c4"] == 0
         assert report.call_counts["loss_dis"] == 0
         assert report.call_counts["loss_dom"] > 0
@@ -419,6 +548,26 @@ class TestCheckpoints:
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match=missing):
             load_checkpoint(path)
+
+    def test_parent_format_loads_bit_exact(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        path.write_text(PARENT_CHECKPOINT)
+        model, config, epoch = load_checkpoint(path)
+        assert config == TrainConfig(
+            total_epochs=3,
+            batch_size=8,
+            seed=5,
+            ablation="c4_only",
+            embed_dim=2,
+            hidden_dim=3,
+            loss=LossConfig(lam=0.5),
+            expansion=ExpansionConfig(iterations_te=2, step_size=0.05, expansion_epochs=(1,)),
+        )
+        assert epoch == 3
+        assert model.checksum() == EncoderModel.default(2, 2, 3, seed=5).checksum()
+        resaved = tmp_path / "resaved.json"
+        save_checkpoint(resaved, model, config, epoch)
+        assert resaved.read_text() == PARENT_CHECKPOINT
 
     def test_invalid_config_wrapped(self, tmp_path):
         path = tmp_path / "ckpt.json"
