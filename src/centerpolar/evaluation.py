@@ -7,8 +7,11 @@ MAP@R averages precision-at-i over the relevant positions i <= R (counting
 missed ones as zero). Queries with R = 0 are excluded from the R-based
 aggregates and reported.
 
-Ranking is by ascending Euclidean distance with ties broken by ascending
-sample id; an angular variant is available via metric="geodesic".
+Ranking, in `rank_neighbors` and `evaluate` alike, is by ascending distance
+with ties broken by ascending sample id.  Distances are computed directly
+(squared coordinate differences summed in order; metric="geodesic" takes
+the angle), so exactly tied items stay tied, and `evaluate` computes them
+one block of queries at a time.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .data import DataSet
 from .geometry import EPS_PROJECTION, DegenerateVectorError
 
 METRICS = ("euclidean", "geodesic")
+_BLOCK_ENTRIES = 1 << 16  # query-by-gallery distances held at once
 
 
 @dataclass(frozen=True)
@@ -60,26 +64,14 @@ class RetrievalReport:
     def to_text(self) -> str:
         ks = sorted(next(iter(self.domains.values())).recall_at) if self.domains else []
         headers = ["domain"] + [f"R@{k}" for k in ks] + ["RP", "MAP"]
-        rows = []
-        for name, m in self.domains.items():
-            rows.append(
-                [name]
-                + [f"{m.recall_at[k]:.4f}" for k in ks]
-                + [f"{m.r_precision:.4f}", f"{m.map_at_r:.4f}"]
-            )
-        m = self.average
-        rows.append(
-            ["average"]
+        table = [headers] + [
+            [name]
             + [f"{m.recall_at[k]:.4f}" for k in ks]
             + [f"{m.r_precision:.4f}", f"{m.map_at_r:.4f}"]
-        )
-        widths = [
-            max(len(headers[c]), *(len(r[c]) for r in rows)) for c in range(len(headers))
+            for name, m in [*self.domains.items(), ("average", self.average)]
         ]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-        for r in rows:
-            lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)))
-        return "\n".join(lines) + "\n"
+        widths = [max(len(r[c]) for r in table) for c in range(len(headers))]
+        return "".join("  ".join(v.ljust(w) for v, w in zip(r, widths)) + "\n" for r in table)
 
 
 def rank_neighbors(query_embed, gallery_embeds, gallery_ids=None) -> np.ndarray:
@@ -88,48 +80,55 @@ def rank_neighbors(query_embed, gallery_embeds, gallery_ids=None) -> np.ndarray:
     Ties are broken by ascending sample id so the ranking is deterministic
     under any gallery permutation.
     """
-    q = np.asarray(query_embed, dtype=np.float64).reshape(-1)
+    q = np.asarray(query_embed, dtype=np.float64).reshape(1, -1)
     G = np.asarray(gallery_embeds, dtype=np.float64)
-    if G.ndim != 2 or G.shape[1] != q.shape[0]:
+    if G.ndim != 2 or G.shape[1] != q.shape[1]:
         raise ValueError(
-            f"rank_neighbors: gallery shape {G.shape} does not match query dim {q.shape[0]}"
+            f"rank_neighbors: gallery shape {G.shape} does not match query dim {q.shape[1]}"
         )
-    if gallery_ids is None:
-        gallery_ids = np.arange(G.shape[0])
-    ids = np.asarray(gallery_ids)
-    diffs = G - q
-    dists = np.sqrt((diffs * diffs).sum(axis=1))
-    return np.lexsort((ids, dists))
+    by_id = np.arange(len(G)) if gallery_ids is None else np.argsort(gallery_ids, kind="stable")
+    dists = _distances(q, G[by_id].T, "euclidean")[0]
+    return by_id[np.argsort(dists, kind="stable")]
 
 
-def recall_at_k(ranked_labels, query_label, k: int) -> float:
-    ranked_labels = np.asarray(ranked_labels)
-    if k < 1 or k > ranked_labels.shape[0]:
-        raise ValueError(
-            f"recall_at_k: k={k} outside [1, {ranked_labels.shape[0]}]"
-        )
-    return 1.0 if (ranked_labels[:k] == query_label).any() else 0.0
+def _per_query(metric):
+    """Turns a metric of the relevance of each query's top `cutoff` ranks into
+    one taking ranked labels: 2-D with one row, query label and cutoff per
+    query (one value per row), or one ranked list with scalars (a float)."""
+
+    def from_ranked(ranked_labels, query_label, cutoff):
+        ranked = np.atleast_2d(ranked_labels)
+        cutoff = np.asarray(cutoff).reshape(-1)
+        bad = (cutoff < 1) | (cutoff > ranked.shape[1])
+        if bad.any():
+            raise ValueError(
+                f"{metric.__name__}: cutoff {cutoff[bad][0]} outside [1, {ranked.shape[1]}]"
+            )
+        width = int(cutoff.max(initial=0))
+        relevant = ranked[:, :width] == np.asarray(query_label).reshape(-1, 1)
+        values = metric(relevant & (np.arange(width) < cutoff[:, None]), cutoff)
+        return float(values[0]) if np.ndim(ranked_labels) == 1 else values
+
+    from_ranked.__name__ = from_ranked.__qualname__ = metric.__name__
+    return from_ranked
 
 
-def r_precision(ranked_labels, query_label, R: int) -> float:
-    ranked_labels = np.asarray(ranked_labels)
-    if R < 1 or R > ranked_labels.shape[0]:
-        raise ValueError(f"r_precision: R={R} outside [1, {ranked_labels.shape[0]}]")
-    r = int((ranked_labels[:R] == query_label).sum())
-    return r / R
+@_per_query
+def recall_at_k(relevant, k):
+    return relevant.any(axis=1).astype(np.float64)
 
 
-def map_at_r(ranked_labels, query_label, R: int) -> float:
-    ranked_labels = np.asarray(ranked_labels)
-    if R < 1 or R > ranked_labels.shape[0]:
-        raise ValueError(f"map_at_r: R={R} outside [1, {ranked_labels.shape[0]}]")
-    hits = 0
-    total = 0.0
-    for i in range(R):
-        if ranked_labels[i] == query_label:
-            hits += 1
-            total += hits / (i + 1)
-    return total / R
+@_per_query
+def r_precision(relevant, R):
+    return relevant.sum(axis=1) / R
+
+
+@_per_query
+def map_at_r(relevant, R):
+    hits = np.cumsum(relevant, axis=1)
+    precision = np.where(relevant, hits / np.arange(1, hits.shape[1] + 1), 0.0)
+    # cumsum adds left to right, as the running sum over ranks does
+    return np.cumsum(precision, axis=1)[np.arange(len(R)), R - 1] / R
 
 
 def evaluate(model, tests: dict, recall_ks=(1, 2), metric: str = "euclidean") -> RetrievalReport:
@@ -139,9 +138,7 @@ def evaluate(model, tests: dict, recall_ks=(1, 2), metric: str = "euclidean") ->
     if not tests:
         raise ValueError("evaluate: no test sets given")
     recall_ks = tuple(sorted(set(int(k) for k in recall_ks)))
-    domains: dict[str, DomainMetrics] = {}
-    for name, ds in tests.items():
-        domains[name] = _evaluate_domain(model, ds, recall_ks, metric)
+    domains = {name: _evaluate_domain(model, ds, recall_ks, metric) for name, ds in tests.items()}
     avg = DomainMetrics(
         recall_at={
             k: _mean([m.recall_at[k] for m in domains.values()]) for k in recall_ks
@@ -151,12 +148,7 @@ def evaluate(model, tests: dict, recall_ks=(1, 2), metric: str = "euclidean") ->
         queries=sum(m.queries for m in domains.values()),
         skipped_zero_relevant=sum(m.skipped_zero_relevant for m in domains.values()),
     )
-    return RetrievalReport(
-        domains=domains,
-        average=avg,
-        query_count=sum(m.queries for m in domains.values()),
-        metric=metric,
-    )
+    return RetrievalReport(domains=domains, average=avg, query_count=avg.queries, metric=metric)
 
 
 def _evaluate_domain(model, ds: DataSet, recall_ks, metric: str) -> DomainMetrics:
@@ -170,52 +162,56 @@ def _evaluate_domain(model, ds: DataSet, recall_ks, metric: str) -> DomainMetric
     E = model.embed_many(ds.features_matrix())
     ids = ds.ids()
     labels = ds.labels()
-    D = _distance_matrix(E, ids, metric)
-    keep = np.ones(n, dtype=bool)
-    recall_sums = {k: 0.0 for k in recall_ks}
-    rp_values = []
-    map_values = []
-    skipped = 0
-    for i in range(n):
-        keep[i] = False  # leave the query (by id: ids are unique) out
-        row = D[i][keep]
-        rest_ids = ids[keep]
-        rest_labels = labels[keep]
-        keep[i] = True
-        order = np.lexsort((rest_ids, row))
-        ranked = rest_labels[order]
+    if metric == "geodesic":
+        norms = np.sqrt((E * E).sum(axis=1))
+        bad = np.nonzero(norms <= EPS_PROJECTION)[0]
+        if bad.size:
+            raise DegenerateVectorError(
+                f"geodesic ranking: embedding of sample {int(ids[bad[0]])} has near-zero norm"
+            )
+        E = E / norms[:, None]
+    # gallery columns in id order, so a stable sort breaks ties by id
+    by_id = np.argsort(ids, kind="stable")
+    gallery = E[by_id].T.copy()
+    gallery_labels = labels[by_id]
+    own_column = np.argsort(by_id)
+    _, label_index, class_sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    R = class_sizes[label_index] - 1
+    scored = R > 0
+    recalls = {k: np.empty(n) for k in recall_ks}
+    rp, mp = np.empty(n), np.empty(n)
+    rows = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, n, rows):
+        block = slice(start, start + rows)
+        order = np.argsort(_distances(E[block], gallery, metric), axis=1, kind="stable")
+        # leave each query out by its own column; ids are unique
+        order = order[order != own_column[block, None]].reshape(-1, n - 1)
+        ranked = gallery_labels[order]
+        query = labels[block]
         for k in recall_ks:
-            recall_sums[k] += recall_at_k(ranked, labels[i], k)
-        R = int((rest_labels == labels[i]).sum())
-        if R == 0:
-            skipped += 1
-            continue
-        rp_values.append(r_precision(ranked, labels[i], R))
-        map_values.append(map_at_r(ranked, labels[i], R))
+            recalls[k][block] = recall_at_k(ranked, query, k)
+        keep = scored[block]
+        rp[block][keep] = r_precision(ranked[keep], query[keep], R[block][keep])
+        mp[block][keep] = map_at_r(ranked[keep], query[keep], R[block][keep])
+    # means over the queries in sample order, as a left-to-right sum
     return DomainMetrics(
-        recall_at={k: recall_sums[k] / n for k in recall_ks},
-        r_precision=_mean(rp_values) if rp_values else 0.0,
-        map_at_r=_mean(map_values) if map_values else 0.0,
+        recall_at={k: _mean(recalls[k].tolist()) for k in recall_ks},
+        r_precision=_mean(rp[scored].tolist()) if scored.any() else 0.0,
+        map_at_r=_mean(mp[scored].tolist()) if scored.any() else 0.0,
         queries=n,
-        skipped_zero_relevant=skipped,
+        skipped_zero_relevant=int(n - scored.sum()),
     )
 
 
-def _distance_matrix(E: np.ndarray, ids: np.ndarray, metric: str) -> np.ndarray:
-    if metric == "euclidean":
-        sq = (E * E).sum(axis=1)
-        D = sq[:, None] + sq[None, :] - 2.0 * (E @ E.T)
-        np.maximum(D, 0.0, out=D)
-        return np.sqrt(D)
-    norms = np.sqrt((E * E).sum(axis=1))
-    bad = np.nonzero(norms <= EPS_PROJECTION)[0]
-    if bad.size:
-        raise DegenerateVectorError(
-            f"geodesic ranking: embedding of sample {int(ids[bad[0]])} has near-zero norm"
-        )
-    U = E / norms[:, None]
-    C = np.clip(U @ U.T, -1.0, 1.0)
-    return np.arccos(C) / math.pi
+def _distances(Q: np.ndarray, gallery_t: np.ndarray, metric: str) -> np.ndarray:
+    """Distances from each row of Q to each column of gallery_t (unit vectors
+    for the geodesic metric); euclidean adds (q_j - g_j)^2 over j in order."""
+    if metric == "geodesic":
+        return np.arccos(np.clip(Q @ gallery_t, -1.0, 1.0)) / math.pi
+    D = np.zeros((Q.shape[0], gallery_t.shape[1]))
+    for q_j, g_j in zip(Q.T, gallery_t):
+        D += (q_j[:, None] - g_j) ** 2
+    return np.sqrt(D)
 
 
 def _mean(values) -> float:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import schema
 from .geometry import CentroidTable, Tensor, euclidean_distance, geodesic_distance
 from .losses import LossConfig, c3e_objective, c3e_reference
 from .tensor import DomainError, backward, record
@@ -34,11 +35,12 @@ class ExpansionConfig:
     expansion_epochs: tuple[int, ...] = (1, 4, 7)  # epochs (1-based) that run a round
 
     def __post_init__(self):
-        if not isinstance(self.iterations_te, int) or self.iterations_te < 1:
+        schema.check_integers(self)
+        if self.iterations_te < 1:
             raise ValueError(f"iterations_te must be >= 1, got {self.iterations_te}")
         if not self.step_size > 0:
             raise ValueError(f"step_size must be positive, got {self.step_size}")
-        epochs = tuple(sorted(set(int(e) for e in self.expansion_epochs)))
+        epochs = tuple(sorted(set(self.expansion_epochs)))
         if any(e < 1 for e in epochs):
             raise ValueError(f"expansion epochs must be >= 1, got {epochs}")
         object.__setattr__(self, "expansion_epochs", epochs)

@@ -6,12 +6,14 @@ lists.  `from_dict` is its strict inverse: an unknown key at any depth, a
 missing field without a default, or a value that does not match the
 field's annotation raises ValueError naming the dotted path of the key.
 `int` takes JSON integers only, `float` any JSON number (stored as a
-float), and neither takes a boolean.
+float), and neither takes a boolean.  `check_integers` holds the `int`
+fields to the same rule at construction.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import types
 import typing
 
@@ -83,6 +85,28 @@ def _load(tp, value, path: str):
     if isinstance(value, tp):
         return value
     raise _mismatch(path, _WANTED[tp], value)
+
+
+def check_integers(obj) -> None:
+    """Store each `int` field of the frozen dataclass `obj`, and each item of
+    a `tuple[int, ...]` field, as an int.  A boolean or a non-integer (numpy
+    integers are integers) raises ValueError naming the field."""
+    hints = typing.get_type_hints(type(obj))
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if hints[f.name] is int:
+            value = integer(value, f.name)
+        elif hints[f.name] == tuple[int, ...]:
+            value = tuple(integer(v, f"{f.name}[{i}]") for i, v in enumerate(value))
+        else:
+            continue
+        object.__setattr__(obj, f.name, value)
+
+
+def integer(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise _mismatch(path, "an integer", value)
+    return int(value)
 
 
 def _join(path: str, key) -> str:

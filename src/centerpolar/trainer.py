@@ -56,6 +56,7 @@ class TrainConfig:
     expansion: ExpansionConfig = field(default_factory=ExpansionConfig)
 
     def __post_init__(self):
+        schema.check_integers(self)
         if self.total_epochs < 0:
             raise ValueError(f"total_epochs must be >= 0, got {self.total_epochs}")
         if self.batch_size < 2:
@@ -365,6 +366,8 @@ def load_checkpoint(path):
             payload = json.load(fh)
         except json.JSONDecodeError as e:
             raise CheckpointError(f"checkpoint is not valid JSON: {e}") from e
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"checkpoint is not a JSON object, got {type(payload).__name__}")
     for fieldname in ("config", "epoch", "seed", "layers"):
         if fieldname not in payload:
             raise CheckpointError(f"checkpoint missing field {fieldname!r}")
@@ -376,4 +379,8 @@ def load_checkpoint(path):
         model = EncoderModel.from_payload(payload["layers"])
     except (KeyError, ValueError, TypeError) as e:
         raise CheckpointError(f"checkpoint field 'layers' is invalid: {e}") from e
-    return model, config, int(payload["epoch"])
+    try:
+        epoch = schema.integer(payload["epoch"], "epoch")
+    except ValueError as e:
+        raise CheckpointError(f"checkpoint field 'epoch' is invalid: {e}") from e
+    return model, config, epoch

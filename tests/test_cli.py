@@ -1,15 +1,19 @@
 """End-to-end CLI runs in temp directories, exit codes, manifests."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import centerpolar
 from centerpolar.cli import main
 from centerpolar.data import load_csv
-from centerpolar.trainer import load_checkpoint
+from centerpolar.encoder import EncoderModel
+from centerpolar.trainer import TrainConfig, load_checkpoint
 
 MANIFEST_KEYS = {
     "command",
@@ -49,6 +53,17 @@ def train_config_dict(**overrides):
         "hidden_dim": 8,
         "eval_every": 1,
         "expansion": {"iterations_te": 2, "step_size": 0.01, "expansion_epochs": [1]},
+    }
+    d.update(overrides)
+    return d
+
+
+def checkpoint_dict(**overrides):
+    d = {
+        "config": TrainConfig().to_dict(),
+        "epoch": 1,
+        "seed": 0,
+        "layers": EncoderModel.default(input_dim=4, embed_dim=4, hidden_dim=8).to_payload(),
     }
     d.update(overrides)
     return d
@@ -438,6 +453,10 @@ class TestExportEmbeddings:
 def test_module_entry_point(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec_dict()))
+    # the child imports the same package as this process, installed or not
+    src = str(Path(centerpolar.__file__).parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     proc = subprocess.run(
         [
             sys.executable,
@@ -451,6 +470,7 @@ def test_module_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "d" / "train.csv").exists()
@@ -473,6 +493,10 @@ def test_module_entry_point(tmp_path):
             spec_dict(domain_transforms=[{"name": "near", "scael": 2.0}]),
             "domain_transforms[0].scael",
         ),
+        ("eval", 1, "checkpoint"),
+        ("eval", [1], "checkpoint"),
+        ("eval", checkpoint_dict(epoch=[1]), "epoch"),
+        ("eval", checkpoint_dict(epoch=1.7), "epoch"),
     ],
 )
 def test_malformed_input_file_is_exit_2(tmp_path, data_dir, capsys, command, content, key):
@@ -481,6 +505,8 @@ def test_malformed_input_file_is_exit_2(tmp_path, data_dir, capsys, command, con
     out = str(tmp_path / "out")
     if command == "train":
         argv = ["train", "--data", str(data_dir), "--config", str(path), "--out", out]
+    elif command == "eval":
+        argv = ["eval", "--checkpoint", str(path), "--data", str(data_dir), "--out", out]
     else:
         argv = ["gen-data", "--spec", str(path), "--out", out]
     capsys.readouterr()

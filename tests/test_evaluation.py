@@ -8,6 +8,7 @@ import pytest
 from centerpolar.data import DataSet, LabeledSample
 from centerpolar.encoder import EncoderModel, Layer
 from centerpolar.evaluation import (
+    _BLOCK_ENTRIES,
     evaluate,
     map_at_r,
     r_precision,
@@ -23,6 +24,7 @@ from metric_oracle import (
     oracle_map_at_r_exact,
     oracle_r_precision,
     oracle_r_precision_exact,
+    oracle_rank,
     oracle_recall_at_k,
 )
 
@@ -102,10 +104,11 @@ class TestRankNeighbors:
 
 class TestAgainstOracle:
     def test_exhaustive_small_galleries(self):
-        # every relevance configuration up to gallery size 8, bit for bit
+        # every relevance configuration up to gallery size 8, bit for bit,
+        # one ranked list at a time and all of them as one 2-D call
         for n in range(1, 9):
-            for mask in range(2**n):
-                rel = [(mask >> i) & 1 == 1 for i in range(n)]
+            rels = [[(mask >> i) & 1 == 1 for i in range(n)] for mask in range(2**n)]
+            for rel in rels:
                 ranked = [1 if r else 0 for r in rel]
                 for k in range(1, n + 1):
                     assert recall_at_k(ranked, 1, k) == oracle_recall_at_k(rel, k)
@@ -118,6 +121,20 @@ class TestAgainstOracle:
                 mp = map_at_r(ranked, 1, R)
                 assert mp == oracle_map_at_r(rel)
                 assert abs(mp - float(oracle_map_at_r_exact(rel))) < 1e-12
+            # the same rows as one 2-D call, each with its own query label
+            rel2d = np.array(rels, dtype=bool).reshape(len(rels), n)
+            query = np.arange(len(rels)) % 3
+            ranked2d = np.where(rel2d, query[:, None], query[:, None] + 1)
+            for k in range(1, n + 1):
+                got = recall_at_k(ranked2d, query, k)
+                assert got.tolist() == [oracle_recall_at_k(rel, k) for rel in rels]
+            scored = rel2d.any(axis=1)
+            R = rel2d.sum(axis=1)[scored]
+            rp = r_precision(ranked2d[scored], query[scored], R)
+            mp = map_at_r(ranked2d[scored], query[scored], R)
+            expected = [rel for rel in rels if any(rel)]
+            assert rp.tolist() == [oracle_r_precision(rel) for rel in expected]
+            assert mp.tolist() == [oracle_map_at_r(rel) for rel in expected]
 
     def test_recall_monotone_and_map_bounded_by_rp(self):
         gen = np.random.default_rng(0)
@@ -135,25 +152,57 @@ class TestAgainstOracle:
                 assert map_at_r(ranked, 1, R) <= r_precision(ranked, 1, R) + 1e-12
 
     def test_leave_one_out_random_data_matches(self):
-        # integer-valued features keep both distance computations exact, so
-        # the rankings and the means agree bit for bit
+        # integer features keep every distance exact; the real-valued cases
+        # carry exact ties (mirrored pairs), ids out of sample order, and a
+        # domain of more than one query block, not a multiple of it
         gen = np.random.default_rng(7)
-        X = gen.integers(-5, 6, size=(30, 4)).astype(np.float64)
-        labels = gen.integers(0, 3, size=30).tolist()
-        ids = [2 * i + 5 for i in range(30)]
-        ds = DataSet()
-        for sid, row, lab in zip(ids, X, labels):
-            ds.add(LabeledSample(id=sid, features=row, class_id=lab, domain_tag="d"))
-        report = evaluate(identity_model(4), {"d": ds})
-        _rows, means = oracle_leave_one_out(
-            [row.tolist() for row in X], labels, ids, recall_ks=(1, 2)
-        )
-        m = report.domains["d"]
-        assert m.recall_at[1] == means["recall_at"][1]
-        assert m.recall_at[2] == means["recall_at"][2]
-        assert m.r_precision == means["r_precision"]
-        assert m.map_at_r == means["map_at_r"]
-        assert m.skipped_zero_relevant == means["skipped_zero_relevant"]
+        cases = [
+            (
+                gen.integers(-5, 6, size=(30, 4)).astype(np.float64),
+                gen.integers(0, 3, size=30),
+                np.array([2 * i + 5 for i in range(30)]),
+            )
+        ]
+        for _ in range(10):
+            X = mirrored_pairs(gen, 8, 6)
+            cases.append((X, gen.integers(0, 3, size=24), np.arange(24)))
+            cases.append((X, gen.integers(0, 3, size=24), gen.permutation(100)[:24]))
+        X = np.vstack([mirrored_pairs(gen, 20, 6), gen.normal(1.5, 0.2, size=(241, 6))])
+        n = len(X)
+        rows = _BLOCK_ENTRIES // n
+        assert 1 <= rows < n and n % rows
+        cases.append((X, gen.integers(0, 5, size=n), gen.permutation(10 * n)[:n]))
+        for X, labels, ids in cases:
+            ds = DataSet()
+            for sid, row, lab in zip(ids, X, labels):
+                ds.add(LabeledSample(id=int(sid), features=row, class_id=int(lab), domain_tag="d"))
+            report = evaluate(identity_model(X.shape[1]), {"d": ds})
+            vectors = [row.tolist() for row in X]
+            _rows, means = oracle_leave_one_out(
+                vectors, labels.tolist(), ids.tolist(), recall_ks=(1, 2)
+            )
+            m = report.domains["d"]
+            assert m.recall_at[1] == means["recall_at"][1]
+            assert m.recall_at[2] == means["recall_at"][2]
+            assert m.r_precision == means["r_precision"]
+            assert m.map_at_r == means["map_at_r"]
+            assert m.skipped_zero_relevant == means["skipped_zero_relevant"]
+            if len(X) <= 30:  # and the one-query ranking, on the small domains
+                for q in range(len(X)):
+                    rest = [i for i in range(len(X)) if i != q]
+                    got = rank_neighbors(X[q], X[rest], ids[rest])
+                    assert ids[rest][got].tolist() == oracle_rank(
+                        vectors[q], [vectors[i] for i in rest], ids[rest].tolist()
+                    )
+
+
+def mirrored_pairs(gen, centers, dim):
+    """Triples q, q + v, q - v whose two neighbors are at exactly equal direct
+    distance from q: q lies in [1.25, 1.75) and v is a multiple of 2**-10
+    below 2**-5, so q + v, q - v and the differences back to q are exact."""
+    q = gen.uniform(1.25, 1.75, size=(centers, dim))
+    v = gen.integers(-32, 33, size=(centers, dim)) / 1024.0
+    return np.stack([q, q + v, q - v], axis=1).reshape(-1, dim)
 
 
 class TestTenSampleTable:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,28 @@ def test_config_validation_and_normalization():
         ExpansionConfig(expansion_epochs=(0, 1))
     cfg = ExpansionConfig(expansion_epochs=(7, 1, 4, 1))
     assert cfg.expansion_epochs == (1, 4, 7)
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"iterations_te": 2.0}, "iterations_te"),
+        ({"iterations_te": True}, "iterations_te"),
+        ({"expansion_epochs": (1.5, 2.9)}, "expansion_epochs[0]"),
+        ({"expansion_epochs": (1, True)}, "expansion_epochs[1]"),
+        ({"expansion_epochs": (1, "4")}, "expansion_epochs[1]"),
+    ],
+)
+def test_integer_fields_reject_non_integers(kwargs, field):
+    with pytest.raises(ValueError, match=re.escape(field)):
+        ExpansionConfig(**kwargs)
+
+
+def test_integer_fields_store_numpy_integers_as_int():
+    cfg = ExpansionConfig(iterations_te=np.int64(3), expansion_epochs=(np.int32(4), 1))
+    assert cfg.iterations_te == 3 and type(cfg.iterations_te) is int
+    assert cfg.expansion_epochs == (1, 4)
+    assert all(type(e) is int for e in cfg.expansion_epochs)
 
 
 def test_single_step_matches_analytic_gradient():

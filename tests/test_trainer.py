@@ -163,11 +163,22 @@ class TestTrainConfig:
             {"ablation": "everything"},
             {"embed_dim": 0},
             {"eval_every": 0},
+            {"total_epochs": 1.5},
+            {"batch_size": 8.0},
+            {"seed": True},
+            {"embed_dim": "4"},
+            {"hidden_dim": 8.0},
+            {"eval_every": False},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="|".join(kwargs)):
             TrainConfig(**kwargs)
+
+    def test_integer_fields_store_numpy_integers_as_int(self):
+        cfg = TrainConfig(total_epochs=np.int64(3), batch_size=np.int32(8), seed=np.uint64(5))
+        assert (cfg.total_epochs, cfg.batch_size, cfg.seed) == (3, 8, 5)
+        assert {type(cfg.total_epochs), type(cfg.batch_size), type(cfg.seed)} == {int}
 
     def test_round_trip(self):
         cfg = small_config(
