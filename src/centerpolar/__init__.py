@@ -22,8 +22,6 @@ from .evaluation import (
     recall_at_k,
 )
 from .expansion import (
-    ExpandedSample,
-    ExpandedSet,
     ExpansionConfig,
     ExpansionDivergedError,
     expand_batch,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rng, schema
 
-_PROTOTYPE_ATTEMPTS = 1000
+_PROTOTYPE_ATTEMPTS = 10_000
 RESERVED_DOMAIN_TAGS = ("source", "expanded")
 
 

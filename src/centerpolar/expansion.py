@@ -8,7 +8,7 @@ throughout; only the inputs move.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,12 +16,6 @@ from . import schema
 from .geometry import CentroidTable, Tensor, euclidean_distance, geodesic_distance
 from .losses import LossConfig, c3e_objective, c3e_reference
 from .tensor import DomainError, backward, record
-
-CALL_COUNTS = {"expand_batch": 0}
-
-
-def reset_call_counts() -> None:
-    CALL_COUNTS["expand_batch"] = 0
 
 
 class ExpansionDivergedError(ArithmeticError):
@@ -46,22 +40,6 @@ class ExpansionConfig:
         object.__setattr__(self, "expansion_epochs", epochs)
 
 
-@dataclass(frozen=True)
-class ExpandedSample:
-    features: np.ndarray
-    class_id: int
-    source_id: int  # id of the original sample this grew from
-    domain_tag: str = "expanded"
-
-
-@dataclass
-class ExpandedSet:
-    samples: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.samples)
-
-
 def expand_batch(
     batch,
     model,
@@ -69,31 +47,30 @@ def expand_batch(
     econfig: ExpansionConfig,
     lconfig: LossConfig,
     trajectory_sink: list | None = None,
-) -> ExpandedSet:
+) -> np.ndarray:
     """Expand a batch of (sample_id, x, class_id) triples independently.
 
-    Returns the final iterates; model parameters are not touched.  When
-    `trajectory_sink` is given, rows (sample_id, iter, d_geo, d_euclid, loss)
-    are appended for every iterate including the initial one.
+    Returns the final iterates as an (n, d) array in batch order; model
+    parameters are not touched.  When `trajectory_sink` is given, rows
+    (sample_id, iter, d_geo, d_euclid, loss) are appended for every
+    iterate including the initial one.
     """
-    CALL_COUNTS["expand_batch"] += 1
-    out = ExpandedSet()
-    for sample_id, x, class_id in batch:
-        final = _expand_sample(
-            int(sample_id),
-            x,
-            int(class_id),
-            model,
-            centroids,
-            econfig.iterations_te,
-            econfig.step_size,
-            lconfig,
-            trajectory_sink,
-        )
-        out.samples.append(
-            ExpandedSample(features=final, class_id=int(class_id), source_id=int(sample_id))
-        )
-    return out
+    return np.array(
+        [
+            _expand_sample(
+                int(sample_id),
+                x,
+                int(class_id),
+                model,
+                centroids,
+                econfig.iterations_te,
+                econfig.step_size,
+                lconfig,
+                trajectory_sink,
+            )
+            for sample_id, x, class_id in batch
+        ]
+    )
 
 
 def expansion_trajectory(

@@ -21,14 +21,6 @@ from dataclasses import dataclass, field
 from .geometry import CentroidTable, euclidean_distance, geodesic_distance
 from .tensor import Tensor
 
-CALL_COUNTS = {"loss_c3e": 0, "loss_dom": 0, "loss_dis": 0, "loss_c4": 0}
-
-
-def reset_call_counts() -> None:
-    for k in CALL_COUNTS:
-        CALL_COUNTS[k] = 0
-
-
 @dataclass(frozen=True)
 class LossConfig:
     margin_m: float = 1.0  # expansion drift margin
@@ -85,7 +77,6 @@ def c3e_objective(x, x_tilde, centroid, d_orig: float, model, margin: float) -> 
     `d_orig` is `c3e_reference(x, centroid, model)`.  The encoder is applied
     frozen, so gradients flow to `x_tilde` only when `x` is constant.
     """
-    CALL_COUNTS["loss_c3e"] += 1
     mu = Tensor(centroid)
     e_tilde = model.forward(x_tilde, frozen=True)
     return (
@@ -121,7 +112,6 @@ def loss_dom(batch, config: LossConfig) -> Tensor:
     """
     if len(batch) < 2:
         raise ValueError(f"loss_dom: need at least 2 samples, got {len(batch)}")
-    CALL_COUNTS["loss_dom"] += 1
     pos_sum = None
     neg_sum = None
     n_pos = 0
@@ -150,7 +140,6 @@ def loss_dom(batch, config: LossConfig) -> Tensor:
 
 def loss_dis(embedding: Tensor, centroid) -> Tensor:
     """Sphere distance to the class centroid; minimizing pulls inward."""
-    CALL_COUNTS["loss_dis"] += 1
     return geodesic_distance(centroid, embedding)
 
 
@@ -162,7 +151,6 @@ def loss_c4(batch, model, centroids: CentroidTable, config: LossConfig) -> Tenso
     """
     if len(batch) < 2:
         raise ValueError(f"loss_c4: need at least 2 samples, got {len(batch)}")
-    CALL_COUNTS["loss_c4"] += 1
     embeds = []
     for x, class_id in batch:
         embeds.append((model.forward(x), class_id))

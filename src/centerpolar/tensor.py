@@ -3,7 +3,9 @@
 Storage is a flat row-major float64 array plus a shape tuple.  Ops record
 onto the active tape (see `record`) when any operand participates in it;
 `backward` replays the tape in reverse execution order, which makes
-gradients bitwise reproducible for a fixed graph.
+gradients bitwise reproducible for a fixed graph.  The active tape is per
+thread and per async context, so concurrent runs in one process keep
+separate graphs.
 
 Elementwise ops support equal shapes or scalar broadcast only.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -42,23 +45,24 @@ class Tape:
         return len(self._entries)
 
 
-_ACTIVE: Tape | None = None
+_ACTIVE: ContextVar[Tape | None] = ContextVar("centerpolar_active_tape", default=None)
 
 
 @contextmanager
 def record(tape: Tape | None = None):
     """Make `tape` (or a fresh one) the active tape within the block.
 
-    Ops run outside any active tape are pure and record nothing, so
-    inference never allocates graph state.
+    The active tape belongs to the calling thread and async context, so
+    blocks in other threads neither see nor replace it.  Ops run outside
+    any active tape are pure and record nothing, so inference never
+    allocates graph state.
     """
-    global _ACTIVE
-    prev = _ACTIVE
-    _ACTIVE = tape if tape is not None else Tape()
+    active = tape if tape is not None else Tape()
+    token = _ACTIVE.set(active)
     try:
-        yield _ACTIVE
+        yield active
     finally:
-        _ACTIVE = prev
+        _ACTIVE.reset(token)
 
 
 def _size(shape) -> int:
@@ -134,7 +138,7 @@ class Tensor:
         if isinstance(other, Tensor):
             oshape = _binary_shape("add", self.shape, other.shape)
             out = Tensor._wrap(self.data + other.data, oshape)
-            tape = _ACTIVE
+            tape = _ACTIVE.get()
             if tape is not None:
                 na, nb = _part(self, tape), _part(other, tape)
                 if na or nb:
@@ -158,7 +162,7 @@ class Tensor:
         if isinstance(other, Tensor):
             oshape = _binary_shape("sub", self.shape, other.shape)
             out = Tensor._wrap(self.data - other.data, oshape)
-            tape = _ACTIVE
+            tape = _ACTIVE.get()
             if tape is not None:
                 na, nb = _part(self, tape), _part(other, tape)
                 if na or nb:
@@ -178,7 +182,7 @@ class Tensor:
 
     def __rsub__(self, other):
         out = Tensor._wrap(float(other) - self.data, self.shape)
-        tape = _ACTIVE
+        tape = _ACTIVE.get()
         if tape is not None and _part(self, tape):
             _push(tape, out, (self,), lambda g: (-g,), "rsub")
         return out
@@ -187,7 +191,7 @@ class Tensor:
         if isinstance(other, Tensor):
             oshape = _binary_shape("mul", self.shape, other.shape)
             out = Tensor._wrap(self.data * other.data, oshape)
-            tape = _ACTIVE
+            tape = _ACTIVE.get()
             if tape is not None:
                 na, nb = _part(self, tape), _part(other, tape)
                 if na or nb:
@@ -204,7 +208,7 @@ class Tensor:
             return out
         c = float(other)
         out = Tensor._wrap(self.data * c, self.shape)
-        tape = _ACTIVE
+        tape = _ACTIVE.get()
         if tape is not None and _part(self, tape):
             _push(tape, out, (self,), lambda g: (g * c,), "mul")
         return out
@@ -215,7 +219,7 @@ class Tensor:
         if isinstance(other, Tensor):
             oshape = _binary_shape("div", self.shape, other.shape)
             out = Tensor._wrap(self.data / other.data, oshape)
-            tape = _ACTIVE
+            tape = _ACTIVE.get()
             if tape is not None:
                 na, nb = _part(self, tape), _part(other, tape)
                 if na or nb:
@@ -235,7 +239,7 @@ class Tensor:
             return out
         c = float(other)
         out = Tensor._wrap(self.data / c, self.shape)
-        tape = _ACTIVE
+        tape = _ACTIVE.get()
         if tape is not None and _part(self, tape):
             _push(tape, out, (self,), lambda g: (g / c,), "div")
         return out
@@ -243,7 +247,7 @@ class Tensor:
     def __rtruediv__(self, other):
         c = float(other)
         out = Tensor._wrap(c / self.data, self.shape)
-        tape = _ACTIVE
+        tape = _ACTIVE.get()
         if tape is not None and _part(self, tape):
             ad = self.data
 
@@ -271,7 +275,7 @@ class Tensor:
         B = other.data.reshape(sb)
         out_nd = A @ B
         out = Tensor._wrap(out_nd, out_nd.shape)
-        tape = _ACTIVE
+        tape = _ACTIVE.get()
         if tape is not None:
             na, nb = _part(self, tape), _part(other, tape)
             if na or nb:
@@ -300,7 +304,7 @@ class Tensor:
                 f"dot: shapes {self.shape} and {other.shape} must be equal 1-D"
             )
         out = Tensor._wrap(np.array([np.dot(self.data, other.data)]), ())
-        tape = _ACTIVE
+        tape = _ACTIVE.get()
         if tape is not None:
             na, nb = _part(self, tape), _part(other, tape)
             if na or nb:
@@ -317,7 +321,7 @@ class Tensor:
 
     def sum(self) -> "Tensor":
         out = Tensor._wrap(np.array([self.data.sum()]), ())
-        tape = _ACTIVE
+        tape = _ACTIVE.get()
         if tape is not None and _part(self, tape):
             n = self.size
 
@@ -332,7 +336,7 @@ class Tensor:
         if n == 0:
             raise ShapeError("mean: tensor has no elements")
         out = Tensor._wrap(np.array([self.data.sum() / n]), ())
-        tape = _ACTIVE
+        tape = _ACTIVE.get()
         if tape is not None and _part(self, tape):
 
             def vjp(g):
@@ -344,7 +348,7 @@ class Tensor:
     def l2_norm(self) -> "Tensor":
         norm = math.sqrt(np.dot(self.data, self.data))
         out = Tensor._wrap(np.array([norm]), ())
-        tape = _ACTIVE
+        tape = _ACTIVE.get()
         if tape is not None and _part(self, tape):
             ad = self.data
 
@@ -362,7 +366,7 @@ class Tensor:
     def relu(self) -> "Tensor":
         mask = self.data > 0.0  # subgradient at 0 is 0
         out = Tensor._wrap(np.where(mask, self.data, 0.0), self.shape)
-        tape = _ACTIVE
+        tape = _ACTIVE.get()
         if tape is not None and _part(self, tape):
 
             def vjp(g):
@@ -374,7 +378,7 @@ class Tensor:
     def tanh(self) -> "Tensor":
         y = np.tanh(self.data)
         out = Tensor._wrap(y, self.shape)
-        tape = _ACTIVE
+        tape = _ACTIVE.get()
         if tape is not None and _part(self, tape):
 
             def vjp(g):
@@ -386,7 +390,7 @@ class Tensor:
     def sqrt(self) -> "Tensor":
         y = np.sqrt(self.data)
         out = Tensor._wrap(y, self.shape)
-        tape = _ACTIVE
+        tape = _ACTIVE.get()
         if tape is not None and _part(self, tape):
 
             def vjp(g):
@@ -397,7 +401,7 @@ class Tensor:
 
     def square(self) -> "Tensor":
         out = Tensor._wrap(self.data * self.data, self.shape)
-        tape = _ACTIVE
+        tape = _ACTIVE.get()
         if tape is not None and _part(self, tape):
             ad = self.data
 
@@ -418,7 +422,7 @@ class Tensor:
             ad >= 1.0 - EPS_ACOS, 1.0, np.where(ad <= -1.0 + EPS_ACOS, -1.0, ad)
         )
         out = Tensor._wrap(np.arccos(snapped), self.shape)
-        tape = _ACTIVE
+        tape = _ACTIVE.get()
         if tape is not None and _part(self, tape):
             mask = np.abs(ad) < 1.0 - EPS_ACOS
 
@@ -436,7 +440,7 @@ class Tensor:
             raise ValueError(f"clamp: lo={lo} exceeds hi={hi}")
         ad = self.data
         out = Tensor._wrap(np.clip(ad, lo, hi), self.shape)
-        tape = _ACTIVE
+        tape = _ACTIVE.get()
         if tape is not None and _part(self, tape):
             mask = (ad > lo) & (ad < hi)  # subgradient 0 at exact bounds
 
@@ -458,7 +462,7 @@ def _push(tape: Tape, out: Tensor, inputs: tuple, vjp, name: str) -> None:
 
 def _push_unary_passthrough(src: Tensor, out: Tensor, name: str) -> None:
     # add/sub with a plain-number operand: grad passes straight through
-    tape = _ACTIVE
+    tape = _ACTIVE.get()
     if tape is not None and _part(src, tape):
         _push(tape, out, (src,), lambda g: (g,), name)
 

@@ -12,13 +12,10 @@ term is ablated.
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import expansion as expansion_mod
-from . import losses as losses_mod
 from . import rng, schema
 from .data import DataSet
 from .encoder import EncoderModel
@@ -135,10 +132,8 @@ class TrainReport:
     config: TrainConfig
     model: EncoderModel
     call_counts: dict
-    wall_clock_seconds: float
 
     def to_dict(self) -> dict:
-        # wall clock stays out: serialized reports are byte-stable across reruns
         return {
             "epoch_losses": list(self.epoch_losses),
             "eval_snapshots": {
@@ -164,50 +159,46 @@ def train(
             raise ValueError(
                 f"train: class {class_id} has {count} sample(s), need >= 2 for pairs"
             )
-    t_start = time.perf_counter()
-    counts_before = dict(losses_mod.CALL_COUNTS)
-    counts_before["expand_batch"] = expansion_mod.CALL_COUNTS["expand_batch"]
-
-    input_dim = dataset.samples[0].features.shape[0]
-    model = EncoderModel.default(input_dim, config.embed_dim, config.hidden_dim, config.seed)
+    ids = dataset.ids()
+    features = dataset.features_matrix()
+    labels = dataset.labels()
+    model = EncoderModel.default(
+        features.shape[1], config.embed_dim, config.hidden_dim, config.seed
+    )
     params = model.parameters()
     adam = AdamState.init(params)
     batch_gen = rng.stream(config.seed, rng.STREAM_BATCH_ORDER)
 
-    originals = list(dataset.samples)
-    features = dataset.features_matrix()
-    expanded_id_offset = int(dataset.ids().max()) + 1 if originals else 0
-    carry_buffer = {s.id: s.features.copy() for s in originals}  # expansion init
-    omega = [(s.id, s.features, s.class_id) for s in originals]
+    carry = features  # expansion init: each round starts from the last round's iterates
+    omega_x, omega_y = features, labels  # working set: originals plus the freshest expansion
 
     run_expansion = config.ablation in ("c3e_only", "full")
     use_centripetal = config.ablation in ("c4_only", "full")
+    counts = dict.fromkeys(("loss_c3e", "loss_dom", "loss_dis", "loss_c4", "expand_batch"), 0)
 
     epoch_losses: list[float] = []
     snapshots: dict[int, RetrievalReport] = {}
     for epoch in range(1, config.total_epochs + 1):
         # centroids from the originals under the current encoder, frozen for the epoch
-        embeddings = model.embed_many(features)
-        centroids = compute_centroids(
-            (s.class_id, embeddings[i]) for i, s in enumerate(originals)
-        )
+        centroids = compute_centroids(zip(labels.tolist(), model.embed_many(features)))
         if run_expansion and epoch in config.expansion.expansion_epochs:
-            batch = [(s.id, carry_buffer[s.id], s.class_id) for s in originals]
-            expset = expand_batch(
-                batch, model, centroids, config.expansion, config.loss, trajectory_sink
+            carry = expand_batch(
+                list(zip(ids.tolist(), carry, labels.tolist())),
+                model,
+                centroids,
+                config.expansion,
+                config.loss,
+                trajectory_sink,
             )
-            for es in expset.samples:
-                carry_buffer[es.source_id] = es.features
-            omega = [(s.id, s.features, s.class_id) for s in originals] + [
-                (expanded_id_offset + es.source_id, es.features, es.class_id)
-                for es in expset.samples
-            ]
+            counts["expand_batch"] += 1
+            counts["loss_c3e"] += len(carry) * config.expansion.iterations_te
+            omega_x, omega_y = np.concatenate([features, carry]), np.concatenate([labels, labels])
         loss_sum = 0.0
         n_batches = 0
-        for batch in _class_balanced_batches(omega, config.batch_size, batch_gen):
+        for batch in _class_balanced_batches(omega_y, config.batch_size, batch_gen):
+            pairs = list(zip(omega_x[batch], omega_y[batch].tolist()))
             try:
                 with record():
-                    pairs = [(x, cid) for (_sid, x, cid) in batch]
                     if use_centripetal:
                         loss = loss_c4(pairs, model, centroids, config.loss)
                     else:
@@ -233,44 +224,38 @@ def train(
                 config.adam_beta2,
                 config.adam_eps,
             )
+            counts["loss_dom"] += 1
+            if use_centripetal:
+                counts["loss_c4"] += 1
+                if config.loss.lam != 0.0:
+                    counts["loss_dis"] += len(pairs)
             loss_sum += value
             n_batches += 1
         epoch_losses.append(loss_sum / n_batches)
         if tests and (epoch % config.eval_every == 0 or epoch == config.total_epochs):
             snapshots[epoch] = evaluate(model, tests)
 
-    call_counts = {
-        k: losses_mod.CALL_COUNTS[k] - counts_before[k] for k in losses_mod.CALL_COUNTS
-    }
-    call_counts["expand_batch"] = (
-        expansion_mod.CALL_COUNTS["expand_batch"] - counts_before["expand_batch"]
-    )
     return TrainReport(
         epoch_losses=epoch_losses,
         eval_snapshots=snapshots,
         config=config,
         model=model,
-        call_counts=call_counts,
-        wall_clock_seconds=time.perf_counter() - t_start,
+        call_counts=counts,
     )
 
 
-def _class_balanced_batches(items, batch_size: int, gen) -> list:
-    """Deterministic class-balanced batching.
+def _class_balanced_batches(labels, batch_size: int, gen) -> list:
+    """Deterministic class-balanced batching of the row indices of `labels`.
 
-    Samples are grouped per class into chunks of >= 2, chunk order is
+    Rows are grouped per class into chunks of >= 2, chunk order is
     shuffled, and batches take enough chunks to reach roughly batch_size,
     so every class present in a batch contributes at least 2 samples.
     """
     chunk = 4 if batch_size >= 8 else 2
-    by_class: dict[int, list] = {}
-    for item in items:
-        by_class.setdefault(item[2], []).append(item)
     groups = []
-    for class_id in sorted(by_class):
-        members = by_class[class_id]
-        order = gen.permutation(len(members))
-        shuffled = [members[i] for i in order]
+    for class_id in np.unique(labels):
+        members = np.flatnonzero(labels == class_id)
+        shuffled = members[gen.permutation(len(members))].tolist()
         class_groups = [shuffled[i : i + chunk] for i in range(0, len(shuffled), chunk)]
         if len(class_groups) >= 2 and len(class_groups[-1]) < 2:
             class_groups[-2].extend(class_groups.pop())
@@ -300,7 +285,9 @@ def c4_equilibrium_probe(
     the batch), and the norm of the full mean-loss gradient.  The total is
     grad_dom + (lambda / batch) * grad_sum by linearity.
     """
-    g_dom = _param_grad(model, lambda: _dom_term(model, batch, lconfig))
+    # lambda = 0 makes loss_c4 exactly the contrastive term
+    dom_config = replace(lconfig, lam=0.0)
+    g_dom = _param_grad(model, lambda: loss_c4(batch, model, centroids, dom_config))
     g_dis_sum = _param_grad(model, lambda: _dis_term(model, batch, centroids))
     n = float(len(batch))
     rows = []
@@ -319,11 +306,6 @@ def c4_equilibrium_probe(
             }
         )
     return rows
-
-
-def _dom_term(model, batch, lconfig):
-    embeds = [(model.forward(Tensor(x)), cid) for x, cid in batch]
-    return loss_dom(embeds, lconfig)
 
 
 def _dis_term(model, batch, centroids):

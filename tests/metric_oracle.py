@@ -58,12 +58,25 @@ def oracle_map_at_r_exact(relevance):
     return total / R
 
 
+def oracle_distance(query_vec, vec):
+    """Euclidean distance: squared coordinate differences added left to right.
+
+    Squares are `e * e`, which is correctly rounded; `e ** 2` goes through
+    the C library's pow, and `sum()` may compensate, so either can move the
+    last bit.
+    """
+    total = 0.0
+    for a, b in zip(query_vec, vec):
+        e = a - b
+        total += e * e
+    return math.sqrt(total)
+
+
 def oracle_rank(query_vec, gallery, ids):
     """Gallery order by ascending euclidean distance, ties by ascending id."""
     keyed = []
     for vec, sid in zip(gallery, ids):
-        d = math.sqrt(sum((a - b) ** 2 for a, b in zip(query_vec, vec)))
-        keyed.append((d, sid, vec))
+        keyed.append((oracle_distance(query_vec, vec), sid, vec))
     keyed.sort(key=lambda t: (t[0], t[1]))
     return [sid for _d, sid, _v in keyed]
 

@@ -453,10 +453,6 @@ class TestExportEmbeddings:
 def test_module_entry_point(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec_dict()))
-    # the child imports the same package as this process, installed or not
-    src = str(Path(centerpolar.__file__).parents[1])
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     proc = subprocess.run(
         [
             sys.executable,
@@ -470,11 +466,43 @@ def test_module_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "d" / "train.csv").exists()
     assert "train: 10 samples" in proc.stdout
+
+
+def child_env(**overrides):
+    # the child imports the same package as this process, installed or not
+    src = str(Path(centerpolar.__file__).parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p), **overrides}
+
+
+def test_train_byte_identical_across_blas_threads(tmp_path):
+    # large enough that the encoder's matrix products reach the threaded BLAS kernels
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec_dict(samples_per_class=200, input_dim=16)))
+    data = tmp_path / "data"
+    assert main(["gen-data", "--spec", str(spec_path), "--out", str(data)]) == 0
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(train_config_dict(embed_dim=32, hidden_dim=64)))
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "centerpolar", "train", "--data", str(data)]
+            + ["--config", str(cfg_path), "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    a, b = outs
+    for name in ("checkpoint.json", "report.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 @pytest.mark.parametrize(

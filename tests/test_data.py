@@ -20,6 +20,7 @@ from centerpolar.data import (
     load_csv,
     save_csv,
 )
+from centerpolar.experiments import default_benchmark_spec
 from schema_paths import object_paths
 
 
@@ -368,6 +369,13 @@ class TestGenerateBenchmark:
         )
         with pytest.raises(GenerationError, match="50 prototypes"):
             generate_benchmark(spec)
+
+    @pytest.mark.parametrize("seed", [157, 252])
+    def test_reference_spec_seeds_that_need_many_attempts(self, seed):
+        # these seeds place the 8 reference prototypes only after 1000+ draws
+        train, tests = generate_benchmark(default_benchmark_spec(seed, samples_per_class=2))
+        assert train.classes() == [0, 1, 2, 3]
+        assert sorted(tests) == ["shift", "tilt_down", "tilt_up"]
 
     def test_no_transforms_means_no_tests(self):
         spec = small_spec(domain_transforms=(), n_classes_seen=4)

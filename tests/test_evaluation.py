@@ -9,6 +9,7 @@ from centerpolar.data import DataSet, LabeledSample
 from centerpolar.encoder import EncoderModel, Layer
 from centerpolar.evaluation import (
     _BLOCK_ENTRIES,
+    _distances,
     evaluate,
     map_at_r,
     r_precision,
@@ -19,6 +20,7 @@ from centerpolar.geometry import DegenerateVectorError
 from centerpolar.tensor import Tensor
 
 from metric_oracle import (
+    oracle_distance,
     oracle_leave_one_out,
     oracle_map_at_r,
     oracle_map_at_r_exact,
@@ -103,6 +105,16 @@ class TestRankNeighbors:
 
 
 class TestAgainstOracle:
+    def test_distance_bitwise_equal_to_evaluation(self):
+        # 20,000 random 16-d pairs: `(a - b) ** 2` summed with sum() misses
+        # the last bit on 12 of them, so the oracle must square with e * e
+        gen = np.random.default_rng(1)
+        Q = gen.normal(size=(200, 16))
+        G = gen.normal(size=(100, 16))
+        D = _distances(Q, G.T, "euclidean")
+        oracle = [[oracle_distance(q, g) for g in G.tolist()] for q in Q.tolist()]
+        assert np.array_equal(D, np.array(oracle))
+
     def test_exhaustive_small_galleries(self):
         # every relevance configuration up to gallery size 8, bit for bit,
         # one ranked list at a time and all of them as one 2-D call

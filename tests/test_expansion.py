@@ -3,7 +3,6 @@ import re
 import numpy as np
 import pytest
 
-from centerpolar import expansion as expansion_mod
 from centerpolar.encoder import EncoderModel, Layer
 from centerpolar.expansion import (
     ExpansionConfig,
@@ -75,7 +74,7 @@ def test_single_step_matches_analytic_gradient():
         ExpansionConfig(iterations_te=1, step_size=0.05, expansion_epochs=(1,)),
         LossConfig(),
     )
-    got = out.samples[0].features
+    got = out[0]
     expected = np.array([0.71937755716666407, -0.31900966664231306])
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
@@ -87,13 +86,16 @@ def test_expanded_set_provenance():
         (10, np.array([0.9, 0.1]), 0),
         (11, np.array([0.2, 1.1]), 1),
     ]
-    out = expand_batch(batch, model, cents, ExpansionConfig(iterations_te=3), LossConfig())
-    assert len(out) == 2
-    for (sid, _x, cid), es in zip(batch, out.samples):
-        assert es.source_id == sid
-        assert es.class_id == cid
-        assert es.domain_tag == "expanded"
-        assert np.isfinite(es.features).all()
+    cfg = ExpansionConfig(iterations_te=3)
+    out = expand_batch(batch, model, cents, cfg, LossConfig())
+    # one row per sample, in batch order: row i grew from batch[i]
+    assert out.shape == (2, 2)
+    assert np.isfinite(out).all()
+    for row, entry in zip(out, batch):
+        (alone,) = expand_batch([entry], model, cents, cfg, LossConfig())
+        assert np.array_equal(row, alone)
+    swapped = expand_batch(batch[::-1], model, cents, cfg, LossConfig())
+    assert np.array_equal(swapped, out[::-1])
 
 
 def test_model_untouched_by_expansion():
@@ -117,7 +119,7 @@ def test_expansion_deterministic_bitwise():
     cfg = ExpansionConfig(iterations_te=8, step_size=5e-3)
     a = expand_batch(batch, model, cents, cfg, LossConfig())
     b = expand_batch(batch, model, cents, cfg, LossConfig())
-    assert np.array_equal(a.samples[0].features, b.samples[0].features)
+    assert np.array_equal(a, b)
 
 
 def test_samples_expand_independently():
@@ -127,12 +129,13 @@ def test_samples_expand_independently():
     b1 = [(0, np.array([0.7, 0.2]), 0)]
     b2 = [(1, np.array([-0.1, 0.6]), 1)]
     together = expand_batch(b1 + b2, model, cents, cfg, LossConfig())
-    alone = [
-        expand_batch(b1, model, cents, cfg, LossConfig()).samples[0],
-        expand_batch(b2, model, cents, cfg, LossConfig()).samples[0],
-    ]
-    for t, a in zip(together.samples, alone):
-        assert np.array_equal(t.features, a.features)
+    alone = np.concatenate(
+        [
+            expand_batch(b1, model, cents, cfg, LossConfig()),
+            expand_batch(b2, model, cents, cfg, LossConfig()),
+        ]
+    )
+    assert np.array_equal(together, alone)
 
 
 def test_centrifugal_ascent_small_steps():
@@ -175,7 +178,7 @@ def test_semantic_tether_linear_in_step_size():
             ExpansionConfig(iterations_te=3, step_size=step),
             LossConfig(),
         )
-        return np.linalg.norm(out.samples[0].features - x0)
+        return np.linalg.norm(out[0] - x0)
 
     ratio = drift(1e-5) / drift(1e-6)
     assert ratio == pytest.approx(10.0, rel=1e-2)
@@ -217,7 +220,7 @@ def test_trajectory_consistent_with_expand_batch():
     cfg = ExpansionConfig(iterations_te=5, step_size=1e-2)
     rows = expansion_trajectory((x0, 0), model, cents, cfg, LossConfig())
     out = expand_batch([(0, x0, 0)], model, cents, cfg, LossConfig())
-    e = model.forward(Tensor(out.samples[0].features), frozen=True)
+    e = model.forward(Tensor(out[0]), frozen=True)
     d_final = geodesic_distance(Tensor(cents.vector(0)), e).item()
     assert rows[-1][1] == pytest.approx(d_final, abs=1e-15)
 
@@ -239,18 +242,6 @@ def test_divergence_names_sample_and_iteration():
     assert "42" in msg and "iteration" in msg
 
 
-def test_call_counter():
-    expansion_mod.reset_call_counts()
-    model = linear_encoder(np.eye(2))
-    cents = compute_centroids([(0, [1.0, 0.0])])
-    expand_batch(
-        [(0, np.array([0.5, 0.5]), 0)], model, cents, ExpansionConfig(iterations_te=1), LossConfig()
-    )
-    assert expansion_mod.CALL_COUNTS["expand_batch"] == 1
-    expansion_mod.reset_call_counts()
-    assert expansion_mod.CALL_COUNTS["expand_batch"] == 0
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_one_step_is_a_gradient_step_on_loss_c3e(seed):
     # expansion descends exactly the objective that loss_c3e evaluates
@@ -261,8 +252,8 @@ def test_one_step_is_a_gradient_step_on_loss_c3e(seed):
     lconf = LossConfig(margin_m=0.5)
     for sid in range(10):
         x, c = gen.normal(size=4), sid % 2
-        (out,) = expand_batch([(sid, x, c)], model, cents, econf, lconf).samples
+        (out,) = expand_batch([(sid, x, c)], model, cents, econf, lconf)
         with record():
             xt = Tensor(x, requires_grad=True)
             backward(loss_c3e([(x, xt, c)], model, cents, lconf))
-        assert np.array_equal(out.features, x - econf.step_size * xt.grad)
+        assert np.array_equal(out, x - econf.step_size * xt.grad)

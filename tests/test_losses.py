@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from centerpolar import losses
 from centerpolar.encoder import EncoderModel, Layer
 from centerpolar.geometry import compute_centroids
 from centerpolar.losses import (
@@ -253,16 +252,3 @@ def test_loss_c4_grad_check_through_one_weight():
     w0 = Tensor([[0.9, 0.2], [-0.1, 1.1]])
     assert grad_check(f, w0) < 1e-4
 
-
-def test_call_counters_track_invocations():
-    losses.reset_call_counts()
-    model = identity_encoder()
-    cents = compute_centroids([(0, [1.0, 0.0]), (1, [0.0, 1.0])])
-    batch = [(np.array([1.0, 0.0]), 0), (np.array([0.0, 1.0]), 1)]
-    loss_c4(batch, model, cents, LossConfig())
-    assert losses.CALL_COUNTS["loss_c4"] == 1
-    assert losses.CALL_COUNTS["loss_dom"] == 1
-    assert losses.CALL_COUNTS["loss_dis"] == 2
-    assert losses.CALL_COUNTS["loss_c3e"] == 0
-    losses.reset_call_counts()
-    assert all(v == 0 for v in losses.CALL_COUNTS.values())

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -451,30 +452,78 @@ class TestTrainLoop:
 
 class TestBatching:
     def test_partition_and_coverage(self):
-        items = []
-        next_id = 0
-        for cid, count in ((0, 5), (1, 4), (2, 2)):
-            for _ in range(count):
-                items.append((next_id, np.zeros(1), cid))
-                next_id += 1
+        labels = np.array([0] * 5 + [1] * 4 + [2] * 2)
         gen = np.random.default_rng(0)
-        batches = _class_balanced_batches(items, batch_size=8, gen=gen)
-        seen = [sid for batch in batches for (sid, _x, _c) in batch]
+        batches = _class_balanced_batches(labels, batch_size=8, gen=gen)
+        seen = [row for batch in batches for row in batch]
         assert sorted(seen) == list(range(11))
         for batch in batches:
             per_class = {}
-            for _sid, _x, cid in batch:
+            for cid in labels[batch]:
                 per_class[cid] = per_class.get(cid, 0) + 1
             assert all(v >= 2 for v in per_class.values())
 
     def test_order_depends_on_generator(self):
-        items = [(i, np.zeros(1), i % 3) for i in range(18)]
-        b1 = _class_balanced_batches(items, 8, np.random.default_rng(1))
-        b2 = _class_balanced_batches(items, 8, np.random.default_rng(2))
-        ids1 = [sid for b in b1 for (sid, _x, _c) in b]
-        ids2 = [sid for b in b2 for (sid, _x, _c) in b]
-        assert sorted(ids1) == sorted(ids2)
-        assert ids1 != ids2
+        labels = np.arange(18) % 3
+        b1 = _class_balanced_batches(labels, 8, np.random.default_rng(1))
+        b2 = _class_balanced_batches(labels, 8, np.random.default_rng(2))
+        rows1 = [row for b in b1 for row in b]
+        rows2 = [row for b in b2 for row in b]
+        assert sorted(rows1) == sorted(rows2)
+        assert rows1 != rows2
+
+
+class TestRunState:
+    """Each `train` call keeps its own tape and counts."""
+
+    def test_threaded_runs_match_solo_runs(self):
+        ds = toy_dataset(n_per_class=16)
+        configs = [small_config(ablation="full"), small_config(ablation="c4_only")]
+        solo = [train(ds, cfg) for cfg in configs]
+        with ThreadPoolExecutor(max_workers=len(configs)) as pool:
+            futures = [pool.submit(train, ds, cfg) for cfg in configs]
+        for alone, future in zip(solo, futures):
+            together = future.result()
+            assert together.model.checksum() == alone.model.checksum()
+            assert together.call_counts == alone.call_counts
+
+    def test_trajectory_sink_leaves_report_unchanged(self):
+        tests = {"holdout": toy_dataset(seed=3)}
+        sink = []
+        with_sink = train(toy_dataset(), small_config(), tests=tests, trajectory_sink=sink)
+        without = train(toy_dataset(), small_config(), tests=tests)
+        assert sink  # diagnostics were recorded
+        assert with_sink.to_dict() == without.to_dict()
+
+    @pytest.mark.parametrize(
+        "ablation, lam",
+        [(a, 0.75) for a in ABLATIONS] + [("c4_only", 0.0), ("full", 0.0)],
+    )
+    def test_call_counts_equal_real_calls(self, monkeypatch, ablation, lam):
+        from centerpolar import expansion, losses, trainer
+
+        calls = dict.fromkeys(("loss_c3e", "loss_dom", "loss_dis", "loss_c4", "expand_batch"), 0)
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module, attr, key in (
+            (expansion, "c3e_objective", "loss_c3e"),
+            (losses, "loss_dom", "loss_dom"),
+            (trainer, "loss_dom", "loss_dom"),
+            (losses, "loss_dis", "loss_dis"),
+            (trainer, "loss_c4", "loss_c4"),
+            (trainer, "expand_batch", "expand_batch"),
+        ):
+            monkeypatch.setattr(module, attr, counted(key, getattr(module, attr)))
+        cfg = small_config(ablation=ablation, loss=LossConfig(lam=lam))
+        report = train(toy_dataset(), cfg)
+        assert report.call_counts == calls
+        assert calls["loss_dom"] > 0
 
 
 class TestEquilibriumProbe:
