@@ -22,6 +22,11 @@ import numpy as np
 from . import rng, schema
 
 _PROTOTYPE_ATTEMPTS = 10_000
+# Prototypes on a shell of radius r, pairwise at least r apart, are pairwise
+# at least 60 degrees apart, so no more fit than the kissing number of the
+# dimension: exact values, and upper bounds for dimensions 5-7 (Conway &
+# Sloane, "Sphere Packings, Lattices and Groups", 3rd ed., 1999).
+_KISSING_BOUND = {1: 2, 2: 6, 3: 12, 4: 24, 5: 44, 6: 78, 7: 134, 8: 240}
 RESERVED_DOMAIN_TAGS = ("source", "expanded")
 
 
@@ -282,9 +287,15 @@ def _draw_prototypes(spec: BenchmarkSpec) -> np.ndarray:
     dimension cannot host that many separated classes.  With a signal
     subspace configured, placement happens inside it and the remaining
     coordinates stay zero."""
-    gen = rng.stream(spec.seed, rng.STREAM_PROTOTYPES)
     n, sep = spec.n_classes_total, spec.class_separation
     dim = spec.signal_dim if spec.signal_dim else spec.input_dim
+    bound = _KISSING_BOUND.get(dim)
+    if bound is not None and n > bound:
+        raise GenerationError(
+            f"cannot place {n} prototypes with separation {sep} in dimension {dim}: "
+            f"at most {bound} fit pairwise 60 degrees apart (kissing number)"
+        )
+    gen = rng.stream(spec.seed, rng.STREAM_PROTOTYPES)
     for _ in range(_PROTOTYPE_ATTEMPTS):
         raw = gen.standard_normal((n, dim))
         norms = np.sqrt((raw * raw).sum(axis=1))

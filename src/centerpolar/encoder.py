@@ -93,22 +93,24 @@ class EncoderModel:
         return out
 
     def forward(self, x, frozen: bool = False) -> Tensor:
-        """Embed one input vector.
+        """Embed one input vector (d,) or a stack of rows (n, d), one graph.
 
-        With `frozen=True` the parameters are detached, so a surrounding tape
-        tracks gradients through the input only.
+        Each row's embedding and gradients carry the bits of that row
+        embedded alone.  With `frozen=True` the parameters are detached, so a
+        surrounding tape tracks gradients through the input only.
         """
         if not isinstance(x, Tensor):
             x = Tensor(x)
-        if x.shape != (self.input_dim,):
+        if len(x.shape) not in (1, 2) or x.shape[-1] != self.input_dim:
             raise ShapeError(
-                f"forward: input shape {x.shape} does not match ({self.input_dim},)"
+                f"forward: input shape {x.shape} does not match "
+                f"({self.input_dim},) or (n, {self.input_dim})"
             )
         h = x
         for layer in self.layers:
             w = layer.weight.detach() if frozen else layer.weight
             b = layer.bias.detach() if frozen else layer.bias
-            h = w.matmul(h) + b
+            h = w.matvec(h) + b
             if layer.activation == "tanh":
                 h = h.tanh()
             elif layer.activation == "relu":
@@ -116,7 +118,12 @@ class EncoderModel:
         return h
 
     def embed_many(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized inference for an (n, input_dim) matrix, no grad tracking."""
+        """Inference for an (n, input_dim) matrix, no grad tracking.
+
+        One matrix product per layer: fast, but its rounding differs from
+        `forward` in the last bits, so centroids and evaluation use this
+        path and training graphs use `forward`.
+        """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ShapeError(

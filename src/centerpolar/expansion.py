@@ -3,7 +3,8 @@
 Each sample is perturbed in input space by plain gradient descent on the
 expansion objective: pushed away from its class centroid on the embedding
 sphere while the semantic terms bound the drift.  The encoder is frozen
-throughout; only the inputs move.
+throughout; only the inputs move.  Samples are independent, so a block of
+them descends together in one graph per step.
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ from . import schema
 from .geometry import CentroidTable, Tensor, euclidean_distance, geodesic_distance
 from .losses import LossConfig, c3e_objective, c3e_reference
 from .tensor import DomainError, backward, record
+
+
+# rows per expansion graph; rows are independent, so any size gives the same bits
+_BLOCK_ROWS = 128
 
 
 class ExpansionDivergedError(ArithmeticError):
@@ -53,14 +58,22 @@ def expand_batch(
     Returns the final iterates as an (n, d) array in batch order; model
     parameters are not touched.  When `trajectory_sink` is given, rows
     (sample_id, iter, d_geo, d_euclid, loss) are appended for every
-    iterate including the initial one.
+    iterate including the initial one, sample by sample.
+
+    Rows are expanded together, one graph per iteration and block of
+    `_BLOCK_ROWS` rows; each row gets the bits it gets expanded alone.
     """
-    return np.array(
+    if not batch:
+        return np.empty((0, model.input_dim))
+    ids, xs, class_ids = zip(*batch)
+    ids, class_ids = [int(i) for i in ids], [int(c) for c in class_ids]
+    x = np.array(xs, dtype=np.float64).reshape(len(batch), -1)
+    return np.concatenate(
         [
-            _expand_sample(
-                int(sample_id),
-                x,
-                int(class_id),
+            _expand_block(
+                ids[s : s + _BLOCK_ROWS],
+                x[s : s + _BLOCK_ROWS],
+                class_ids[s : s + _BLOCK_ROWS],
                 model,
                 centroids,
                 econfig.iterations_te,
@@ -68,7 +81,7 @@ def expand_batch(
                 lconfig,
                 trajectory_sink,
             )
-            for sample_id, x, class_id in batch
+            for s in range(0, len(batch), _BLOCK_ROWS)
         ]
     )
 
@@ -93,10 +106,10 @@ def expansion_trajectory(
     if n_iter < 0:
         raise ValueError(f"iterations must be >= 0, got {n_iter}")
     sink: list = []
-    _expand_sample(
-        sample_id,
-        x,
-        int(class_id),
+    _expand_block(
+        [sample_id],
+        np.array(x, dtype=np.float64).reshape(1, -1),
+        [int(class_id)],
         model,
         centroids,
         n_iter,
@@ -107,10 +120,10 @@ def expansion_trajectory(
     return [(it, dg, de, lv) for (_sid, it, dg, de, lv) in sink]
 
 
-def _expand_sample(
-    sample_id: int,
-    x,
-    class_id: int,
+def _expand_block(
+    ids: list,
+    x0: np.ndarray,
+    class_ids: list,
     model,
     centroids: CentroidTable,
     iterations: int,
@@ -118,46 +131,66 @@ def _expand_sample(
     lconfig: LossConfig,
     sink: list | None,
 ) -> np.ndarray:
-    x0 = np.array(x, dtype=np.float64).reshape(-1)
-    mu = centroids.vector(class_id)
+    try:
+        return _descend(ids, x0, class_ids, model, centroids, iterations, step_size, lconfig, sink)
+    except ExpansionDivergedError:
+        if len(ids) == 1:
+            raise
+    # some row ran away: expand the rows alone, in order, so that the error
+    # names the first sample to diverge, as expanding each alone would
+    return np.concatenate(
+        [
+            _expand_block(
+                ids[r : r + 1], x0[r : r + 1], class_ids[r : r + 1], model, centroids,
+                iterations, step_size, lconfig, sink,
+            )
+            for r in range(len(ids))
+        ]
+    )
+
+
+def _descend(ids, x0, class_ids, model, centroids, iterations, step_size, lconfig, sink):
+    mu = centroids.vectors(class_ids)
     d_orig = c3e_reference(x0, mu, model)
 
-    def build_loss(xt: Tensor) -> Tensor:
-        return c3e_objective(x0, xt, mu, d_orig, model, lconfig.margin_m)
+    def objective(x_tilde: Tensor) -> Tensor:
+        return c3e_objective(x0, x_tilde, mu, d_orig, model, lconfig.margin_m)
+
+    def diverged(t: int, reason) -> ExpansionDivergedError:
+        # names the block's first sample; a block of several rows reruns them alone
+        return ExpansionDivergedError(
+            f"expansion diverged at sample {ids[0]}, iteration {t}: {reason}"
+        )
 
     x_cur = x0.copy()
-    if sink is not None:
-        sink.append((sample_id, 0) + _diagnose(x_cur, mu, model, build_loss))
+    trajectory = [] if sink is None else [_diagnose(x_cur, mu, model, objective)]
     for t in range(1, iterations + 1):
         try:
             with record():
                 xt = Tensor(x_cur, requires_grad=True)
-                loss = build_loss(xt)
-                backward(loss)
+                backward(objective(xt).sum())
         except (DomainError, FloatingPointError) as e:
             # a non-finite embedding means the iterate already ran away
-            raise ExpansionDivergedError(
-                f"expansion diverged at sample {sample_id}, iteration {t}: {e}"
-            ) from e
-        g = xt.grad
-        if g is None or not np.isfinite(g).all():
-            raise ExpansionDivergedError(
-                f"expansion diverged at sample {sample_id}, iteration {t}: non-finite gradient"
-            )
+            raise diverged(t, e) from e
+        g = xt.grad.reshape(x_cur.shape)
+        if not np.isfinite(g).all():
+            raise diverged(t, "non-finite gradient")
         with np.errstate(over="ignore", invalid="ignore"):
             x_cur = x_cur - step_size * g
         if not np.isfinite(x_cur).all():
-            raise ExpansionDivergedError(
-                f"expansion diverged at sample {sample_id}, iteration {t}: non-finite iterate"
-            )
+            raise diverged(t, "non-finite iterate")
         if sink is not None:
-            sink.append((sample_id, t) + _diagnose(x_cur, mu, model, build_loss))
+            trajectory.append(_diagnose(x_cur, mu, model, objective))
+    if sink is not None:
+        for r, sample_id in enumerate(ids):
+            sink.extend((sample_id, t) + rows[r] for t, rows in enumerate(trajectory))
     return x_cur
 
 
-def _diagnose(x_cur: np.ndarray, mu: np.ndarray, model, build_loss) -> tuple:
+def _diagnose(x_cur: np.ndarray, mu: np.ndarray, model, objective) -> list:
+    # (d_geo, d_euclid, loss) of each row's iterate
     e = model.forward(Tensor(x_cur), frozen=True)
-    d_geo = geodesic_distance(Tensor(mu), e).item()
-    d_euclid = euclidean_distance(Tensor(mu), e).item()
-    loss_value = build_loss(Tensor(x_cur)).item()
-    return (d_geo, d_euclid, loss_value)
+    d_geo = geodesic_distance(Tensor(mu), e).numpy().ravel()
+    d_euclid = euclidean_distance(Tensor(mu), e).numpy().ravel()
+    loss = objective(Tensor(x_cur)).numpy().ravel()
+    return list(zip(d_geo.tolist(), d_euclid.tolist(), loss.tolist()))

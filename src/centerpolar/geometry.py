@@ -1,8 +1,8 @@
 """Hypersphere geometry: projection, distances, class centroids.
 
-Distance helpers accept tensors or array-likes and return scalar tensors,
-so they can sit inside a differentiable graph or be evaluated standalone
-via `.item()`.
+Distance helpers accept tensors or array-likes, one vector (k,) or a stack
+of rows (B, k), and return a scalar tensor or a (B, 1) column, so they
+can sit inside a differentiable graph or be evaluated standalone.
 """
 
 from __future__ import annotations
@@ -26,12 +26,14 @@ def as_tensor(v) -> Tensor:
 
 
 def project_to_sphere(v) -> Tensor:
-    """v / ||v||, rejecting vectors too short to carry a direction."""
+    """v / ||v|| for a vector or each row, rejecting vectors too short to
+    carry a direction."""
     v = as_tensor(v)
     n = v.l2_norm()
-    if n.data[0] <= EPS_PROJECTION:
+    short = n.data <= EPS_PROJECTION
+    if short.any():
         raise DegenerateVectorError(
-            f"cannot project vector with norm {n.data[0]:.3e} (<= {EPS_PROJECTION})"
+            f"cannot project vector with norm {n.data[short.argmax()]:.3e} (<= {EPS_PROJECTION})"
         )
     return v / n
 
@@ -62,6 +64,10 @@ class CentroidTable:
         if class_id not in self.centroids:
             raise KeyError(f"no centroid for class {class_id}")
         return self.centroids[class_id]
+
+    def vectors(self, class_ids) -> np.ndarray:
+        """The centroid of each class in `class_ids`, as rows."""
+        return np.stack([self.vector(c) for c in class_ids])
 
     def classes(self) -> list[int]:
         return sorted(self.centroids)

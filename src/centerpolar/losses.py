@@ -1,25 +1,31 @@
-"""Objectives for the two training phases.
+"""Objectives for the two training phases, one graph per batch.
 
 Phase one perturbs inputs: each sample is pushed away from its class
 centroid on the embedding sphere (`loss_geo`) while two semantic terms
 tether it, a quadratic one in input space (`loss_sem_low`) and a hinge on
 embedding-space drift past a margin (`loss_sem_high`).  `c3e_objective`
-sums the three with unit weights for one sample and is differentiated with
-respect to the input only; the encoder and centroids stay frozen.
-`loss_c3e` is its batch mean.
+sums the three with unit weights, one value per row, and is
+differentiated with respect to the input only; the encoder and centroids
+stay frozen.  `loss_c3e` is its batch mean.
 
 Phase two updates the encoder: a margin contrastive term over sample pairs
 (`loss_dom`) plus a weighted centripetal term pulling every embedding back
 toward its class centroid along the sphere (`loss_dis`), combined in
 `loss_c4`.
+
+Every function takes one sample as 1-D tensors or a batch as rows (see
+`tensor`), and gives each row exactly the value and gradient of that row
+computed alone; batch means add rows left to right.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .geometry import CentroidTable, euclidean_distance, geodesic_distance
-from .tensor import Tensor
+import numpy as np
+
+from .geometry import CentroidTable, as_tensor, euclidean_distance, geodesic_distance
+from .tensor import Tensor, pair_distances, stack
 
 @dataclass(frozen=True)
 class LossConfig:
@@ -46,9 +52,7 @@ def loss_geo(x_tilde_embed: Tensor, centroid) -> Tensor:
 
 def loss_sem_low(x, x_tilde) -> Tensor:
     """Squared input-space displacement, the energy of the straight path."""
-    a = x if isinstance(x, Tensor) else Tensor(x)
-    b = x_tilde if isinstance(x_tilde, Tensor) else Tensor(x_tilde)
-    return (a - b).square().sum()
+    return (as_tensor(x) - as_tensor(x_tilde)).square().sum(axis=-1)
 
 
 def loss_sem_high(x_embed, x_tilde_embed, centroid, margin: float) -> Tensor:
@@ -62,17 +66,17 @@ def loss_sem_high(x_embed, x_tilde_embed, centroid, margin: float) -> Tensor:
 
 
 def _drift_hinge(d_tilde: Tensor, d_orig, margin: float) -> Tensor:
-    return (d_tilde - d_orig + float(margin)).relu()
+    return (d_tilde - as_tensor(d_orig) + float(margin)).relu()
 
 
-def c3e_reference(x, centroid, model) -> float:
+def c3e_reference(x, centroid, model) -> np.ndarray:
     """Hinge reference of `c3e_objective`: the centroid distance of the
     unperturbed input's embedding, fixed while that input is expanded."""
-    return euclidean_distance(Tensor(centroid), model.forward(x, frozen=True)).item()
+    return euclidean_distance(Tensor(centroid), model.forward(x, frozen=True)).numpy()
 
 
-def c3e_objective(x, x_tilde, centroid, d_orig: float, model, margin: float) -> Tensor:
-    """Expansion objective of one sample: geo + sem_low + sem_high, unit weights.
+def c3e_objective(x, x_tilde, centroid, d_orig, model, margin: float) -> Tensor:
+    """Expansion objective per row: geo + sem_low + sem_high, unit weights.
 
     `d_orig` is `c3e_reference(x, centroid, model)`.  The encoder is applied
     frozen, so gradients flow to `x_tilde` only when `x` is constant.
@@ -94,13 +98,11 @@ def loss_c3e(batch, model, centroids: CentroidTable, config: LossConfig) -> Tens
     """
     if not batch:
         raise ValueError("loss_c3e: empty batch")
-    terms = []
-    for x, x_tilde, class_id in batch:
-        x_const = (x if isinstance(x, Tensor) else Tensor(x)).detach()
-        mu = centroids.vector(class_id)
-        d_orig = c3e_reference(x_const, mu, model)
-        terms.append(c3e_objective(x_const, x_tilde, mu, d_orig, model, config.margin_m))
-    return _mean_scalars(terms)
+    xs, x_tildes, class_ids = zip(*batch)
+    x = stack([as_tensor(v).detach() for v in xs])
+    mu = centroids.vectors(class_ids)
+    d_orig = c3e_reference(x, mu, model)
+    return c3e_objective(x, stack(x_tildes), mu, d_orig, model, config.margin_m).mean()
 
 
 def loss_dom(batch, config: LossConfig) -> Tensor:
@@ -112,28 +114,16 @@ def loss_dom(batch, config: LossConfig) -> Tensor:
     """
     if len(batch) < 2:
         raise ValueError(f"loss_dom: need at least 2 samples, got {len(batch)}")
-    pos_sum = None
-    neg_sum = None
-    n_pos = 0
-    n_neg = 0
-    for i in range(len(batch)):
-        e_i, y_i = batch[i]
-        for j in range(i + 1, len(batch)):
-            e_j, y_j = batch[j]
-            d = (e_i - e_j).l2_norm()
-            if y_i == y_j:
-                h = (d - config.margin_pos).relu()
-                pos_sum = h if pos_sum is None else pos_sum + h
-                n_pos += 1
-            else:
-                h = (config.margin_neg - d).relu()
-                neg_sum = h if neg_sum is None else neg_sum + h
-                n_neg += 1
+    embeddings, class_ids = zip(*batch)
+    d = pair_distances(embeddings)
+    labels = np.asarray(class_ids)
+    i, j = np.triu_indices(len(batch), 1)
+    same = labels[i] == labels[j]
     total = None
-    if pos_sum is not None:
-        total = pos_sum / n_pos
-    if neg_sum is not None:
-        neg_term = neg_sum / n_neg
+    if same.any():
+        total = (d.take(np.flatnonzero(same)) - config.margin_pos).relu().mean()
+    if not same.all():
+        neg_term = (config.margin_neg - d.take(np.flatnonzero(~same))).relu().mean()
         total = neg_term if total is None else total + neg_term
     return total
 
@@ -147,22 +137,17 @@ def loss_c4(batch, model, centroids: CentroidTable, config: LossConfig) -> Tenso
     """Contrastive term plus lambda-weighted centripetal term over a batch.
 
     `batch` holds (x, class_id) drawn from originals and expanded samples
-    alike; expanded samples inherit the centroids of their class.
+    alike; expanded samples inherit the centroids of their class.  The
+    contrastive term reads the embedding rows and the centripetal term
+    their stack, so each row sums its centripetal gradient first and its
+    pair gradients onto it, as per-sample graphs do.
     """
     if len(batch) < 2:
         raise ValueError(f"loss_c4: need at least 2 samples, got {len(batch)}")
-    embeds = []
-    for x, class_id in batch:
-        embeds.append((model.forward(x), class_id))
-    total = loss_dom(embeds, config)
+    xs, class_ids = zip(*batch)
+    embeds = model.forward(stack(xs)).rows()
+    total = loss_dom(list(zip(embeds, class_ids)), config)
     if config.lam != 0.0:  # lambda = 0 reduces to the contrastive term exactly
-        dis_terms = [loss_dis(e, centroids.vector(cid)) for e, cid in embeds]
-        total = total + config.lam * _mean_scalars(dis_terms)
+        dis = loss_dis(stack(embeds), centroids.vectors(class_ids))
+        total = total + config.lam * dis.mean()
     return total
-
-
-def _mean_scalars(terms: list[Tensor]) -> Tensor:
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = acc + t
-    return acc / float(len(terms))

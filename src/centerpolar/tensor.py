@@ -7,7 +7,28 @@ gradients bitwise reproducible for a fixed graph.  The active tape is per
 thread and per async context, so concurrent runs in one process keep
 separate graphs.
 
-Elementwise ops support equal shapes or scalar broadcast only.
+Rows.  The leading axis of a 2-D tensor is the sample: a (B, k) tensor is
+B rows stacked, and every op gives each row exactly the bits it gives
+that row alone as a 1-D (k,) tensor, gradients included, so one graph
+over a batch replaces B per-sample graphs.  `matvec` applies a matrix to
+every row; `dot`, `l2_norm` and `sum(axis=-1)` reduce each row to one
+value and keep it as a column (B, 1); `mean` averages over the leading
+axis, adding rows left to right.  `Tensor.rows`, `stack`, `take` and
+`pair_distances` move between a stack and its rows.
+
+Broadcasting.  Elementwise ops take equal shapes or one of three
+broadcasts: a scalar () against any shape; a column (B, 1) against rows
+(B, k), one value per row; and a single row (k,) against rows (B, k),
+shared by every row as a bias is.
+
+Order of gradient sums.  Floating-point addition is not associative, so
+each input sums its gradient contributions in the order the per-sample
+graphs, recorded one row after another, would sum them.  An input that is
+shared by all rows takes the per-row contributions one at a time, from the
+last row to the first.  A row of `pair_distances` takes one contribution
+per partner, in descending partner index.  Such an op hands `backward` an
+ordered `Fold` of contributions, which it adds to the input's running
+gradient one by one; a single pre-summed array would round differently.
 """
 
 from __future__ import annotations
@@ -45,6 +66,16 @@ class Tape:
         return len(self._entries)
 
 
+class Fold:
+    """Gradient contributions of one op to one input, in the order `backward`
+    adds them to the input's running gradient, one at a time."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        self.parts = parts
+
+
 _ACTIVE: ContextVar[Tape | None] = ContextVar("centerpolar_active_tape", default=None)
 
 
@@ -65,30 +96,51 @@ def record(tape: Tape | None = None):
         _ACTIVE.reset(token)
 
 
-def _size(shape) -> int:
-    n = 1
-    for d in shape:
-        n *= d
-    return n
-
-
-def _binary_shape(op: str, sa: tuple, sb: tuple) -> tuple:
-    if sa == sb:
+def _broadcast(op: str, sa: tuple, sb: tuple) -> tuple:
+    if sa == sb or sb == ():
         return sa
     if sa == ():
         return sb
-    if sb == ():
-        return sa
+    if len(sa) == len(sb) == 2 and sa[0] == sb[0] and 1 in (sa[1], sb[1]):
+        return (sa[0], max(sa[1], sb[1]))  # a column against rows
+    if len(sa) == 2 and sb == sa[1:]:
+        return sa  # one row shared by all rows
+    if len(sb) == 2 and sa == sb[1:]:
+        return sb
     raise ShapeError(
-        f"{op}: shapes {sa} and {sb} are incompatible (equal shapes or scalar broadcast only)"
+        f"{op}: shapes {sa} and {sb} are incompatible (equal shapes, a scalar, "
+        "a column against rows, or one row against rows)"
     )
 
 
-def _reduce_to(g: np.ndarray, target_shape: tuple, out_shape: tuple) -> np.ndarray:
-    # scalar operand in a broadcast op collects the sum of its output grads
-    if target_shape == out_shape:
-        return g
-    return np.array([g.sum()])
+def _reduce_to(g: np.ndarray, shape: tuple):
+    """Gradient of an operand of `shape` from the output gradient `g`."""
+    if g.shape == shape:
+        return g.ravel()
+    if shape == ():
+        return np.array([g.sum()])
+    if len(shape) == g.ndim:
+        return g.sum(axis=-1)  # a column: one sum per row
+    return Fold(g[::-1])  # a shared row: per-row contributions, last row first
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # (R, k) x (R, k) -> (R,): each row as np.dot computes it; einsum and
+    # (a * b).sum(1) round differently
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _row_shape(shape: tuple) -> tuple:
+    # a per-row value: a scalar for one row, a column for a stack of rows
+    return () if len(shape) == 1 else (shape[0], 1)
+
+
+def _scatter_rows(n_rows: int, index, values: np.ndarray) -> np.ndarray:
+    # -0.0 is the additive identity (x + -0.0 == x for every x, +0.0
+    # included), so the padding leaves each row's gradient bits unchanged
+    out = np.full((n_rows, values.shape[-1]), -0.0)
+    np.add.at(out, index, values)
+    return out.ravel()
 
 
 class Tensor:
@@ -132,26 +184,36 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
+    def _row_matrix(self) -> np.ndarray:
+        # the data as (rows, row length); a 1-D tensor is one row
+        return self.data.reshape(-1, self.shape[-1])
+
     # -- binary arithmetic ------------------------------------------------
+
+    def _binary(self, other: "Tensor", name: str, fn, vjp) -> "Tensor":
+        oshape = _broadcast(name, self.shape, other.shape)
+        a = self.data.reshape(self.shape)
+        b = other.data.reshape(other.shape)
+        out = Tensor._wrap(np.asarray(fn(a, b)).ravel(), oshape)
+        tape = _ACTIVE.get()
+        if tape is not None:
+            na, nb = _part(self, tape), _part(other, tape)
+            if na or nb:
+                sa, sb = self.shape, other.shape
+
+                def back(g):
+                    ga, gb = vjp(g.reshape(oshape), a, b)
+                    return (
+                        _reduce_to(ga, sa) if na else None,
+                        _reduce_to(gb, sb) if nb else None,
+                    )
+
+                _push(tape, out, (self, other), back, name)
+        return out
 
     def __add__(self, other):
         if isinstance(other, Tensor):
-            oshape = _binary_shape("add", self.shape, other.shape)
-            out = Tensor._wrap(self.data + other.data, oshape)
-            tape = _ACTIVE.get()
-            if tape is not None:
-                na, nb = _part(self, tape), _part(other, tape)
-                if na or nb:
-                    sa, sb = self.shape, other.shape
-
-                    def vjp(g):
-                        return (
-                            _reduce_to(g, sa, oshape) if na else None,
-                            _reduce_to(g, sb, oshape) if nb else None,
-                        )
-
-                    _push(tape, out, (self, other), vjp, "add")
-            return out
+            return self._binary(other, "add", np.add, lambda g, a, b: (g, g))
         out = Tensor._wrap(self.data + float(other), self.shape)
         _push_unary_passthrough(self, out, "add")
         return out
@@ -160,22 +222,7 @@ class Tensor:
 
     def __sub__(self, other):
         if isinstance(other, Tensor):
-            oshape = _binary_shape("sub", self.shape, other.shape)
-            out = Tensor._wrap(self.data - other.data, oshape)
-            tape = _ACTIVE.get()
-            if tape is not None:
-                na, nb = _part(self, tape), _part(other, tape)
-                if na or nb:
-                    sa, sb = self.shape, other.shape
-
-                    def vjp(g):
-                        return (
-                            _reduce_to(g, sa, oshape) if na else None,
-                            -_reduce_to(g, sb, oshape) if nb else None,
-                        )
-
-                    _push(tape, out, (self, other), vjp, "sub")
-            return out
+            return self._binary(other, "sub", np.subtract, lambda g, a, b: (g, -g))
         out = Tensor._wrap(self.data - float(other), self.shape)
         _push_unary_passthrough(self, out, "sub")
         return out
@@ -189,23 +236,7 @@ class Tensor:
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
-            oshape = _binary_shape("mul", self.shape, other.shape)
-            out = Tensor._wrap(self.data * other.data, oshape)
-            tape = _ACTIVE.get()
-            if tape is not None:
-                na, nb = _part(self, tape), _part(other, tape)
-                if na or nb:
-                    sa, sb = self.shape, other.shape
-                    ad, bd = self.data, other.data
-
-                    def vjp(g):
-                        return (
-                            _reduce_to(g * bd, sa, oshape) if na else None,
-                            _reduce_to(g * ad, sb, oshape) if nb else None,
-                        )
-
-                    _push(tape, out, (self, other), vjp, "mul")
-            return out
+            return self._binary(other, "mul", np.multiply, lambda g, a, b: (g * b, g * a))
         c = float(other)
         out = Tensor._wrap(self.data * c, self.shape)
         tape = _ACTIVE.get()
@@ -217,26 +248,9 @@ class Tensor:
 
     def __truediv__(self, other):
         if isinstance(other, Tensor):
-            oshape = _binary_shape("div", self.shape, other.shape)
-            out = Tensor._wrap(self.data / other.data, oshape)
-            tape = _ACTIVE.get()
-            if tape is not None:
-                na, nb = _part(self, tape), _part(other, tape)
-                if na or nb:
-                    sa, sb = self.shape, other.shape
-                    ad, bd = self.data, other.data
-
-                    def vjp(g):
-                        ga = _reduce_to(g / bd, sa, oshape) if na else None
-                        gb = (
-                            _reduce_to(-g * ad / (bd * bd), sb, oshape)
-                            if nb
-                            else None
-                        )
-                        return ga, gb
-
-                    _push(tape, out, (self, other), vjp, "div")
-            return out
+            return self._binary(
+                other, "div", np.divide, lambda g, a, b: (g / b, -g * a / (b * b))
+            )
         c = float(other)
         out = Tensor._wrap(self.data / c, self.shape)
         tape = _ACTIVE.get()
@@ -296,69 +310,156 @@ class Tensor:
                 _push(tape, out, (self, other), vjp, "matmul")
         return out
 
+    def matvec(self, x: "Tensor") -> "Tensor":
+        """(m, n) matrix times each row of x: (n,) -> (m,), (B, n) -> (B, m)."""
+        if not isinstance(x, Tensor):
+            raise TypeError("matvec: both operands must be tensors")
+        sw, sx = self.shape, x.shape
+        if len(sw) != 2 or len(sx) not in (1, 2) or sx[-1] != sw[1]:
+            raise ShapeError(f"matvec: shapes {sw} and {sx} do not give a matrix and rows")
+        W = self.data.reshape(sw)
+        X = x._row_matrix()
+        # a stack of matrix-vector products, one gemv per row, so each row
+        # gets the bits of W @ x; one X @ W.T gemm rounds differently
+        Y = np.matmul(W, X[:, :, None])[:, :, 0]
+        out = Tensor._wrap(Y.ravel(), sx[:-1] + (sw[0],))
+        tape = _ACTIVE.get()
+        if tape is not None:
+            nw, nx = _part(self, tape), _part(x, tape)
+            if nw or nx:
+
+                def vjp(g):
+                    G = g.reshape(-1, sw[0])
+                    gw = None
+                    if nw:  # outer products, last row first
+                        outer = G[::-1, :, None] * X[::-1, None, :]
+                        gw = Fold(outer.reshape(len(G), -1))
+                    gx = np.matmul(W.T, G[:, :, None])[:, :, 0].ravel() if nx else None
+                    return gw, gx
+
+                _push(tape, out, (self, x), vjp, "matvec")
+        return out
+
     def dot(self, other: "Tensor") -> "Tensor":
+        """Row-wise dot product: (k,) -> (), (B, k) -> (B, 1)."""
         if not isinstance(other, Tensor):
             raise TypeError("dot: both operands must be tensors")
-        if len(self.shape) != 1 or self.shape != other.shape:
+        if len(self.shape) not in (1, 2) or self.shape != other.shape:
             raise ShapeError(
-                f"dot: shapes {self.shape} and {other.shape} must be equal 1-D"
+                f"dot: shapes {self.shape} and {other.shape} must be equal 1-D or 2-D"
             )
-        out = Tensor._wrap(np.array([np.dot(self.data, other.data)]), ())
+        A, B = self._row_matrix(), other._row_matrix()
+        out = Tensor._wrap(_rowdot(A, B), _row_shape(self.shape))
         tape = _ACTIVE.get()
         if tape is not None:
             na, nb = _part(self, tape), _part(other, tape)
             if na or nb:
-                ad, bd = self.data, other.data
 
                 def vjp(g):
-                    gv = g[0]
-                    return (gv * bd if na else None, gv * ad if nb else None)
+                    G = g[:, None]
+                    return ((G * B).ravel() if na else None, (G * A).ravel() if nb else None)
 
                 _push(tape, out, (self, other), vjp, "dot")
         return out
 
     # -- reductions --------------------------------------------------------
 
-    def sum(self) -> "Tensor":
-        out = Tensor._wrap(np.array([self.data.sum()]), ())
-        tape = _ACTIVE.get()
-        if tape is not None and _part(self, tape):
+    def sum(self, axis: int | None = None) -> "Tensor":
+        """Sum of all elements, or with axis=-1 of each row (a column for rows)."""
+        if axis is None:
+            out = Tensor._wrap(np.array([self.data.sum()]), ())
             n = self.size
 
             def vjp(g):
                 return (np.full(n, g[0]),)
 
+        elif axis == -1 and len(self.shape) in (1, 2):
+            A = self._row_matrix()
+            out = Tensor._wrap(A.sum(axis=-1), _row_shape(self.shape))
+            k = A.shape[1]
+
+            def vjp(g):
+                return (np.repeat(g, k),)
+
+        else:
+            raise ShapeError(f"sum: axis {axis} of shape {self.shape} (None or -1 only)")
+        tape = _ACTIVE.get()
+        if tape is not None and _part(self, tape):
             _push(tape, out, (self,), vjp, "sum")
         return out
 
     def mean(self) -> "Tensor":
-        n = self.size
+        """Mean over the leading axis, adding rows left to right."""
+        if self.shape == ():
+            raise ShapeError("mean: tensor has no leading axis")
+        n = self.shape[0]
         if n == 0:
             raise ShapeError("mean: tensor has no elements")
-        out = Tensor._wrap(np.array([self.data.sum() / n]), ())
+        A = self.data.reshape(n, -1)
+        total = np.add.accumulate(A, axis=0)[-1]  # a running sum, row by row
+        out = Tensor._wrap(total / float(n), self.shape[1:])
         tape = _ACTIVE.get()
         if tape is not None and _part(self, tape):
 
             def vjp(g):
-                return (np.full(n, g[0] / n),)
+                return (np.tile(g / float(n), n),)
 
             _push(tape, out, (self,), vjp, "mean")
         return out
 
     def l2_norm(self) -> "Tensor":
-        norm = math.sqrt(np.dot(self.data, self.data))
-        out = Tensor._wrap(np.array([norm]), ())
+        """Row-wise Euclidean norm: (k,) -> (), (B, k) -> (B, 1)."""
+        if len(self.shape) not in (1, 2):
+            raise ShapeError(f"l2_norm: shape {self.shape} is not 1-D or 2-D")
+        A = self._row_matrix()
+        norm = np.sqrt(_rowdot(A, A))
+        out = Tensor._wrap(norm, _row_shape(self.shape))
         tape = _ACTIVE.get()
         if tape is not None and _part(self, tape):
-            ad = self.data
 
             def vjp(g):
-                # subgradient 0 at the cone tip
-                if norm == 0.0:
-                    return (np.zeros_like(ad),)
-                return ((g[0] / norm) * ad,)
+                zero = norm == 0.0
+                ga = (g / np.where(zero, 1.0, norm))[:, None] * A
+                ga[zero] = 0.0  # subgradient 0 at the cone tip
+                return (ga.ravel(),)
 
             _push(tape, out, (self,), vjp, "l2_norm")
+        return out
+
+    # -- rows ----------------------------------------------------------------
+
+    def rows(self) -> list["Tensor"]:
+        """The rows of a 2-D tensor as 1-D tensors, each differentiable."""
+        if len(self.shape) != 2:
+            raise ShapeError(f"rows: shape {self.shape} is not 2-D")
+        A = self._row_matrix()
+        out = [Tensor._wrap(row, row.shape) for row in A]
+        tape = _ACTIVE.get()
+        if tape is not None and _part(self, tape):
+            n = len(A)
+            for i, row in enumerate(out):
+
+                def vjp(g, i=i):
+                    return (_scatter_rows(n, i, g),)
+
+                _push(tape, row, (self,), vjp, "row")
+        return out
+
+    def take(self, index) -> "Tensor":
+        """Rows (or elements, for 1-D) at `index` along the leading axis."""
+        if self.shape == ():
+            raise ShapeError("take: tensor has no leading axis")
+        index = np.asarray(index, dtype=np.intp)
+        n = self.shape[0]
+        A = self.data.reshape(n, -1)
+        out = Tensor._wrap(A[index].ravel(), (len(index),) + self.shape[1:])
+        tape = _ACTIVE.get()
+        if tape is not None and _part(self, tape):
+
+            def vjp(g):
+                return (_scatter_rows(n, index, g.reshape(len(index), -1)),)
+
+            _push(tape, out, (self,), vjp, "take")
         return out
 
     # -- elementwise unaries -----------------------------------------------
@@ -428,7 +529,7 @@ class Tensor:
 
             def vjp(g):
                 ga = np.zeros_like(ad)
-                np.divide(-g, np.sqrt(1.0 - ad * ad), out=ga, where=mask)
+                np.divide(-g, np.sqrt(np.where(mask, 1.0 - ad * ad, 1.0)), out=ga, where=mask)
                 return (ga,)
 
             _push(tape, out, (self,), vjp, "acos")
@@ -449,6 +550,81 @@ class Tensor:
 
             _push(tape, out, (self,), vjp, "clamp")
         return out
+
+
+def _as_rows(op: str, rows) -> list[Tensor]:
+    ts = [r if isinstance(r, Tensor) else Tensor(r) for r in rows]
+    if not ts or any(len(t.shape) != 1 or t.shape != ts[0].shape for t in ts):
+        raise ShapeError(f"{op}: needs 1-D rows of one length, got {[t.shape for t in ts]}")
+    return ts
+
+
+def stack(rows) -> Tensor:
+    """Stack 1-D tensors (or array-likes) of one length into a (B, k) tensor."""
+    ts = _as_rows("stack", rows)
+    out = Tensor._wrap(np.stack([t.data for t in ts]), (len(ts),) + ts[0].shape)
+    tape = _ACTIVE.get()
+    if tape is not None:
+        parts = [_part(t, tape) for t in ts]
+        if any(parts):
+
+            def vjp(g):
+                G = g.reshape(len(ts), -1)
+                return tuple(G[i] if p else None for i, p in enumerate(parts))
+
+            _push(tape, out, tuple(ts), vjp, "stack")
+    return out
+
+
+def pair_distances(rows) -> Tensor:
+    """Euclidean distance of every unordered pair of rows, as a (P,) tensor.
+
+    Pairs (i, j), i < j, come in row-major order, the order of the loop
+    `for i: for j > i`.  Each distance is `(rows[i] - rows[j]).l2_norm()`
+    to the bit, and row i takes its gradient contributions one per
+    partner, in descending partner index, as that loop's reversed tape
+    would add them.
+    """
+    ts = _as_rows("pair_distances", rows)
+    n = len(ts)
+    if n < 2:
+        raise ShapeError(f"pair_distances: need 2 or more rows, got {n}")
+    E = np.stack([t.data for t in ts])
+    i, j = np.triu_indices(n, 1)
+    diff = E[i] - E[j]
+    norm = np.sqrt(_rowdot(diff, diff))
+    out = Tensor._wrap(norm, norm.shape)
+    tape = _ACTIVE.get()
+    if tape is not None and any(_part(t, tape) for t in ts):
+        distinct = len({id(t) for t in ts}) == n
+
+        def vjp(g):
+            zero = norm == 0.0
+            contrib = (g / np.where(zero, 1.0, norm))[:, None] * diff
+            contrib[zero] = 0.0  # subgradient 0 at the cone tip
+            # as the first operand of e_i - e_j a row takes +c, as the second -c
+            if distinct:  # step s adds every row's s-th partner
+                pair, sign = _partner_order(n)
+                return Fold((contrib[pair] * sign[:, :, None]).transpose(1, 0, 2))
+            # a tensor in two rows: one step per pair, last pair first
+            steps = np.full((len(i), n, contrib.shape[1]), -0.0)
+            p = np.arange(len(i))
+            steps[p, i], steps[p, j] = contrib, -contrib
+            return Fold(steps[::-1])
+
+        _push(tape, out, tuple(ts), vjp, "pair_distances")
+    return out
+
+
+def _partner_order(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each row r, its partners q in descending order (q != r): the
+    row-major pair index of (min, max) and +1 where r < q, else -1."""
+    r = np.arange(n)[:, None]
+    q = np.broadcast_to(np.arange(n - 1, -1, -1), (n, n))
+    q = q[q != r].reshape(n, n - 1)
+    a, b = np.minimum(r, q), np.maximum(r, q)
+    pair = a * n - a * (a + 1) // 2 + (b - a - 1)
+    return pair, np.where(r < q, 1.0, -1.0)
 
 
 def _part(t: Tensor, tape: Tape) -> bool:
@@ -486,11 +662,18 @@ def backward(out: Tensor, accumulate: bool = False) -> None:
         g = grads.get(id(entry_out))
         if g is None:
             continue
-        for t, ig in zip(inputs, vjp(g)):
+        input_grads = vjp(g)
+        if type(input_grads) is Fold:
+            _fold_all(grads, inputs, input_grads.parts)
+            input_grads = ()
+        for t, ig in zip(inputs, input_grads):
             if ig is None:
                 continue
-            prev = grads.get(id(t))
-            grads[id(t)] = ig if prev is None else prev + ig
+            acc = grads.get(id(t))
+            for part in ig.parts if type(ig) is Fold else (ig,):
+                acc = part if acc is None else acc + part
+            grads[id(t)] = acc
+        for t in inputs:
             if t.requires_grad:
                 holders[id(t)] = t
     for t in holders.values():
@@ -501,6 +684,24 @@ def backward(out: Tensor, accumulate: bool = False) -> None:
             t.grad = t.grad + new
         else:
             t.grad = new.copy()
+
+
+def _fold_all(grads: dict, inputs: tuple, parts: np.ndarray) -> None:
+    # one Fold for all inputs: step by step, input by input, parts[s, i] is
+    # added to input i; for distinct inputs the order across inputs is moot
+    keys = [id(t) for t in inputs]
+    if len(set(keys)) < len(keys):
+        for step in parts:
+            for key, part in zip(keys, step):
+                acc = grads.get(key)
+                grads[key] = part if acc is None else acc + part
+        return
+    fresh = np.full(parts.shape[2], -0.0)  # additive identity, for inputs with no gradient yet
+    acc = np.stack([grads.get(key, fresh) for key in keys])
+    for step in parts:
+        acc = acc + step
+    for key, row in zip(keys, acc):
+        grads[key] = row
 
 
 def grad_check(f, x: Tensor, h: float = 1e-5) -> float:

@@ -23,7 +23,7 @@ from .evaluation import RetrievalReport, evaluate
 from .expansion import ExpansionConfig, expand_batch
 from .geometry import CentroidTable, compute_centroids
 from .losses import LossConfig, loss_c4, loss_dis, loss_dom
-from .tensor import DomainError, Tensor, backward, record
+from .tensor import DomainError, Tensor, backward, record, stack
 
 ABLATIONS = ("baseline", "c4_only", "c3e_only", "full")
 
@@ -196,14 +196,13 @@ def train(
         loss_sum = 0.0
         n_batches = 0
         for batch in _class_balanced_batches(omega_y, config.batch_size, batch_gen):
-            pairs = list(zip(omega_x[batch], omega_y[batch].tolist()))
+            x, y = omega_x[batch], omega_y[batch].tolist()
             try:
                 with record():
                     if use_centripetal:
-                        loss = loss_c4(pairs, model, centroids, config.loss)
+                        loss = loss_c4(list(zip(x, y)), model, centroids, config.loss)
                     else:
-                        embeds = [(model.forward(Tensor(x)), cid) for x, cid in pairs]
-                        loss = loss_dom(embeds, config.loss)
+                        loss = loss_dom(list(zip(model.forward(x).rows(), y)), config.loss)
                     value = loss.item()
                     if not np.isfinite(value):
                         raise TrainingDivergedError(
@@ -228,7 +227,7 @@ def train(
             if use_centripetal:
                 counts["loss_c4"] += 1
                 if config.loss.lam != 0.0:
-                    counts["loss_dis"] += len(pairs)
+                    counts["loss_dis"] += len(y)
             loss_sum += value
             n_batches += 1
         epoch_losses.append(loss_sum / n_batches)
@@ -288,7 +287,12 @@ def c4_equilibrium_probe(
     # lambda = 0 makes loss_c4 exactly the contrastive term
     dom_config = replace(lconfig, lam=0.0)
     g_dom = _param_grad(model, lambda: loss_c4(batch, model, centroids, dom_config))
-    g_dis_sum = _param_grad(model, lambda: _dis_term(model, batch, centroids))
+    xs, class_ids = zip(*batch)
+    # unaveraged: the probe reports the summed centripetal pull
+    g_dis_sum = _param_grad(
+        model,
+        lambda: loss_dis(model.forward(stack(xs)), centroids.vectors(class_ids)).sum(),
+    )
     n = float(len(batch))
     rows = []
     for lam in lambdas:
@@ -306,16 +310,6 @@ def c4_equilibrium_probe(
             }
         )
     return rows
-
-
-def _dis_term(model, batch, centroids):
-    # unaveraged: the probe reports the summed centripetal pull
-    terms = None
-    for x, cid in batch:
-        e = model.forward(Tensor(x))
-        d = loss_dis(e, centroids.vector(cid))
-        terms = d if terms is None else terms + d
-    return terms
 
 
 def _param_grad(model, build_loss) -> np.ndarray:

@@ -1,0 +1,297 @@
+"""The batched training graphs against the per-sample oracle, bit for bit.
+
+`scalar_oracle` builds one graph per sample and one scalar chain per pair,
+as the losses did before they ran on row-stacked tensors.  Values and
+gradients must match it exactly (`np.array_equal`), not within a
+tolerance: the trained checksums, the criterion-4 convergence epochs and
+the README table rest on these bits.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scalar_oracle import (
+    oracle_expand_batch,
+    oracle_forward,
+    oracle_loss_c3e,
+    oracle_loss_c4,
+    oracle_loss_dom,
+)
+from test_trainer import small_config, toy_dataset
+
+from centerpolar import expansion, trainer
+from centerpolar.encoder import EncoderModel
+from centerpolar.expansion import ExpansionConfig, ExpansionDivergedError, expand_batch
+from centerpolar.geometry import compute_centroids
+from centerpolar.losses import LossConfig, loss_c3e, loss_c4, loss_dom
+from centerpolar.tensor import (
+    ShapeError,
+    Tensor,
+    backward,
+    grad_check,
+    pair_distances,
+    record,
+    stack,
+)
+from centerpolar.trainer import ABLATIONS, train
+
+BATCHES = [2, 3, 8, 32]
+LAMBDAS = [0.0, 0.75]
+
+
+def _grads(build, leaves):
+    """Value of build() and the gradient of every leaf, on a fresh tape."""
+    for t in leaves:
+        t.grad = None
+    with record():
+        out = build()
+        backward(out)
+    return out.item(), [t.grad.copy() for t in leaves]
+
+
+def _assert_same(got, want):
+    (v1, g1), (v2, g2) = got, want
+    assert v1 == v2
+    for a, b in zip(g1, g2, strict=True):
+        assert np.array_equal(a, b)
+
+
+def _labels(gen, n):
+    # a mix of classes; every batch has a same-class and a cross-class pair
+    labels = gen.integers(0, max(2, n // 4), size=n)
+    labels[:2] = (0, 0)
+    labels[-1] = 1
+    return labels.tolist()
+
+
+def _model(gen, in_dim=5, embed_dim=4):
+    seed = int(gen.integers(1000))
+    return EncoderModel.default(in_dim, embed_dim=embed_dim, hidden_dim=7, seed=seed)
+
+
+@pytest.mark.parametrize("n", BATCHES)
+def test_loss_dom_matches_pair_loop(n):
+    gen = np.random.default_rng(n)
+    labels = _labels(gen, n)
+    embeds = [Tensor(gen.normal(size=3), requires_grad=True) for _ in range(n)]
+    embeds[1] = Tensor(embeds[0].numpy(), requires_grad=True)  # a zero-distance pair
+    cfg = LossConfig(margin_pos=0.1, margin_neg=1.5)
+    batch = list(zip(embeds, labels))
+    _assert_same(
+        _grads(lambda: loss_dom(batch, cfg), embeds),
+        _grads(lambda: oracle_loss_dom(batch, cfg), embeds),
+    )
+
+
+def test_loss_dom_single_group_and_repeated_rows():
+    gen = np.random.default_rng(1)
+    e = [Tensor(gen.normal(size=3), requires_grad=True) for _ in range(3)]
+    cfg = LossConfig()
+    for batch in (
+        [(e[0], 0), (e[1], 0), (e[2], 0)],  # no cross-class pair
+        [(e[0], 0), (e[1], 1), (e[2], 2)],  # no same-class pair
+        [(e[0], 0), (e[1], 1), (e[0], 1), (e[2], 0)],  # one tensor in two rows
+    ):
+        _assert_same(
+            _grads(lambda: loss_dom(batch, cfg), e),
+            _grads(lambda: oracle_loss_dom(batch, cfg), e),
+        )
+
+
+@pytest.mark.parametrize("lam", LAMBDAS)
+@pytest.mark.parametrize("n", BATCHES)
+def test_loss_c4_matches_per_sample_graphs(n, lam):
+    gen = np.random.default_rng(100 + n)
+    model = _model(gen)
+    labels = _labels(gen, n)
+    X = gen.normal(size=(n, 5))
+    table = compute_centroids(zip(labels, model.embed_many(X)))
+    batch = list(zip(X, labels))
+    cfg = LossConfig(lam=lam)
+    params = model.parameters()
+    _assert_same(
+        _grads(lambda: loss_c4(batch, model, table, cfg), params),
+        _grads(lambda: oracle_loss_c4(batch, model, table, cfg), params),
+    )
+
+
+@pytest.mark.parametrize("n", BATCHES)
+def test_loss_c3e_matches_per_sample_graphs(n):
+    gen = np.random.default_rng(200 + n)
+    model = _model(gen)
+    labels = _labels(gen, n)
+    X = gen.normal(size=(n, 5))
+    table = compute_centroids(zip(labels, model.embed_many(X) + 0.3))
+    x_tildes = [Tensor(x + 0.1 * gen.normal(size=5), requires_grad=True) for x in X]
+    batch = list(zip(X, x_tildes, labels))
+    cfg = LossConfig(margin_m=0.4)
+    _assert_same(
+        _grads(lambda: loss_c3e(batch, model, table, cfg), x_tildes),
+        _grads(lambda: oracle_loss_c3e(batch, model, table, cfg), x_tildes),
+    )
+
+
+@pytest.mark.parametrize("n", BATCHES)
+def test_forward_rows_match_rows_alone(n):
+    gen = np.random.default_rng(300 + n)
+    model = _model(gen, in_dim=6, embed_dim=3)
+    X = gen.normal(size=(n, 6))
+    G = gen.normal(size=(n, 3))
+    params = model.parameters()
+
+    def per_sample():
+        dots = [oracle_forward(model, x).dot(Tensor(g)) for x, g in zip(X, G)]
+        acc = dots[0]
+        for d in dots[1:]:
+            acc = acc + d
+        return acc / float(n)
+
+    _assert_same(
+        _grads(lambda: model.forward(X).dot(Tensor(G)).mean(), params),
+        _grads(per_sample, params),
+    )
+    E = model.forward(X).numpy()
+    for x, e in zip(X, E):
+        assert np.array_equal(e, oracle_forward(model, x).numpy())
+
+
+@pytest.mark.parametrize("n", BATCHES)
+def test_expansion_matches_per_sample_descent(n):
+    gen = np.random.default_rng(400 + n)
+    model = _model(gen)
+    labels = _labels(gen, n)
+    X = gen.normal(size=(n, 5))
+    table = compute_centroids(zip(labels, model.embed_many(X)))
+    batch = [(10 + i, x, y) for i, (x, y) in enumerate(zip(X, labels))]
+    econf = ExpansionConfig(iterations_te=3, step_size=0.05)
+    lconf = LossConfig(margin_m=0.5)
+    assert np.array_equal(
+        expand_batch(batch, model, table, econf, lconf),
+        oracle_expand_batch(batch, model, table, econf, lconf),
+    )
+
+
+def test_expansion_blocks_give_rows_their_alone_bits():
+    # 300 rows: more than one block, and not a multiple of the block size
+    assert 300 > expansion._BLOCK_ROWS and 300 % expansion._BLOCK_ROWS
+    gen = np.random.default_rng(7)
+    model = EncoderModel.default(4, embed_dim=3, hidden_dim=6, seed=3)
+    labels = gen.integers(0, 3, size=300).tolist()
+    X = gen.normal(size=(300, 4))
+    table = compute_centroids(zip(labels, model.embed_many(X)))
+    batch = [(i, x, y) for i, (x, y) in enumerate(zip(X, labels))]
+    econf = ExpansionConfig(iterations_te=2, step_size=0.05)
+    together = expand_batch(batch, model, table, econf, LossConfig())
+    for entry, row in zip(batch, together):
+        (alone,) = expand_batch([entry], model, table, econf, LossConfig())
+        assert np.array_equal(row, alone)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_divergence_in_a_block_names_the_first_sample_alone():
+    model = EncoderModel.default(2, embed_dim=2, hidden_dim=3, seed=0)
+    table = compute_centroids([(0, [1.0, 0.0])])
+    batch = [(5, np.array([0.5, 0.5]), 0), (42, np.array([2.0, -1.0]), 0)]
+    econf = ExpansionConfig(iterations_te=10, step_size=1e155)
+    with pytest.raises(ExpansionDivergedError) as alone:
+        expand_batch(batch[:1], model, table, econf, LossConfig())
+    with pytest.raises(ExpansionDivergedError) as together:
+        expand_batch(batch, model, table, econf, LossConfig())
+    assert str(together.value) == str(alone.value)
+    assert "sample 5" in str(alone.value)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.75])
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_train_with_oracle_losses_gives_the_same_model(monkeypatch, ablation, lam):
+    cfg = small_config(ablation=ablation, loss=LossConfig(lam=lam))
+    batched = train(toy_dataset(), cfg)
+    monkeypatch.setattr(trainer, "loss_c4", oracle_loss_c4)
+    monkeypatch.setattr(trainer, "loss_dom", oracle_loss_dom)
+    monkeypatch.setattr(trainer, "expand_batch", oracle_expand_batch)
+    per_sample = train(toy_dataset(), cfg)
+    assert batched.model.checksum() == per_sample.model.checksum()
+    assert batched.epoch_losses == per_sample.epoch_losses
+
+
+# -- row primitives -----------------------------------------------------------
+
+
+def test_row_reductions_match_one_dimensional_formulas():
+    gen = np.random.default_rng(11)
+    for k in (1, 2, 3, 7, 16, 33, 64):
+        X = gen.normal(size=(9, k))
+        W = gen.normal(size=(5, k))
+        norms = Tensor(X).l2_norm().numpy()
+        dots = Tensor(X).dot(Tensor(X[::-1].copy())).numpy()
+        sums = Tensor(X).sum(axis=-1).numpy()
+        mapped = Tensor(W).matvec(Tensor(X)).numpy()
+        assert norms.shape == dots.shape == sums.shape == (9, 1)
+        for r, x in enumerate(X):
+            assert norms[r, 0] == math.sqrt(np.dot(x, x))
+            assert dots[r, 0] == np.dot(x, X[::-1][r])
+            assert sums[r, 0] == x.sum()
+            assert np.array_equal(mapped[r], W @ x)
+
+
+def test_mean_adds_rows_left_to_right():
+    gen = np.random.default_rng(12)
+    col = gen.normal(size=(40, 1)) * 10.0 ** gen.integers(-8, 8, size=(40, 1))
+    acc = col[0, 0]
+    for v in col[1:, 0]:
+        acc = acc + v
+    assert Tensor(col).mean().item() == acc / 40.0
+
+
+def test_broadcasting_rules():
+    rows = Tensor(np.arange(6.0).reshape(3, 2))
+    assert (rows + Tensor([10.0, 20.0])).numpy().tolist() == [[10, 21], [12, 23], [14, 25]]
+    assert (rows / Tensor([[1.0], [2.0], [4.0]])).numpy().tolist() == [[0, 1], [1, 1.5], [1, 1.25]]
+    with pytest.raises(ShapeError, match="add"):
+        rows + Tensor([1.0, 2.0, 3.0])
+    with pytest.raises(ShapeError):
+        rows + Tensor(np.ones((2, 2)))
+
+
+def test_shared_row_takes_rows_last_to_first():
+    # a bias added to every row sums its gradient from the last row back
+    g = np.array([[1e16], [1.0], [-1e16], [1.0]])
+    with record():
+        b = Tensor([0.0], requires_grad=True)
+        backward(((Tensor(np.zeros((4, 1))) + b) * Tensor(g)).sum())
+    acc = g[3]
+    for r in (2, 1, 0):
+        acc = acc + g[r]
+    assert np.array_equal(b.grad, acc)
+    assert not np.array_equal(b.grad, np.array([g.sum()]))
+
+
+def _grad_check_rows(f, shape, seed):
+    gen = np.random.default_rng(seed)
+    return grad_check(f, Tensor(gen.normal(size=shape) + 0.5))
+
+
+@pytest.mark.parametrize(
+    "f, shape",
+    [
+        (lambda t: (t.l2_norm() * t.dot(t + 1.0)).mean().sum(), (5, 3)),
+        (lambda t: (t / t.l2_norm()).sum(axis=-1).square().mean().sum(), (4, 3)),
+        (lambda t: Tensor(np.ones((3, 2))).matvec(t.take([2, 0, 2])).tanh().sum(), (4, 2)),
+        (lambda t: t.matvec(Tensor(np.arange(12.0).reshape(4, 3))).square().sum(), (2, 3)),
+        (lambda t: (t + t.take([1]).rows()[0] * 2.0).square().mean().sum(), (3, 2)),
+        (lambda t: pair_distances(t.rows()).square().mean(), (5, 3)),
+        (lambda t: stack(t.rows()[::-1]).mean().dot(Tensor([1.0, -2.0])), (4, 2)),
+    ],
+)
+def test_row_primitives_grad_check(f, shape):
+    assert _grad_check_rows(f, shape, seed=len(shape) + shape[0]) < 1e-5
+
+
+def test_pair_distances_order_and_values():
+    rows = [Tensor([0.0, 0.0]), Tensor([3.0, 4.0]), Tensor([0.0, 1.0])]
+    assert pair_distances(rows).numpy().tolist() == [5.0, 1.0, math.sqrt(18.0)]
+    with pytest.raises(ShapeError):
+        pair_distances(rows[:1])
+    with pytest.raises(ShapeError):
+        stack([Tensor([1.0]), Tensor([1.0, 2.0])])

@@ -493,7 +493,8 @@ def test_train_byte_identical_across_blas_threads(tmp_path):
         out = tmp_path / f"threads{threads}"
         proc = subprocess.run(
             [sys.executable, "-m", "centerpolar", "train", "--data", str(data)]
-            + ["--config", str(cfg_path), "--out", str(out)],
+            + ["--config", str(cfg_path), "--out", str(out)]
+            + ["--dump-trajectories", str(out / "traj")],
             capture_output=True,
             text=True,
             env=child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
@@ -501,7 +502,8 @@ def test_train_byte_identical_across_blas_threads(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outs.append(out)
     a, b = outs
-    for name in ("checkpoint.json", "report.json"):
+    # expansion runs stacked BLAS calls too, so its trajectories are compared
+    for name in ("checkpoint.json", "report.json", "traj/trajectories.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 

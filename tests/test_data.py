@@ -20,6 +20,7 @@ from centerpolar.data import (
     load_csv,
     save_csv,
 )
+from centerpolar import data as data_module
 from centerpolar.experiments import default_benchmark_spec
 from schema_paths import object_paths
 
@@ -369,6 +370,21 @@ class TestGenerateBenchmark:
         )
         with pytest.raises(GenerationError, match="50 prototypes"):
             generate_benchmark(spec)
+
+    @pytest.mark.parametrize(
+        "dim, bound", [(1, 2), (2, 6), (3, 12), (4, 24), (5, 44), (6, 78), (7, 134), (8, 240)]
+    )
+    def test_more_prototypes_than_kissing_number_fail_before_drawing(self, monkeypatch, dim, bound):
+        # with no attempts left, only the up-front bound can name the cause
+        monkeypatch.setattr(data_module, "_PROTOTYPE_ATTEMPTS", 0)
+        n = bound + 1
+        spec = small_spec(
+            n_classes_total=n, n_classes_seen=1, input_dim=8, signal_dim=dim,
+            samples_per_class=2, domain_transforms=(),
+        )
+        with pytest.raises(GenerationError, match="kissing number") as exc:
+            generate_benchmark(spec)
+        assert f"{n} prototypes" in str(exc.value) and f"dimension {dim}" in str(exc.value)
 
     @pytest.mark.parametrize("seed", [157, 252])
     def test_reference_spec_seeds_that_need_many_attempts(self, seed):

@@ -504,9 +504,13 @@ class TestRunState:
 
         calls = dict.fromkeys(("loss_c3e", "loss_dom", "loss_dis", "loss_c4", "expand_batch"), 0)
 
+        def rows(value):  # an array or tensor of one row (k,) or of rows (n, k)
+            return value.shape[0] if len(value.shape) == 2 else 1
+
         def counted(key, fn):
+            # the per-row objectives count the rows they evaluate
             def wrapper(*args, **kwargs):
-                calls[key] += 1
+                calls[key] += rows(args[0]) if key in ("loss_c3e", "loss_dis") else 1
                 return fn(*args, **kwargs)
 
             return wrapper
