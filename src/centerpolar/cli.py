@@ -17,6 +17,8 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from .data import (
     BenchmarkSpec,
     CsvFormatError,
@@ -136,11 +138,11 @@ def cmd_gen_data(args) -> int:
         started=started,
     )
     print(
-        f"train: {len(train_set)} samples, {len(train_set.classes())} classes "
+        f"train: {len(train_set)} samples, {len(np.unique(train_set.labels))} classes "
         f"({train_path})"
     )
     for name, ds in tests.items():
-        print(f"test {name}: {len(ds)} samples, {len(ds.classes())} classes")
+        print(f"test {name}: {len(ds)} samples, {len(np.unique(ds.labels))} classes")
     return 0
 
 
@@ -167,17 +169,25 @@ def _resolve_train_config(args) -> tuple[TrainConfig, list[Path]]:
 
 
 def _load_data_dir(data_dir: Path):
+    """(train set, {domain tag: test set}, input paths).  Test rows are
+    grouped by domain tag over all test_*.csv files in name order, domains
+    in order of first appearance; ids need only be unique within a domain."""
     train_path = data_dir / "train.csv"
     if not train_path.exists():
         raise FileNotFoundError(f"no train.csv in {data_dir}")
     train_set = load_csv(train_path)
-    tests = {}
     test_paths = sorted(data_dir.glob("test_*.csv"))
-    for path in test_paths:
-        ds = load_csv(path)
-        for s in ds.samples:
-            tests.setdefault(s.domain_tag, []).append(s)
-    tests = {name: DataSet(samples) for name, samples in tests.items()}
+    parts = [ds for ds in map(load_csv, test_paths) if len(ds)]
+    tests = {}
+    if parts:
+        ids, labels, domains, features = (
+            np.concatenate([getattr(ds, c) for ds in parts])
+            for c in ("ids", "labels", "domains", "features")
+        )
+        names, first = np.unique(domains, return_index=True)
+        for name in names[np.argsort(first)].tolist():
+            rows = domains == name
+            tests[name] = DataSet(ids[rows], labels[rows], domains[rows], features[rows])
     return train_set, tests, [train_path] + test_paths
 
 
@@ -262,11 +272,13 @@ def cmd_export_embeddings(args) -> int:
             ["id", "label", "domain"] + [f"e{i}" for i in range(model.embed_dim)]
         )
         if len(ds):
-            E = model.embed_many(ds.features_matrix())
-            for s, row in zip(ds.samples, E):
-                writer.writerow(
-                    [s.id, s.class_id, s.domain_tag] + [f"{v:.17g}" for v in row]
+            E = model.embed_many(ds.features)
+            writer.writerows(
+                [i, label, domain, *[f"{v:.17g}" for v in row.tolist()]]
+                for i, label, domain, row in zip(
+                    ds.ids.tolist(), ds.labels.tolist(), ds.domains.tolist(), E
                 )
+            )
     _write_manifest(
         Path(str(out_path) + ".manifest.json"),
         command="export-embeddings",

@@ -15,6 +15,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,7 @@ _PROTOTYPE_ATTEMPTS = 10_000
 # Sloane, "Sphere Packings, Lattices and Groups", 3rd ed., 1999).
 _KISSING_BOUND = {1: 2, 2: 6, 3: 12, 4: 24, 5: 44, 6: 78, 7: 134, 8: 240}
 RESERVED_DOMAIN_TAGS = ("source", "expanded")
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 class GenerationError(RuntimeError):
@@ -38,64 +41,88 @@ class CsvFormatError(ValueError):
     pass
 
 
+class RowError(ValueError):
+    """A column rule broken first at row `row`; the message names its sample id."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
 @dataclass(frozen=True)
-class LabeledSample:
-    id: int
+class DataSet:
+    """Labeled rows as read-only columns, validated once at construction.
+
+    `ids` and `labels` are int64, `domains` holds one string tag per row and
+    `features` is an (n, d) float64 matrix; the columns are copies of the
+    arguments.  Ids and labels must be integers >= 0, ids unique, features
+    finite and tags non-empty; a violation raises RowError naming the sample
+    id of the first offending row.
+    """
+
+    ids: np.ndarray
+    labels: np.ndarray
+    domains: np.ndarray
     features: np.ndarray
-    class_id: int
-    domain_tag: str
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
-        if feats.ndim != 1:
-            raise ValueError(f"sample {self.id}: features must be 1-D")
-        if not np.isfinite(feats).all():
-            raise ValueError(f"sample {self.id}: non-finite feature values")
-        if self.id < 0 or self.class_id < 0:
-            raise ValueError(f"sample {self.id}: ids and class ids must be >= 0")
-        if not self.domain_tag:
-            raise ValueError(f"sample {self.id}: empty domain tag")
-        object.__setattr__(self, "features", feats)
-
-
-class DataSet:
-    def __init__(self, samples: list[LabeledSample] | None = None):
-        self.samples: list[LabeledSample] = []
-        self._ids: set[int] = set()
-        for s in samples or []:
-            self.add(s)
-
-    def add(self, sample: LabeledSample) -> None:
-        if sample.id in self._ids:
-            raise ValueError(f"duplicate sample id {sample.id}")
-        self._ids.add(sample.id)
-        self.samples.append(sample)
+        domains = np.array(self.domains)
+        features = np.array(self.features, dtype=np.float64)
+        if not np.ndim(self.ids) == np.ndim(self.labels) == domains.ndim == features.ndim - 1 == 1:
+            raise ValueError("ids, labels and domains must be vectors, features an (n, d) matrix")
+        n = len(features)
+        if not len(self.ids) == len(self.labels) == len(domains) == n:
+            raise ValueError(
+                f"columns differ in length: {len(self.ids)} ids, {len(self.labels)} labels, "
+                f"{len(domains)} domains, {n} feature rows"
+            )
+        if n and domains.dtype.kind != "U":
+            raise ValueError(f"domain tags must be strings, got {domains.dtype} entries")
+        ids = _int64(self.ids, None)
+        labels, domains = _int64(self.labels, ids), domains.astype(str)
+        repeated = np.ones(n, dtype=bool)
+        repeated[np.unique(ids, return_index=True)[1]] = False
+        # per row, the first rule it breaks; the error names the first such row
+        rules = (
+            (~np.isfinite(features).all(axis=1), "sample {}: non-finite feature values"),
+            ((ids < 0) | (labels < 0), "sample {}: ids and class ids must be >= 0"),
+            (domains == "", "sample {}: empty domain tag"),
+            (repeated, "duplicate sample id {}"),
+        )
+        broken = [(int(np.argmax(bad)), message) for bad, message in rules if bad.any()]
+        if broken:
+            row, message = min(broken, key=lambda b: b[0])
+            raise RowError(row, message.format(ids[row]))
+        for name, column in zip(
+            ("ids", "labels", "domains", "features"), (ids, labels, domains, features)
+        ):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.ids)
 
-    def __iter__(self):
-        return iter(self.samples)
 
-    def ids(self) -> np.ndarray:
-        return np.array([s.id for s in self.samples], dtype=np.int64)
-
-    def labels(self) -> np.ndarray:
-        return np.array([s.class_id for s in self.samples], dtype=np.int64)
-
-    def features_matrix(self) -> np.ndarray:
-        if not self.samples:
-            return np.zeros((0, 0))
-        return np.stack([s.features for s in self.samples])
-
-    def classes(self) -> list[int]:
-        return sorted({s.class_id for s in self.samples})
-
-    def class_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for s in self.samples:
-            counts[s.class_id] = counts.get(s.class_id, 0) + 1
-        return counts
+def _int64(values, ids) -> np.ndarray:
+    """`values` as int64; an entry that is no 64-bit integer raises RowError
+    naming the id of its row (the entry itself when `ids` is None)."""
+    column = np.array(values)
+    if column.dtype.kind != "i":
+        entries = np.array(values, dtype=object).tolist()
+        row = next(
+            (
+                i
+                for i, v in enumerate(entries)
+                if isinstance(v, bool)
+                or not isinstance(v, numbers.Integral)
+                or not _INT64_MIN <= v <= _INT64_MAX
+            ),
+            None,
+        )
+        if row is not None:
+            sample = entries[row] if ids is None else ids[row]
+            raise RowError(row, f"sample {sample}: ids and class ids must be 64-bit integers")
+    return column.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -228,56 +255,36 @@ class BenchmarkSpec:
 
 
 def generate_benchmark(spec: BenchmarkSpec):
-    """Build (train DataSet, {domain name: test DataSet}) from a spec."""
+    """Build (train DataSet, {domain name: test DataSet}) from a spec.
+
+    Ids run consecutively from 0 over the train rows, then each domain's."""
     prototypes = _draw_prototypes(spec)
-    next_id = 0
-    train = DataSet()
-    noise_gen = rng.stream(spec.seed, rng.STREAM_TRAIN_NOISE)
-    for class_id in range(spec.n_classes_seen):
-        for _ in range(spec.samples_per_class):
-            x = _draw_sample(prototypes[class_id], spec, noise_gen)
-            train.add(
-                LabeledSample(
-                    id=next_id, features=x, class_id=class_id, domain_tag="source"
-                )
-            )
-            next_id += 1
+    seen = np.repeat(np.arange(spec.n_classes_seen), spec.samples_per_class)
+    x = _draw_samples(prototypes, seen, spec, rng.stream(spec.seed, rng.STREAM_TRAIN_NOISE))
+    train = DataSet(np.arange(len(seen)), seen, ["source"] * len(seen), x)
     tests: dict[str, DataSet] = {}
-    unseen = range(spec.n_classes_seen, spec.n_classes_total)
+    unseen = np.repeat(
+        np.arange(spec.n_classes_seen, spec.n_classes_total), spec.samples_per_class
+    )
+    next_id = len(seen)
     for k, transform in enumerate(spec.domain_transforms):
         gen = rng.stream(spec.seed, rng.STREAM_DOMAIN_BASE + k)
-        ds = DataSet()
-        raw_rows = []
-        labels = []
-        for class_id in unseen:
-            for _ in range(spec.samples_per_class):
-                raw_rows.append(_draw_sample(prototypes[class_id], spec, gen))
-                labels.append(class_id)
-        transformed = (
-            transform.apply(np.stack(raw_rows)) if raw_rows else np.zeros((0, 0))
-        )
-        for row, class_id in zip(transformed, labels):
-            ds.add(
-                LabeledSample(
-                    id=next_id,
-                    features=row,
-                    class_id=class_id,
-                    domain_tag=transform.name,
-                )
-            )
-            next_id += 1
-        tests[transform.name] = ds
+        x = transform.apply(_draw_samples(prototypes, unseen, spec, gen))
+        ids = np.arange(next_id, next_id + len(unseen))
+        tests[transform.name] = DataSet(ids, unseen, [transform.name] * len(unseen), x)
+        next_id += len(unseen)
     return train, tests
 
 
-def _draw_sample(prototype: np.ndarray, spec: BenchmarkSpec, gen) -> np.ndarray:
-    x = prototype + spec.intra_std * gen.standard_normal(spec.input_dim)
-    if spec.nuisance_std > 0 and spec.signal_dim < spec.input_dim:
-        # class-independent clutter outside the signal subspace
-        x = x.copy()
-        x[spec.signal_dim :] += spec.nuisance_std * gen.standard_normal(
-            spec.input_dim - spec.signal_dim
-        )
+def _draw_samples(prototypes: np.ndarray, labels: np.ndarray, spec: BenchmarkSpec, gen):
+    """One row per label: its prototype plus intra-class noise, and nuisance
+    noise outside the signal subspace.  Each row's draws come in turn from
+    `gen`, its intra-class noise first."""
+    nuisance_dims = spec.input_dim - spec.signal_dim if spec.nuisance_std > 0 else 0
+    noise = gen.standard_normal((len(labels), spec.input_dim + nuisance_dims))
+    x = prototypes[labels] + spec.intra_std * noise[:, : spec.input_dim]
+    # class-independent clutter on the last nuisance_dims coordinates
+    x[:, spec.input_dim - nuisance_dims :] += spec.nuisance_std * noise[:, spec.input_dim :]
     return x
 
 
@@ -329,12 +336,19 @@ def save_csv(dataset: DataSet, path) -> None:
         if len(dataset) == 0:
             writer.writerow(_BASE_COLUMNS)
             return
-        dim = dataset.samples[0].features.shape[0]
+        dim = dataset.features.shape[1]
         writer.writerow(list(_BASE_COLUMNS) + [f"f{i}" for i in range(dim)])
-        for s in dataset.samples:
-            writer.writerow(
-                [s.id, s.class_id, s.domain_tag] + [f"{v:.17g}" for v in s.features]
+        # one row's floats at a time: the whole matrix as Python floats at
+        # once fragments the heap and raises the process's peak RSS
+        writer.writerows(
+            [i, label, domain, *[f"{v:.17g}" for v in row.tolist()]]
+            for i, label, domain, row in zip(
+                dataset.ids.tolist(),
+                dataset.labels.tolist(),
+                dataset.domains.tolist(),
+                dataset.features,
             )
+        )
 
 
 def load_csv(path) -> DataSet:
@@ -342,7 +356,8 @@ def load_csv(path) -> DataSet:
 
     The first three header columns must be id,label,domain; the remaining
     columns are features regardless of their names, so embedding exports
-    load under the same schema.
+    load under the same schema.  A broken DataSet rule names the line of
+    the first offending row.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -355,7 +370,7 @@ def load_csv(path) -> DataSet:
                 f"line 1: header must start with id,label,domain, got {header[:3]}"
             )
         dim = len(header) - 3
-        ds = DataSet()
+        line_nos, ids, labels, domains, values = [], [], [], [], array("d")
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -364,29 +379,21 @@ def load_csv(path) -> DataSet:
                     f"line {line_no}: expected {3 + dim} fields, got {len(row)}"
                 )
             try:
-                sample_id = int(row[0])
-                class_id = int(row[1])
+                ids.append(int(row[0]))
+                labels.append(int(row[1]))
             except ValueError:
                 raise CsvFormatError(
                     f"line {line_no}: id and label must be integers"
                 ) from None
             try:
-                feats = np.array([float(v) for v in row[3:]], dtype=np.float64)
+                values.extend(map(float, row[3:]))
             except ValueError:
                 raise CsvFormatError(
                     f"line {line_no}: unparseable feature value"
                 ) from None
-            if not np.isfinite(feats).all():
-                raise CsvFormatError(f"line {line_no}: non-finite feature value")
-            try:
-                ds.add(
-                    LabeledSample(
-                        id=sample_id,
-                        features=feats,
-                        class_id=class_id,
-                        domain_tag=row[2],
-                    )
-                )
-            except ValueError as e:
-                raise CsvFormatError(f"line {line_no}: {e}") from None
-        return ds
+            domains.append(row[2])
+            line_nos.append(line_no)
+    try:
+        return DataSet(ids, labels, domains, np.frombuffer(values).reshape(len(ids), dim))
+    except RowError as e:
+        raise CsvFormatError(f"line {line_nos[e.row]}: {e}") from None

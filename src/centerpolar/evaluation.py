@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import schema
 from .data import DataSet
 from .geometry import EPS_PROJECTION, DegenerateVectorError
 
@@ -37,13 +38,7 @@ class DomainMetrics:
     skipped_zero_relevant: int
 
     def to_dict(self) -> dict:
-        return {
-            "recall_at": {str(k): v for k, v in sorted(self.recall_at.items())},
-            "r_precision": self.r_precision,
-            "map_at_r": self.map_at_r,
-            "queries": self.queries,
-            "skipped_zero_relevant": self.skipped_zero_relevant,
-        }
+        return schema.to_dict(self)
 
 
 @dataclass(frozen=True)
@@ -54,12 +49,7 @@ class RetrievalReport:
     metric: str
 
     def to_dict(self) -> dict:
-        return {
-            "domains": {name: m.to_dict() for name, m in self.domains.items()},
-            "average": self.average.to_dict(),
-            "query_count": self.query_count,
-            "metric": self.metric,
-        }
+        return schema.to_dict(self)
 
     def to_text(self) -> str:
         ks = sorted(next(iter(self.domains.values())).recall_at) if self.domains else []
@@ -159,9 +149,8 @@ def _evaluate_domain(model, ds: DataSet, recall_ks, metric: str) -> DomainMetric
         raise ValueError(
             f"evaluate: recall k={max(recall_ks)} exceeds gallery size {n - 1}"
         )
-    E = model.embed_many(ds.features_matrix())
-    ids = ds.ids()
-    labels = ds.labels()
+    E = model.embed_many(ds.features)
+    ids, labels = ds.ids, ds.labels
     if metric == "geodesic":
         norms = np.sqrt((E * E).sum(axis=1))
         bad = np.nonzero(norms <= EPS_PROJECTION)[0]

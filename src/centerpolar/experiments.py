@@ -107,15 +107,10 @@ def run_ablation_grid(
     total_epochs: int = 2,
 ) -> dict:
     """MAP@R per ablation per seed on the default benchmark."""
-    results: dict[str, list[float]] = {a: [] for a in ablations}
-    for ablation in ablations:
-        for seed in seeds:
-            spec = default_benchmark_spec(seed=seed, samples_per_class=samples_per_class)
-            config = benchmark_train_config(
-                seed=seed, ablation=ablation, lam=lam, total_epochs=total_epochs
-            )
-            results[ablation].append(run_benchmark(spec, config)["map_at_r"])
-    return results
+    return _run_grid(
+        ablations, seeds, samples_per_class,
+        lambda ablation, seed: benchmark_train_config(seed, ablation, lam, total_epochs),
+    )
 
 
 def run_lambda_sweep(
@@ -125,12 +120,18 @@ def run_lambda_sweep(
     total_epochs: int = 2,
 ) -> dict:
     """MAP@R of the full method per lambda per seed on the default benchmark."""
-    curve: dict[float, list[float]] = {float(l): [] for l in lambdas}
-    for lam in lambdas:
+    return _run_grid(
+        [float(lam) for lam in lambdas], seeds, samples_per_class,
+        lambda lam, seed: benchmark_train_config(seed, "full", lam, total_epochs),
+    )
+
+
+def _run_grid(cells, seeds, samples_per_class: int, config_of) -> dict:
+    """{cell: [MAP@R per seed]}, running each cell's seeds in turn with the
+    config `config_of(cell, seed)`."""
+    results: dict = {cell: [] for cell in cells}
+    for cell in cells:
         for seed in seeds:
             spec = default_benchmark_spec(seed=seed, samples_per_class=samples_per_class)
-            config = benchmark_train_config(
-                seed=seed, ablation="full", lam=float(lam), total_epochs=total_epochs
-            )
-            curve[float(lam)].append(run_benchmark(spec, config)["map_at_r"])
-    return curve
+            results[cell].append(run_benchmark(spec, config_of(cell, seed))["map_at_r"])
+    return results

@@ -1,8 +1,9 @@
-"""JSON form of the frozen config dataclasses, derived from their fields.
+"""JSON form of the frozen dataclasses, derived from their fields.
 
 `to_dict` writes every init field under its key (`metadata["key"]` when
-set, else the field name), nested dataclasses as objects and tuples as
-lists.  `from_dict` is its strict inverse: an unknown key at any depth, a
+set, else the field name), nested dataclasses as objects, tuples as lists
+and dicts as objects with string keys.  `from_dict` is its strict inverse
+for the configs, which hold no dicts: an unknown key at any depth, a
 missing field without a default, or a value that does not match the
 field's annotation raises ValueError naming the dotted path of the key.
 `int` takes JSON integers only, `float` any JSON number (stored as a
@@ -44,6 +45,8 @@ def _dump(value):
         return to_dict(value)
     if isinstance(value, tuple):
         return [_dump(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _dump(v) for k, v in value.items()}
     return value
 
 

@@ -154,14 +154,11 @@ def train(
     """Run the two-phase loop and return the report (model included)."""
     if len(dataset) < 2:
         raise ValueError(f"train: need at least 2 samples, got {len(dataset)}")
-    for class_id, count in sorted(dataset.class_counts().items()):
-        if count < 2:
-            raise ValueError(
-                f"train: class {class_id} has {count} sample(s), need >= 2 for pairs"
-            )
-    ids = dataset.ids()
-    features = dataset.features_matrix()
-    labels = dataset.labels()
+    ids, labels, features = dataset.ids, dataset.labels, dataset.features
+    classes, sizes = np.unique(labels, return_counts=True)
+    if (sizes < 2).any():
+        class_id, count = classes[sizes < 2][0], sizes[sizes < 2][0]
+        raise ValueError(f"train: class {class_id} has {count} sample(s), need >= 2 for pairs")
     model = EncoderModel.default(
         features.shape[1], config.embed_dim, config.hidden_dim, config.seed
     )

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from centerpolar.cli import main
-from centerpolar.data import DataSet, LabeledSample
+from centerpolar.data import DataSet
 from centerpolar.encoder import EncoderModel, Layer
 from centerpolar.evaluation import evaluate, map_at_r, r_precision, recall_at_k
 from centerpolar.expansion import ExpansionConfig, expansion_trajectory
@@ -381,20 +381,13 @@ _C4_CONVERGENCE_EPOCH = {0: 391, 1: 394, 2: 366, 3: 287, 4: 258}
 
 def _c4_toy(seed: int, n: int = 8) -> DataSet:
     gen = np.random.default_rng(seed)
-    ds = DataSet()
-    i = 0
-    for cid, center in enumerate(((-1.0, 0.0), (1.0, 0.0))):
-        for _ in range(n):
-            ds.add(
-                LabeledSample(
-                    id=i,
-                    features=np.array(center) + 0.25 * gen.normal(size=2),
-                    class_id=cid,
-                    domain_tag="source",
-                )
-            )
-            i += 1
-    return ds
+    centers = [(-1.0, 0.0)] * n + [(1.0, 0.0)] * n
+    return DataSet(
+        ids=np.arange(2 * n),
+        labels=np.repeat([0, 1], n),
+        domains=["source"] * (2 * n),
+        features=[np.array(c) + 0.25 * gen.normal(size=2) for c in centers],
+    )
 
 
 def test_criterion_4_equilibrium():
@@ -420,11 +413,9 @@ def test_criterion_4_equilibrium():
             delta = abs(report.epoch_losses[-1] - report.epoch_losses[-2])
             assert delta < 1e-5, f"seed {seed} not converged: delta {delta:.2e}"
             model = report.model
-            E = model.embed_many(ds.features_matrix())
-            table = compute_centroids(
-                (s.class_id, E[i]) for i, s in enumerate(ds.samples)
-            )
-            batch = [(s.features, s.class_id) for s in ds.samples]
+            E = model.embed_many(ds.features)
+            table = compute_centroids(zip(ds.labels.tolist(), E))
+            batch = list(zip(ds.features, ds.labels.tolist()))
             (row,) = c4_equilibrium_probe(model, batch, table, lconf, [lconf.lam])
             denom = max(
                 row["grad_norm_contrastive"], row["grad_norm_centripetal_term"]
@@ -461,13 +452,7 @@ def test_criterion_5_metric_oracle():
         # committed ten-sample hand table on the identity encoder
         positions = [0.0, 1.0, 2.0, 3.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0]
         labels = [0] * 5 + [1] * 5
-        ds = DataSet()
-        for i, (p, y) in enumerate(zip(positions, labels)):
-            ds.add(
-                LabeledSample(
-                    id=i, features=np.array([p]), class_id=y, domain_tag="hand"
-                )
-            )
+        ds = DataSet(range(10), labels, ["hand"] * 10, np.reshape(positions, (10, 1)))
         model = EncoderModel(
             [
                 Layer(

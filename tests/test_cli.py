@@ -1,5 +1,6 @@
 """End-to-end CLI runs in temp directories, exit codes, manifests."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ import centerpolar
 from centerpolar.cli import main
 from centerpolar.data import load_csv
 from centerpolar.encoder import EncoderModel
+from centerpolar.experiments import default_benchmark_spec
 from centerpolar.trainer import TrainConfig, load_checkpoint
 
 MANIFEST_KEYS = {
@@ -111,6 +113,21 @@ class TestGenData:
         assert main(["gen-data", "--spec", str(spec_path), "--out", str(b)]) == 0
         for name in ("train.csv", "test_near.csv", "test_rot.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_reference_spec_bytes_pinned(self, tmp_path):
+        # the Philox streams, their draw order and the CSV format, across commits
+        spec_path = tmp_path / "spec.json"
+        spec = default_benchmark_spec(seed=0, samples_per_class=20)
+        spec_path.write_text(json.dumps(spec.to_dict()))
+        out = tmp_path / "out"
+        assert main(["gen-data", "--spec", str(spec_path), "--out", str(out)]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
+        assert digests == {
+            "train.csv": "21cc2dec46e2a310a386f9c40256ae0fbdc04eb08f48db3a4068f667c0e63230",
+            "test_tilt_up.csv": "e56e8a1f25db3ec093a148dafbc019345ca56d6ba8b9519bfd98da7ddb17bc94",
+            "test_tilt_down.csv": "e62a348cd951047d96badda12db6f4322fe0256d4aed8009ec17d0576dd89ea3",
+            "test_shift.csv": "2f63bb9ce8f2243a3e9a1578e711e54c65fa52e6d49ab1ef2e1a869119656192",
+        }
 
     def test_missing_spec_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -330,6 +347,28 @@ class TestEval:
         assert rc == 0
         assert json.loads(out_path.read_text())["metric"] == "geodesic"
 
+    def test_groups_test_rows_by_domain_tag(self, tmp_path, data_dir, run_dir, capsys):
+        # test_a holds all of near and half of rot, test_b the rest of rot and
+        # a copy of near tagged echo: ids overlap across domains only
+        header, *near = (data_dir / "test_near.csv").read_text().splitlines()
+        _, *rot = (data_dir / "test_rot.csv").read_text().splitlines()
+        echo = [line.replace(",near,", ",echo,") for line in near]
+        mixed = tmp_path / "mixed"
+        mixed.mkdir()
+        (mixed / "train.csv").write_bytes((data_dir / "train.csv").read_bytes())
+        half = len(rot) // 2
+        (mixed / "test_a.csv").write_text("\n".join([header, *near, *rot[:half]]) + "\n")
+        (mixed / "test_b.csv").write_text("\n".join([header, *echo, *rot[half:]]) + "\n")
+        out_path = tmp_path / "mixed.json"
+        argv = ["eval", "--checkpoint", str(run_dir / "checkpoint.json"), "--out", str(out_path)]
+        assert main(argv + ["--data", str(mixed)]) == 0
+        rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert rows == ["near", "rot", "echo", "average"]
+        report = json.loads(out_path.read_text())
+        assert main(argv[:-1] + [str(tmp_path / "plain.json"), "--data", str(data_dir)]) == 0
+        plain = json.loads((tmp_path / "plain.json").read_text())
+        assert report["domains"] == {**plain["domains"], "echo": plain["domains"]["near"]}
+
     def test_missing_checkpoint(self, tmp_path, data_dir, capsys):
         rc = main(
             [
@@ -404,10 +443,10 @@ class TestExportEmbeddings:
         source = load_csv(data_dir / "test_near.csv")
         assert len(back) == len(source)
         model, _cfg, _epoch = load_checkpoint(run_dir / "checkpoint.json")
-        expected = model.embed_many(source.features_matrix())
+        expected = model.embed_many(source.features)
         # 17 significant digits round-trip float64 exactly
-        assert np.array_equal(back.features_matrix(), expected)
-        assert np.array_equal(back.ids(), source.ids())
+        assert np.array_equal(back.features, expected)
+        assert np.array_equal(back.ids, source.ids)
         manifest = json.loads((tmp_path / "emb.csv.manifest.json").read_text())
         assert manifest["command"] == "export-embeddings"
         assert manifest["resolved_config"] == {"embed_dim": 4}

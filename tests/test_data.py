@@ -15,12 +15,12 @@ from centerpolar.data import (
     DataSet,
     DomainTransform,
     GenerationError,
-    LabeledSample,
     generate_benchmark,
     load_csv,
     save_csv,
 )
 from centerpolar import data as data_module
+from centerpolar import rng
 from centerpolar.experiments import default_benchmark_spec
 from schema_paths import object_paths
 
@@ -93,48 +93,73 @@ PARENT_SPEC = """{
 }"""
 
 
-class TestLabeledSample:
-    def test_coerces_to_float64(self):
-        s = LabeledSample(id=0, features=[1, 2, 3], class_id=0, domain_tag="source")
-        assert s.features.dtype == np.float64
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"features": np.array([[1.0]])},
-            {"features": np.array([np.nan])},
-            {"features": np.array([np.inf])},
-            {"id": -1},
-            {"class_id": -2},
-            {"domain_tag": ""},
-        ],
+def columns(**overrides):
+    cols = dict(
+        ids=[5, 2, 7],
+        labels=[1, 0, 1],
+        domains=["a", "a", "b"],
+        features=np.arange(6.0).reshape(3, 2),
     )
-    def test_rejects_bad_fields(self, kwargs):
-        base = dict(id=0, features=np.zeros(2), class_id=0, domain_tag="source")
-        base.update(kwargs)
-        with pytest.raises(ValueError):
-            LabeledSample(**base)
+    cols.update(overrides)
+    return cols
 
 
 class TestDataSet:
-    def test_duplicate_ids_rejected(self):
-        ds = DataSet()
-        ds.add(LabeledSample(id=3, features=np.zeros(2), class_id=0, domain_tag="a"))
-        with pytest.raises(ValueError, match="duplicate sample id 3"):
-            ds.add(LabeledSample(id=3, features=np.ones(2), class_id=1, domain_tag="a"))
+    def test_coerces_columns(self):
+        ds = DataSet(**columns(features=[[1, 2], [3, 4], [5, 6]]))
+        assert ds.ids.dtype == ds.labels.dtype == np.int64
+        assert ds.features.dtype == np.float64 and ds.features.shape == (3, 2)
+        assert ds.ids.tolist() == [5, 2, 7]  # row order preserved
+        assert ds.labels.tolist() == [1, 0, 1]
+        assert ds.domains.tolist() == ["a", "a", "b"]
+        assert len(ds) == 3
 
-    def test_accessors(self):
-        ds = DataSet(
-            [
-                LabeledSample(id=5, features=np.array([1.0, 2.0]), class_id=1, domain_tag="a"),
-                LabeledSample(id=2, features=np.array([3.0, 4.0]), class_id=0, domain_tag="a"),
-            ]
-        )
-        assert list(ds.ids()) == [5, 2]  # insertion order preserved
-        assert list(ds.labels()) == [1, 0]
-        assert ds.classes() == [0, 1]
-        assert ds.class_counts() == {0: 1, 1: 1}
-        assert ds.features_matrix().shape == (2, 2)
+    def test_columns_are_read_only_copies(self):
+        X = np.zeros((3, 2))
+        ds = DataSet(**columns(features=X))
+        X[0, 0] = 1.0
+        assert ds.features[0, 0] == 0.0
+        for column in (ds.ids, ds.labels, ds.domains, ds.features):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[1]
+
+    def test_empty(self):
+        ds = DataSet([], [], [], np.zeros((0, 4)))
+        assert len(ds) == 0 and ds.ids.dtype == np.int64 and ds.features.shape == (0, 4)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(features=[[0, 1], [np.nan, 0], [0, 0]]), "sample 2: non-finite"),
+            (dict(features=[[0, 1], [0, 0], [0, -np.inf]]), "sample 7: non-finite"),
+            (dict(ids=[5, -2, 7]), "sample -2: ids and class ids must be >= 0"),
+            (dict(labels=[1, 0, -1]), "sample 7: ids and class ids must be >= 0"),
+            (dict(domains=["a", "", "b"]), "sample 2: empty domain tag"),
+            (dict(ids=[5, 2, 5]), "duplicate sample id 5"),
+            (dict(ids=[5, 1.5, 7]), "sample 1.5: ids and class ids must be 64-bit integers"),
+            (dict(labels=[1, "0", 1]), "sample 2: ids and class ids must be 64-bit integers"),
+            (dict(ids=[5, 2, 2**63]), f"sample {2**63}: ids and class ids must be 64-bit"),
+            # the first offending row wins over the order of the rules
+            (dict(ids=[5, 2, 5], features=[[0, 1], [0, np.nan], [0, 0]]), "sample 2: non-finite"),
+        ],
+    )
+    def test_rule_names_first_offending_sample(self, change, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DataSet(**columns(**change))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(labels=[1, 0]), "differ in length"),
+            (dict(domains=["a"] * 4), "differ in length"),
+            (dict(features=np.zeros(3)), "(n, d) matrix"),
+            (dict(ids=[[5, 2, 7]]), "vectors"),
+            (dict(domains=["a", None, "b"]), "domain tags must be strings"),
+        ],
+    )
+    def test_rejects_malformed_columns(self, change, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DataSet(**columns(**change))
 
 
 class TestBenchmarkSpec:
@@ -293,34 +318,34 @@ class TestGenerateBenchmark:
     def test_regeneration_is_bitwise(self):
         t1, d1 = generate_benchmark(small_spec())
         t2, d2 = generate_benchmark(small_spec())
-        assert np.array_equal(t1.features_matrix(), t2.features_matrix())
+        assert np.array_equal(t1.features, t2.features)
         assert sorted(d1) == sorted(d2)
         for name in d1:
-            assert np.array_equal(d1[name].features_matrix(), d2[name].features_matrix())
+            assert np.array_equal(d1[name].features, d2[name].features)
 
     def test_seed_changes_data(self):
         t1, _ = generate_benchmark(small_spec(seed=0))
         t2, _ = generate_benchmark(small_spec(seed=1))
-        assert not np.array_equal(t1.features_matrix(), t2.features_matrix())
+        assert not np.array_equal(t1.features, t2.features)
 
     def test_class_split_is_disjoint(self):
         train, tests = generate_benchmark(small_spec())
-        assert train.classes() == [0, 1]
+        assert np.unique(train.labels).tolist() == [0, 1]
         for ds in tests.values():
-            assert ds.classes() == [2, 3]
+            assert np.unique(ds.labels).tolist() == [2, 3]
 
     def test_ids_sequential_and_disjoint(self):
         train, tests = generate_benchmark(small_spec())
-        all_ids = list(train.ids())
+        all_ids = train.ids.tolist()
         for name in ("near", "rot", "far"):  # insertion order of the transforms
-            all_ids.extend(tests[name].ids())
+            all_ids.extend(tests[name].ids.tolist())
         assert all_ids == list(range(len(all_ids)))
 
     def test_domain_tags(self):
         train, tests = generate_benchmark(small_spec())
-        assert {s.domain_tag for s in train} == {"source"}
+        assert set(train.domains.tolist()) == {"source"}
         for name, ds in tests.items():
-            assert {s.domain_tag for s in ds} == {name}
+            assert set(ds.domains.tolist()) == {name}
 
     def test_counts(self):
         spec = small_spec()
@@ -328,22 +353,21 @@ class TestGenerateBenchmark:
         assert len(train) == 2 * 5
         for ds in tests.values():
             assert len(ds) == 2 * 5
-            assert set(ds.class_counts().values()) == {5}
+            assert np.unique(ds.labels, return_counts=True)[1].tolist() == [5, 5]
 
     def test_zero_noise_puts_samples_on_prototypes(self):
         spec = small_spec(intra_std=0.0)
         train, tests = generate_benchmark(spec)
-        X = train.features_matrix()
-        labels = train.labels()
+        X, labels = train.features, train.labels
         # all samples of a class coincide and sit on the separation shell
-        for cid in train.classes():
+        for cid in np.unique(labels):
             rows = X[labels == cid]
             assert np.array_equal(rows, np.tile(rows[0], (len(rows), 1)))
             assert abs(np.linalg.norm(rows[0]) - spec.class_separation) < 1e-12
         # the identity domain leaves unseen prototypes untouched as well
-        Xi = tests["near"].features_matrix()
-        for cid in tests["near"].classes():
-            rows = Xi[tests["near"].labels() == cid]
+        Xi = tests["near"].features
+        for cid in np.unique(tests["near"].labels):
+            rows = Xi[tests["near"].labels == cid]
             assert np.array_equal(rows, np.tile(rows[0], (len(rows), 1)))
             assert abs(np.linalg.norm(rows[0]) - spec.class_separation) < 1e-12
 
@@ -351,14 +375,41 @@ class TestGenerateBenchmark:
         spec = small_spec(intra_std=0.0)
         train, tests = generate_benchmark(spec)
         protos = {}
-        for s in train:
-            protos[s.class_id] = s.features
-        for s in tests["near"]:
-            protos[s.class_id] = s.features
+        for ds in (train, tests["near"]):
+            protos.update(zip(ds.labels.tolist(), ds.features))
         keys = sorted(protos)
         for i, a in enumerate(keys):
             for b in keys[i + 1 :]:
                 assert np.linalg.norm(protos[a] - protos[b]) >= spec.class_separation
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, dict(signal_dim=2), dict(signal_dim=2, nuisance_std=1.5), dict(signal_dim=4, nuisance_std=1.5)],
+    )
+    def test_block_draws_equal_per_sample_draws(self, overrides):
+        # reference: each sample draws its intra-class noise, then its
+        # nuisance noise, from the split's stream, one sample at a time
+        spec = small_spec(**overrides)
+        protos = data_module._draw_prototypes(spec)
+        nuisance = spec.input_dim - spec.signal_dim if spec.nuisance_std > 0 else 0
+
+        def per_sample(classes, gen):
+            rows = []
+            for c in classes:
+                x = protos[c] + spec.intra_std * gen.standard_normal(spec.input_dim)
+                if nuisance:
+                    x[spec.signal_dim :] += spec.nuisance_std * gen.standard_normal(nuisance)
+                rows.append(x)
+            return np.array(rows)
+
+        train, tests = generate_benchmark(spec)
+        seen = np.repeat([0, 1], spec.samples_per_class)
+        gen = rng.stream(spec.seed, rng.STREAM_TRAIN_NOISE)
+        assert np.array_equal(train.features, per_sample(seen, gen))
+        for k, t in enumerate(spec.domain_transforms):
+            gen = rng.stream(spec.seed, rng.STREAM_DOMAIN_BASE + k)
+            expected = t.apply(per_sample(seen + 2, gen))
+            assert np.array_equal(tests[t.name].features, expected)
 
     def test_infeasible_packing_raises(self):
         spec = small_spec(
@@ -390,14 +441,14 @@ class TestGenerateBenchmark:
     def test_reference_spec_seeds_that_need_many_attempts(self, seed):
         # these seeds place the 8 reference prototypes only after 1000+ draws
         train, tests = generate_benchmark(default_benchmark_spec(seed, samples_per_class=2))
-        assert train.classes() == [0, 1, 2, 3]
+        assert np.unique(train.labels).tolist() == [0, 1, 2, 3]
         assert sorted(tests) == ["shift", "tilt_down", "tilt_up"]
 
     def test_no_transforms_means_no_tests(self):
         spec = small_spec(domain_transforms=(), n_classes_seen=4)
         train, tests = generate_benchmark(spec)
         assert tests == {}
-        assert train.classes() == [0, 1, 2, 3]
+        assert np.unique(train.labels).tolist() == [0, 1, 2, 3]
 
 
 class TestSignalSubspace:
@@ -405,7 +456,7 @@ class TestSignalSubspace:
         spec = small_spec(intra_std=0.0, signal_dim=2)
         train, tests = generate_benchmark(spec)
         for ds in [train, tests["near"]]:
-            X = ds.features_matrix()
+            X = ds.features
             assert np.array_equal(X[:, 2:], np.zeros_like(X[:, 2:]))
             # shell radius still holds inside the subspace
             for row in X:
@@ -416,9 +467,8 @@ class TestSignalSubspace:
             intra_std=0.0, signal_dim=2, nuisance_std=2.0, samples_per_class=100
         )
         train, _ = generate_benchmark(spec)
-        X = train.features_matrix()
-        labels = train.labels()
-        for cid in train.classes():
+        X, labels = train.features, train.labels
+        for cid in np.unique(labels):
             rows = X[labels == cid]
             # signal coordinates stay exactly on the prototype
             assert np.array_equal(rows[:, :2], np.tile(rows[0, :2], (len(rows), 1)))
@@ -428,7 +478,7 @@ class TestSignalSubspace:
     def test_nuisance_is_class_independent(self):
         spec = small_spec(intra_std=0.0, signal_dim=2, nuisance_std=1.5)
         train, _ = generate_benchmark(spec)
-        X = train.features_matrix()
+        X = train.features
         assert not np.array_equal(X[0, 2:], X[1, 2:])
 
     def test_round_trip_keeps_subspace_fields(self):
@@ -475,14 +525,14 @@ class TestCsv:
             path = tmp_path / "data.csv"
             save_csv(ds, path)
             back = load_csv(path)
-            assert np.array_equal(back.features_matrix(), ds.features_matrix())
-            assert np.array_equal(back.ids(), ds.ids())
-            assert np.array_equal(back.labels(), ds.labels())
-            assert [s.domain_tag for s in back] == [s.domain_tag for s in ds]
+            assert np.array_equal(back.features, ds.features)
+            assert np.array_equal(back.ids, ds.ids)
+            assert np.array_equal(back.labels, ds.labels)
+            assert np.array_equal(back.domains, ds.domains)
 
     def test_empty_dataset_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        save_csv(DataSet(), path)
+        save_csv(DataSet([], [], [], np.zeros((0, 4))), path)
         assert path.read_text() == "id,label,domain\n"
         assert len(load_csv(path)) == 0
 
@@ -522,10 +572,20 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match="line 2.*non-finite"):
             load_csv(path)
 
-    def test_duplicate_id_names_line(self, tmp_path):
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0,1,a,2.0", "duplicate sample id 0"),
+            ("-1,1,a,2.0", "sample -1: ids and class ids must be >= 0"),
+            ("1,-1,a,2.0", "sample 1: ids and class ids must be >= 0"),
+            ("1,1,,2.0", "sample 1: empty domain tag"),
+        ],
+    )
+    def test_rule_violation_names_line(self, tmp_path, row, message):
+        # the blank line counts: errors name physical lines
         path = tmp_path / "bad.csv"
-        path.write_text("id,label,domain,f0\n0,0,a,1.0\n0,1,a,2.0\n")
-        with pytest.raises(CsvFormatError, match="line 3.*duplicate"):
+        path.write_text(f"id,label,domain,f0\n0,0,a,1.0\n\n{row}\n2,0,a,3.0\n")
+        with pytest.raises(CsvFormatError, match=re.escape(f"line 4: {message}")):
             load_csv(path)
 
     def test_feature_header_names_not_enforced(self, tmp_path):
@@ -533,7 +593,7 @@ class TestCsv:
         path = tmp_path / "emb.csv"
         path.write_text("id,label,domain,e0,e1\n0,0,a,1.0,2.0\n")
         ds = load_csv(path)
-        assert np.array_equal(ds.features_matrix(), [[1.0, 2.0]])
+        assert np.array_equal(ds.features, [[1.0, 2.0]])
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "gaps.csv"

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from centerpolar.data import DataSet, LabeledSample
+from centerpolar.data import DataSet
 from centerpolar.encoder import EncoderModel, Layer
 from centerpolar.evaluation import (
     _BLOCK_ENTRIES,
@@ -44,16 +44,13 @@ def identity_model(dim):
 
 
 def line_dataset(positions, labels, domain="probe", ids=None):
-    ds = DataSet()
-    if ids is None:
-        ids = range(len(positions))
-    for sid, pos, lab in zip(ids, positions, labels):
-        ds.add(
-            LabeledSample(
-                id=sid, features=np.array([float(pos)]), class_id=lab, domain_tag=domain
-            )
-        )
-    return ds
+    n = len(positions)
+    return DataSet(
+        ids=range(n) if ids is None else ids,
+        labels=labels,
+        domains=[domain] * n,
+        features=np.reshape(positions, (n, 1)),
+    )
 
 
 class TestMetricHandValues:
@@ -185,9 +182,7 @@ class TestAgainstOracle:
         assert 1 <= rows < n and n % rows
         cases.append((X, gen.integers(0, 5, size=n), gen.permutation(10 * n)[:n]))
         for X, labels, ids in cases:
-            ds = DataSet()
-            for sid, row, lab in zip(ids, X, labels):
-                ds.add(LabeledSample(id=int(sid), features=row, class_id=int(lab), domain_tag="d"))
+            ds = DataSet(ids, labels, ["d"] * len(ids), X)
             report = evaluate(identity_model(X.shape[1]), {"d": ds})
             vectors = [row.tolist() for row in X]
             _rows, means = oracle_leave_one_out(
@@ -310,13 +305,7 @@ class TestEvaluate:
         # (10,0) ties with the query direction, (1.2,0.5) is nearer in
         # euclidean terms but angularly farther
         pts = [[1.0, 0.0], [10.0, 0.0], [1.2, 0.5]]
-        ds = DataSet()
-        for i, (row, lab) in enumerate(zip(pts, [0, 0, 1])):
-            ds.add(
-                LabeledSample(
-                    id=i, features=np.array(row), class_id=lab, domain_tag="d"
-                )
-            )
+        ds = DataSet([0, 1, 2], [0, 0, 1], ["d"] * 3, pts)
         model = identity_model(2)
         eu = evaluate(model, {"d": ds}, recall_ks=(1,), metric="euclidean")
         geo = evaluate(model, {"d": ds}, recall_ks=(1,), metric="geodesic")

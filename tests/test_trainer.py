@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from centerpolar.data import DataSet, LabeledSample
+from centerpolar.data import DataSet
 from centerpolar.encoder import EncoderModel, Layer
 from centerpolar.expansion import ExpansionConfig
 from centerpolar.geometry import compute_centroids
@@ -34,20 +34,13 @@ from centerpolar.trainer import (
 
 def toy_dataset(seed=0, n_per_class=10, centers=((-1.0, 0.0), (1.0, 0.0))):
     gen = np.random.default_rng(seed)
-    ds = DataSet()
-    i = 0
-    for cid, center in enumerate(centers):
-        for _ in range(n_per_class):
-            ds.add(
-                LabeledSample(
-                    id=i,
-                    features=np.asarray(center) + 0.25 * gen.normal(size=len(center)),
-                    class_id=cid,
-                    domain_tag="source",
-                )
-            )
-            i += 1
-    return ds
+    rows = [center for center in centers for _ in range(n_per_class)]
+    return DataSet(
+        ids=np.arange(len(rows)),
+        labels=np.repeat(np.arange(len(centers)), n_per_class),
+        domains=["source"] * len(rows),
+        features=[np.asarray(c) + 0.25 * gen.normal(size=len(c)) for c in rows],
+    )
 
 
 def small_config(**overrides):
@@ -379,8 +372,8 @@ class TestTrainLoop:
     def test_learns_to_separate_toy_clusters(self):
         ds = toy_dataset()
         report = train(ds, small_config(total_epochs=6))
-        E = report.model.embed_many(ds.features_matrix())
-        labels = ds.labels()
+        E = report.model.embed_many(ds.features)
+        labels = ds.labels
         intra, inter = [], []
         for i in range(len(E)):
             for j in range(i + 1, len(E)):
@@ -415,14 +408,18 @@ class TestTrainLoop:
             train(toy_dataset(), small_config(ablation="c4_only", lr_theta=1e160))
 
     def test_rejects_singleton_class(self):
-        ds = toy_dataset(n_per_class=3)
-        ds.add(LabeledSample(id=99, features=np.zeros(2), class_id=5, domain_tag="source"))
+        toy = toy_dataset(n_per_class=3)
+        ds = DataSet(
+            np.append(toy.ids, 99),
+            np.append(toy.labels, 5),
+            [*toy.domains, "source"],
+            np.vstack([toy.features, np.zeros(2)]),
+        )
         with pytest.raises(ValueError, match="class 5"):
             train(ds, small_config())
 
     def test_rejects_tiny_dataset(self):
-        ds = DataSet()
-        ds.add(LabeledSample(id=0, features=np.zeros(2), class_id=0, domain_tag="source"))
+        ds = DataSet([0], [0], ["source"], np.zeros((1, 2)))
         with pytest.raises(ValueError, match="at least 2"):
             train(ds, small_config())
 
@@ -534,11 +531,9 @@ class TestEquilibriumProbe:
     def _setup(self):
         ds = toy_dataset(n_per_class=4)
         model = EncoderModel.default(input_dim=2, embed_dim=4, hidden_dim=8, seed=0)
-        E = model.embed_many(ds.features_matrix())
-        centroids = compute_centroids(
-            (s.class_id, E[i]) for i, s in enumerate(ds.samples)
-        )
-        batch = [(s.features, s.class_id) for s in ds.samples]
+        E = model.embed_many(ds.features)
+        centroids = compute_centroids(zip(ds.labels.tolist(), E))
+        batch = list(zip(ds.features, ds.labels.tolist()))
         return model, batch, centroids
 
     def test_lambda_zero_row(self):
@@ -593,7 +588,7 @@ class TestCheckpoints:
         report = train(toy_dataset(), small_config())
         save_checkpoint(path, report.model, report.config, epoch=3)
         model, _config, _epoch = load_checkpoint(path)
-        X = toy_dataset().features_matrix()
+        X = toy_dataset().features
         assert np.array_equal(model.embed_many(X), report.model.embed_many(X))
 
     def test_invalid_json(self, tmp_path):
