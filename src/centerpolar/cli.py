@@ -168,14 +168,10 @@ def _resolve_train_config(args) -> tuple[TrainConfig, list[Path]]:
     return replace(config, **updates), inputs
 
 
-def _load_data_dir(data_dir: Path):
-    """(train set, {domain tag: test set}, input paths).  Test rows are
-    grouped by domain tag over all test_*.csv files in name order, domains
-    in order of first appearance; ids need only be unique within a domain."""
-    train_path = data_dir / "train.csv"
-    if not train_path.exists():
-        raise FileNotFoundError(f"no train.csv in {data_dir}")
-    train_set = load_csv(train_path)
+def _load_tests(data_dir: Path):
+    """({domain tag: test set}, test CSV paths).  Test rows are grouped by
+    domain tag over all test_*.csv files in name order, domains in order of
+    first appearance; ids need only be unique within a domain."""
     test_paths = sorted(data_dir.glob("test_*.csv"))
     parts = [ds for ds in map(load_csv, test_paths) if len(ds)]
     tests = {}
@@ -188,12 +184,16 @@ def _load_data_dir(data_dir: Path):
         for name in names[np.argsort(first)].tolist():
             rows = domains == name
             tests[name] = DataSet(ids[rows], labels[rows], domains[rows], features[rows])
-    return train_set, tests, [train_path] + test_paths
+    return tests, test_paths
 
 
 def cmd_train(args) -> int:
     data_dir = Path(args.data)
-    train_set, tests, data_paths = _load_data_dir(data_dir)
+    train_path = data_dir / "train.csv"
+    if not train_path.exists():
+        raise FileNotFoundError(f"no train.csv in {data_dir}")
+    train_set = load_csv(train_path)
+    tests, test_paths = _load_tests(data_dir)
     config, config_inputs = _resolve_train_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -221,7 +221,7 @@ def cmd_train(args) -> int:
         resolved_config=config.to_dict(),
         seed=config.seed,
         artifacts=artifacts,
-        inputs=data_paths + config_inputs,
+        inputs=[train_path] + test_paths + config_inputs,
         started=started,
         extra={"call_counts": report.call_counts},
     )
@@ -237,7 +237,7 @@ def cmd_eval(args) -> int:
     ckpt_path = Path(args.checkpoint)
     model, _config, _epoch = load_checkpoint(ckpt_path)
     data_dir = Path(args.data)
-    _train_set, tests, data_paths = _load_data_dir(data_dir)
+    tests, test_paths = _load_tests(data_dir)
     if not tests:
         raise FileNotFoundError(f"no test_*.csv files in {data_dir}")
     started = _now()
@@ -251,7 +251,7 @@ def cmd_eval(args) -> int:
         resolved_config={"metric": args.metric},
         seed=None,
         artifacts={"report": str(out_path)},
-        inputs=[ckpt_path] + data_paths,
+        inputs=[ckpt_path] + test_paths,
         started=started,
     )
     sys.stdout.write(report.to_text())

@@ -31,6 +31,7 @@ _PROTOTYPE_ATTEMPTS = 10_000
 _KISSING_BOUND = {1: 2, 2: 6, 3: 12, 4: 24, 5: 44, 6: 78, 7: 134, 8: 240}
 RESERVED_DOMAIN_TAGS = ("source", "expanded")
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+_BOOLS = frozenset((bool, np.bool_))
 
 
 class GenerationError(RuntimeError):
@@ -107,7 +108,9 @@ def _int64(values, ids) -> np.ndarray:
     """`values` as int64; an entry that is no 64-bit integer raises RowError
     naming the id of its row (the entry itself when `ids` is None)."""
     column = np.array(values)
-    if column.dtype.kind != "i":
+    # a list that mixes bools into integers still gives an int64 array
+    mixed = not isinstance(values, np.ndarray) and not _BOOLS.isdisjoint(map(type, values))
+    if column.dtype.kind != "i" or mixed:
         entries = np.array(values, dtype=object).tolist()
         row = next(
             (

@@ -53,8 +53,9 @@ def expand_batch(
     lconfig: LossConfig,
     trajectory_sink: list | None = None,
 ) -> np.ndarray:
-    """Expand a batch of (sample_id, x, class_id) triples independently.
+    """Expand a batch of samples independently.
 
+    `batch` is the column triple (sample ids, (n, d) inputs, class ids).
     Returns the final iterates as an (n, d) array in batch order; model
     parameters are not touched.  When `trajectory_sink` is given, rows
     (sample_id, iter, d_geo, d_euclid, loss) are appended for every
@@ -63,11 +64,12 @@ def expand_batch(
     Rows are expanded together, one graph per iteration and block of
     `_BLOCK_ROWS` rows; each row gets the bits it gets expanded alone.
     """
-    if not batch:
+    ids, x, class_ids = batch
+    n = len(ids)
+    if n == 0:
         return np.empty((0, model.input_dim))
-    ids, xs, class_ids = zip(*batch)
     ids, class_ids = [int(i) for i in ids], [int(c) for c in class_ids]
-    x = np.array(xs, dtype=np.float64).reshape(len(batch), -1)
+    x = np.asarray(x, dtype=np.float64).reshape(n, -1)
     return np.concatenate(
         [
             _expand_block(
@@ -81,7 +83,7 @@ def expand_batch(
                 lconfig,
                 trajectory_sink,
             )
-            for s in range(0, len(batch), _BLOCK_ROWS)
+            for s in range(0, n, _BLOCK_ROWS)
         ]
     )
 

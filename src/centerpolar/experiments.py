@@ -13,7 +13,7 @@ from .data import BenchmarkSpec, DomainTransform, generate_benchmark
 from .evaluation import evaluate
 from .expansion import ExpansionConfig
 from .losses import LossConfig
-from .trainer import TrainConfig, train
+from .trainer import ABLATIONS, TrainConfig, train
 
 DEFAULT_LAMBDA = 0.75
 
@@ -101,7 +101,7 @@ def run_benchmark(spec: BenchmarkSpec, config: TrainConfig) -> dict:
 
 def run_ablation_grid(
     seeds,
-    ablations=("baseline", "c4_only", "c3e_only", "full"),
+    ablations=ABLATIONS,
     lam: float = DEFAULT_LAMBDA,
     samples_per_class: int = 200,
     total_epochs: int = 2,

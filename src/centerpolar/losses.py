@@ -6,15 +6,16 @@ tether it, a quadratic one in input space (`loss_sem_low`) and a hinge on
 embedding-space drift past a margin (`loss_sem_high`).  `c3e_objective`
 sums the three with unit weights, one value per row, and is
 differentiated with respect to the input only; the encoder and centroids
-stay frozen.  `loss_c3e` is its batch mean.
+stay frozen.
 
 Phase two updates the encoder: a margin contrastive term over sample pairs
 (`loss_dom`) plus a weighted centripetal term pulling every embedding back
 toward its class centroid along the sphere (`loss_dis`), combined in
 `loss_c4`.
 
-Every function takes one sample as 1-D tensors or a batch as rows (see
-`tensor`), and gives each row exactly the value and gradient of that row
+The per-row terms take one sample as 1-D tensors or a batch as rows (see
+`tensor`); `loss_dom` and `loss_c4` take a batch as a row matrix and a
+class-id vector.  Each row gets exactly the value and gradient of that row
 computed alone; batch means add rows left to right.
 """
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import CentroidTable, as_tensor, euclidean_distance, geodesic_distance
-from .tensor import Tensor, pair_distances, stack
+from .tensor import Tensor, pair_distances
 
 @dataclass(frozen=True)
 class LossConfig:
@@ -90,34 +91,22 @@ def c3e_objective(x, x_tilde, centroid, d_orig, model, margin: float) -> Tensor:
     )
 
 
-def loss_c3e(batch, model, centroids: CentroidTable, config: LossConfig) -> Tensor:
-    """Mean of `c3e_objective` over a batch of (x, x_tilde, class_id).
-
-    Gradients flow to the x_tilde entries only: the encoder is applied
-    frozen and the original-sample branch is constant.
-    """
-    if not batch:
-        raise ValueError("loss_c3e: empty batch")
-    xs, x_tildes, class_ids = zip(*batch)
-    x = stack([as_tensor(v).detach() for v in xs])
-    mu = centroids.vectors(class_ids)
-    d_orig = c3e_reference(x, mu, model)
-    return c3e_objective(x, stack(x_tildes), mu, d_orig, model, config.margin_m).mean()
-
-
-def loss_dom(batch, config: LossConfig) -> Tensor:
-    """Margin contrastive loss over unordered pairs of (embedding, class_id).
+def loss_dom(embeddings: Tensor, class_ids, config: LossConfig) -> Tensor:
+    """Margin contrastive loss over the unordered pairs of rows of the
+    (B, k) `embeddings`, row r of class `class_ids[r]`.
 
     Same-class pairs pay [d - margin_pos]+, cross-class pairs pay
     [margin_neg - d]+; each group is averaged over its pair count, and a
     group with no pairs contributes zero.
     """
-    if len(batch) < 2:
-        raise ValueError(f"loss_dom: need at least 2 samples, got {len(batch)}")
-    embeddings, class_ids = zip(*batch)
+    n = len(embeddings)
+    if len(class_ids) != n:
+        raise ValueError(f"loss_dom: {n} embedding rows but {len(class_ids)} class ids")
+    if n < 2:
+        raise ValueError(f"loss_dom: need at least 2 samples, got {n}")
     d = pair_distances(embeddings)
     labels = np.asarray(class_ids)
-    i, j = np.triu_indices(len(batch), 1)
+    i, j = np.triu_indices(n, 1)
     same = labels[i] == labels[j]
     total = None
     if same.any():
@@ -133,21 +122,20 @@ def loss_dis(embedding: Tensor, centroid) -> Tensor:
     return geodesic_distance(centroid, embedding)
 
 
-def loss_c4(batch, model, centroids: CentroidTable, config: LossConfig) -> Tensor:
+def loss_c4(x, class_ids, model, centroids: CentroidTable, config: LossConfig) -> Tensor:
     """Contrastive term plus lambda-weighted centripetal term over a batch.
 
-    `batch` holds (x, class_id) drawn from originals and expanded samples
-    alike; expanded samples inherit the centroids of their class.  The
-    contrastive term reads the embedding rows and the centripetal term
-    their stack, so each row sums its centripetal gradient first and its
-    pair gradients onto it, as per-sample graphs do.
+    `x` holds the (B, d) inputs, originals and expanded samples alike, and
+    `class_ids` their classes; expanded samples inherit the centroids of
+    their class.  Both terms read the one embedding stack; the centripetal
+    term is recorded last, so each row sums its centripetal gradient first
+    and its pair gradients onto it, as per-sample graphs do.
     """
-    if len(batch) < 2:
-        raise ValueError(f"loss_c4: need at least 2 samples, got {len(batch)}")
-    xs, class_ids = zip(*batch)
-    embeds = model.forward(stack(xs)).rows()
-    total = loss_dom(list(zip(embeds, class_ids)), config)
+    if len(x) < 2:
+        raise ValueError(f"loss_c4: need at least 2 samples, got {len(x)}")
+    embeddings = model.forward(x)
+    total = loss_dom(embeddings, class_ids, config)
     if config.lam != 0.0:  # lambda = 0 reduces to the contrastive term exactly
-        dis = loss_dis(stack(embeds), centroids.vectors(class_ids))
+        dis = loss_dis(embeddings, centroids.vectors(class_ids))
         total = total + config.lam * dis.mean()
     return total

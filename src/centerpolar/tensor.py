@@ -8,13 +8,13 @@ thread and per async context, so concurrent runs in one process keep
 separate graphs.
 
 Rows.  The leading axis of a 2-D tensor is the sample: a (B, k) tensor is
-B rows stacked, and every op gives each row exactly the bits it gives
+a batch of B rows, and every op gives each row exactly the bits it gives
 that row alone as a 1-D (k,) tensor, gradients included, so one graph
 over a batch replaces B per-sample graphs.  `matvec` applies a matrix to
 every row; `dot`, `l2_norm` and `sum(axis=-1)` reduce each row to one
 value and keep it as a column (B, 1); `mean` averages over the leading
-axis, adding rows left to right.  `Tensor.rows`, `stack`, `take` and
-`pair_distances` move between a stack and its rows.
+axis, adding rows left to right; `take` selects rows and
+`pair_distances` measures every pair of them.  `len` is the row count.
 
 Broadcasting.  Elementwise ops take equal shapes or one of three
 broadcasts: a scalar () against any shape; a column (B, 1) against rows
@@ -27,8 +27,9 @@ graphs, recorded one row after another, would sum them.  An input that is
 shared by all rows takes the per-row contributions one at a time, from the
 last row to the first.  A row of `pair_distances` takes one contribution
 per partner, in descending partner index.  Such an op hands `backward` an
-ordered `Fold` of contributions, which it adds to the input's running
-gradient one by one; a single pre-summed array would round differently.
+ordered `Fold` of contributions for that one input, which it adds to the
+input's running gradient one by one; a single pre-summed array would
+round differently.
 """
 
 from __future__ import annotations
@@ -184,6 +185,12 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
+    def __len__(self) -> int:
+        """Length of the leading axis: the number of rows of a stack."""
+        if self.shape == ():
+            raise TypeError("len() of a 0-d tensor")
+        return self.shape[0]
+
     def _row_matrix(self) -> np.ndarray:
         # the data as (rows, row length); a 1-D tensor is one row
         return self.data.reshape(-1, self.shape[-1])
@@ -256,19 +263,6 @@ class Tensor:
         tape = _ACTIVE.get()
         if tape is not None and _part(self, tape):
             _push(tape, out, (self,), lambda g: (g / c,), "div")
-        return out
-
-    def __rtruediv__(self, other):
-        c = float(other)
-        out = Tensor._wrap(c / self.data, self.shape)
-        tape = _ACTIVE.get()
-        if tape is not None and _part(self, tape):
-            ad = self.data
-
-            def vjp(g):
-                return (-g * c / (ad * ad),)
-
-            _push(tape, out, (self,), vjp, "rdiv")
         return out
 
     def __neg__(self):
@@ -426,25 +420,6 @@ class Tensor:
             _push(tape, out, (self,), vjp, "l2_norm")
         return out
 
-    # -- rows ----------------------------------------------------------------
-
-    def rows(self) -> list["Tensor"]:
-        """The rows of a 2-D tensor as 1-D tensors, each differentiable."""
-        if len(self.shape) != 2:
-            raise ShapeError(f"rows: shape {self.shape} is not 2-D")
-        A = self._row_matrix()
-        out = [Tensor._wrap(row, row.shape) for row in A]
-        tape = _ACTIVE.get()
-        if tape is not None and _part(self, tape):
-            n = len(A)
-            for i, row in enumerate(out):
-
-                def vjp(g, i=i):
-                    return (_scatter_rows(n, i, g),)
-
-                _push(tape, row, (self,), vjp, "row")
-        return out
-
     def take(self, index) -> "Tensor":
         """Rows (or elements, for 1-D) at `index` along the leading axis."""
         if self.shape == ():
@@ -488,18 +463,6 @@ class Tensor:
             _push(tape, out, (self,), vjp, "tanh")
         return out
 
-    def sqrt(self) -> "Tensor":
-        y = np.sqrt(self.data)
-        out = Tensor._wrap(y, self.shape)
-        tape = _ACTIVE.get()
-        if tape is not None and _part(self, tape):
-
-            def vjp(g):
-                return (g * (0.5 / y),)
-
-            _push(tape, out, (self,), vjp, "sqrt")
-        return out
-
     def square(self) -> "Tensor":
         out = Tensor._wrap(self.data * self.data, self.shape)
         tape = _ACTIVE.get()
@@ -535,96 +498,54 @@ class Tensor:
             _push(tape, out, (self,), vjp, "acos")
         return out
 
-    def clamp(self, lo: float, hi: float) -> "Tensor":
-        lo, hi = float(lo), float(hi)
-        if not lo <= hi:
-            raise ValueError(f"clamp: lo={lo} exceeds hi={hi}")
-        ad = self.data
-        out = Tensor._wrap(np.clip(ad, lo, hi), self.shape)
-        tape = _ACTIVE.get()
-        if tape is not None and _part(self, tape):
-            mask = (ad > lo) & (ad < hi)  # subgradient 0 at exact bounds
 
-            def vjp(g):
-                return (g * mask,)
-
-            _push(tape, out, (self,), vjp, "clamp")
-        return out
-
-
-def _as_rows(op: str, rows) -> list[Tensor]:
-    ts = [r if isinstance(r, Tensor) else Tensor(r) for r in rows]
-    if not ts or any(len(t.shape) != 1 or t.shape != ts[0].shape for t in ts):
-        raise ShapeError(f"{op}: needs 1-D rows of one length, got {[t.shape for t in ts]}")
-    return ts
-
-
-def stack(rows) -> Tensor:
-    """Stack 1-D tensors (or array-likes) of one length into a (B, k) tensor."""
-    ts = _as_rows("stack", rows)
-    out = Tensor._wrap(np.stack([t.data for t in ts]), (len(ts),) + ts[0].shape)
-    tape = _ACTIVE.get()
-    if tape is not None:
-        parts = [_part(t, tape) for t in ts]
-        if any(parts):
-
-            def vjp(g):
-                G = g.reshape(len(ts), -1)
-                return tuple(G[i] if p else None for i, p in enumerate(parts))
-
-            _push(tape, out, tuple(ts), vjp, "stack")
-    return out
-
-
-def pair_distances(rows) -> Tensor:
-    """Euclidean distance of every unordered pair of rows, as a (P,) tensor.
+def pair_distances(rows: Tensor) -> Tensor:
+    """Euclidean distance of every unordered pair of rows of a (B, k)
+    tensor, as a (P,) tensor.
 
     Pairs (i, j), i < j, come in row-major order, the order of the loop
-    `for i: for j > i`.  Each distance is `(rows[i] - rows[j]).l2_norm()`
-    to the bit, and row i takes its gradient contributions one per
-    partner, in descending partner index, as that loop's reversed tape
+    `for i: for j > i`.  Each distance is `(e_i - e_j).l2_norm()` of the
+    rows alone to the bit, and row i takes its gradient contributions one
+    per partner, in descending partner index, as that loop's reversed tape
     would add them.
     """
-    ts = _as_rows("pair_distances", rows)
-    n = len(ts)
+    if len(rows.shape) != 2:
+        raise ShapeError(f"pair_distances: shape {rows.shape} is not (B, k)")
+    n = rows.shape[0]
     if n < 2:
         raise ShapeError(f"pair_distances: need 2 or more rows, got {n}")
-    E = np.stack([t.data for t in ts])
+    E = rows._row_matrix()
     i, j = np.triu_indices(n, 1)
     diff = E[i] - E[j]
     norm = np.sqrt(_rowdot(diff, diff))
     out = Tensor._wrap(norm, norm.shape)
     tape = _ACTIVE.get()
-    if tape is not None and any(_part(t, tape) for t in ts):
-        distinct = len({id(t) for t in ts}) == n
+    if tape is not None and _part(rows, tape):
 
         def vjp(g):
             zero = norm == 0.0
             contrib = (g / np.where(zero, 1.0, norm))[:, None] * diff
             contrib[zero] = 0.0  # subgradient 0 at the cone tip
-            # as the first operand of e_i - e_j a row takes +c, as the second -c
-            if distinct:  # step s adds every row's s-th partner
-                pair, sign = _partner_order(n)
-                return Fold((contrib[pair] * sign[:, :, None]).transpose(1, 0, 2))
-            # a tensor in two rows: one step per pair, last pair first
-            steps = np.full((len(i), n, contrib.shape[1]), -0.0)
-            p = np.arange(len(i))
-            steps[p, i], steps[p, j] = contrib, -contrib
-            return Fold(steps[::-1])
+            # as the first operand of e_i - e_j a row takes +c, as the second
+            # -c; step s adds every row's s-th partner
+            pair, sign = _partner_order(n)
+            steps = contrib[pair] * sign[:, :, None]
+            return (Fold(steps.reshape(n - 1, -1)),)
 
-        _push(tape, out, tuple(ts), vjp, "pair_distances")
+        _push(tape, out, (rows,), vjp, "pair_distances")
     return out
 
 
 def _partner_order(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """For each row r, its partners q in descending order (q != r): the
-    row-major pair index of (min, max) and +1 where r < q, else -1."""
+    """(n - 1, n) arrays: at [s, r], the s-th partner q of row r in
+    descending order (q != r) as the row-major pair index of (min, max),
+    and +1 where r < q, else -1."""
     r = np.arange(n)[:, None]
     q = np.broadcast_to(np.arange(n - 1, -1, -1), (n, n))
     q = q[q != r].reshape(n, n - 1)
     a, b = np.minimum(r, q), np.maximum(r, q)
     pair = a * n - a * (a + 1) // 2 + (b - a - 1)
-    return pair, np.where(r < q, 1.0, -1.0)
+    return pair.T, np.where(r < q, 1.0, -1.0).T
 
 
 def _part(t: Tensor, tape: Tape) -> bool:
@@ -662,11 +583,7 @@ def backward(out: Tensor, accumulate: bool = False) -> None:
         g = grads.get(id(entry_out))
         if g is None:
             continue
-        input_grads = vjp(g)
-        if type(input_grads) is Fold:
-            _fold_all(grads, inputs, input_grads.parts)
-            input_grads = ()
-        for t, ig in zip(inputs, input_grads):
+        for t, ig in zip(inputs, vjp(g)):
             if ig is None:
                 continue
             acc = grads.get(id(t))
@@ -684,24 +601,6 @@ def backward(out: Tensor, accumulate: bool = False) -> None:
             t.grad = t.grad + new
         else:
             t.grad = new.copy()
-
-
-def _fold_all(grads: dict, inputs: tuple, parts: np.ndarray) -> None:
-    # one Fold for all inputs: step by step, input by input, parts[s, i] is
-    # added to input i; for distinct inputs the order across inputs is moot
-    keys = [id(t) for t in inputs]
-    if len(set(keys)) < len(keys):
-        for step in parts:
-            for key, part in zip(keys, step):
-                acc = grads.get(key)
-                grads[key] = part if acc is None else acc + part
-        return
-    fresh = np.full(parts.shape[2], -0.0)  # additive identity, for inputs with no gradient yet
-    acc = np.stack([grads.get(key, fresh) for key in keys])
-    for step in parts:
-        acc = acc + step
-    for key, row in zip(keys, acc):
-        grads[key] = row
 
 
 def grad_check(f, x: Tensor, h: float = 1e-5) -> float:

@@ -23,7 +23,7 @@ from .evaluation import RetrievalReport, evaluate
 from .expansion import ExpansionConfig, expand_batch
 from .geometry import CentroidTable, compute_centroids
 from .losses import LossConfig, loss_c4, loss_dis, loss_dom
-from .tensor import DomainError, Tensor, backward, record, stack
+from .tensor import DomainError, Tensor, backward, record
 
 ABLATIONS = ("baseline", "c4_only", "c3e_only", "full")
 
@@ -180,7 +180,7 @@ def train(
         centroids = compute_centroids(zip(labels.tolist(), model.embed_many(features)))
         if run_expansion and epoch in config.expansion.expansion_epochs:
             carry = expand_batch(
-                list(zip(ids.tolist(), carry, labels.tolist())),
+                (ids, carry, labels),
                 model,
                 centroids,
                 config.expansion,
@@ -197,9 +197,9 @@ def train(
             try:
                 with record():
                     if use_centripetal:
-                        loss = loss_c4(list(zip(x, y)), model, centroids, config.loss)
+                        loss = loss_c4(x, y, model, centroids, config.loss)
                     else:
-                        loss = loss_dom(list(zip(model.forward(x).rows(), y)), config.loss)
+                        loss = loss_dom(model.forward(x), y, config.loss)
                     value = loss.item()
                     if not np.isfinite(value):
                         raise TrainingDivergedError(
@@ -269,7 +269,8 @@ def _class_balanced_batches(labels, batch_size: int, gen) -> list:
 
 def c4_equilibrium_probe(
     model: EncoderModel,
-    batch,
+    x,
+    class_ids,
     centroids: CentroidTable,
     lconfig: LossConfig,
     lambdas,
@@ -279,18 +280,17 @@ def c4_equilibrium_probe(
     Rows report ||grad of the contrastive term||, lambda * ||grad of the
     summed centripetal distances|| (unaveraged, so the column scales with
     the batch), and the norm of the full mean-loss gradient.  The total is
-    grad_dom + (lambda / batch) * grad_sum by linearity.
+    grad_dom + (lambda / batch) * grad_sum by linearity.  The batch is the
+    (B, d) inputs `x` with their `class_ids`.
     """
     # lambda = 0 makes loss_c4 exactly the contrastive term
     dom_config = replace(lconfig, lam=0.0)
-    g_dom = _param_grad(model, lambda: loss_c4(batch, model, centroids, dom_config))
-    xs, class_ids = zip(*batch)
+    g_dom = _param_grad(model, lambda: loss_c4(x, class_ids, model, centroids, dom_config))
     # unaveraged: the probe reports the summed centripetal pull
     g_dis_sum = _param_grad(
-        model,
-        lambda: loss_dis(model.forward(stack(xs)), centroids.vectors(class_ids)).sum(),
+        model, lambda: loss_dis(model.forward(x), centroids.vectors(class_ids)).sum()
     )
-    n = float(len(batch))
+    n = float(len(x))
     rows = []
     for lam in lambdas:
         lam = float(lam)

@@ -4,7 +4,9 @@ Every sample is its own graph here, and every pair in `oracle_loss_dom` is
 its own chain of scalar ops, summed left to right: the way the training
 losses were written before they ran on row-stacked tensors.  The batched
 code in `centerpolar.losses` and `centerpolar.expansion` must give the
-same values and gradients bit for bit.  Only 1-D tensor ops are used.
+same values and gradients bit for bit.  The oracles take the columns the
+batched functions take, but use only 1-D tensor ops, apart from `take`,
+which splits an embedding stack into single rows.
 """
 
 from __future__ import annotations
@@ -71,23 +73,33 @@ def _reference(x, centroid, model) -> float:
     return oracle_euclidean(Tensor(centroid), oracle_forward(model, x, frozen=True)).item()
 
 
-def oracle_loss_c3e(batch, model, centroids, config) -> Tensor:
+def oracle_c3e_mean(x, x_tildes, class_ids, model, centroids, margin: float) -> Tensor:
+    """Mean expansion objective of the rows of `x`, expanded to the 1-D
+    tensors `x_tildes`."""
     terms = []
-    for x, x_tilde, class_id in batch:
-        x_const = _t(x).detach()
+    for x_r, x_tilde, class_id in zip(x, x_tildes, class_ids):
         mu = centroids.vector(class_id)
-        d_orig = _reference(x_const, mu, model)
-        terms.append(oracle_c3e_objective(x_const, x_tilde, mu, d_orig, model, config.margin_m))
+        d_orig = _reference(x_r, mu, model)
+        terms.append(oracle_c3e_objective(x_r, x_tilde, mu, d_orig, model, margin))
     return _mean_scalars(terms)
 
 
-def oracle_loss_dom(batch, config) -> Tensor:
+def _rows(embeddings) -> list:
+    # a (B, k) stack becomes B (1, k) rows, each carrying its 1-D row's bits
+    if isinstance(embeddings, Tensor):
+        return [embeddings.take([r]) for r in range(len(embeddings))]
+    return list(embeddings)
+
+
+def oracle_loss_dom(embeddings, class_ids, config) -> Tensor:
+    """`embeddings` is a (B, k) stack or a list of 1-D rows."""
+    rows = _rows(embeddings)
     pos_sum = neg_sum = None
     n_pos = n_neg = 0
-    for i in range(len(batch)):
-        e_i, y_i = batch[i]
-        for j in range(i + 1, len(batch)):
-            e_j, y_j = batch[j]
+    for i in range(len(rows)):
+        e_i, y_i = rows[i], class_ids[i]
+        for j in range(i + 1, len(rows)):
+            e_j, y_j = rows[j], class_ids[j]
             d = (e_i - e_j).l2_norm()
             if y_i == y_j:
                 h = (d - config.margin_pos).relu()
@@ -106,11 +118,11 @@ def oracle_loss_dom(batch, config) -> Tensor:
     return total
 
 
-def oracle_loss_c4(batch, model, centroids, config) -> Tensor:
-    embeds = [(oracle_forward(model, x), class_id) for x, class_id in batch]
-    total = oracle_loss_dom(embeds, config)
+def oracle_loss_c4(x, class_ids, model, centroids, config) -> Tensor:
+    embeds = [oracle_forward(model, x_r) for x_r in x]
+    total = oracle_loss_dom(embeds, class_ids, config)
     if config.lam != 0.0:
-        dis = [oracle_geodesic(centroids.vector(cid), e) for e, cid in embeds]
+        dis = [oracle_geodesic(centroids.vector(cid), e) for e, cid in zip(embeds, class_ids)]
         total = total + config.lam * _mean_scalars(dis)
     return total
 
@@ -134,12 +146,13 @@ def oracle_expand_sample(x, class_id, model, centroids, iterations, step_size, m
 
 
 def oracle_expand_batch(batch, model, centroids, econfig, lconfig, trajectory_sink=None):
+    ids, x, class_ids = batch
     return np.array(
         [
             oracle_expand_sample(
-                x, int(class_id), model, centroids, econfig.iterations_te,
+                x_r, int(class_id), model, centroids, econfig.iterations_te,
                 econfig.step_size, lconfig.margin_m, int(sample_id),
             )
-            for sample_id, x, class_id in batch
+            for sample_id, x_r, class_id in zip(ids, x, class_ids)
         ]
     )

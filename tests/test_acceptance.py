@@ -27,7 +27,8 @@ from centerpolar.experiments import (
 from centerpolar.geometry import compute_centroids, geodesic_distance
 from centerpolar.losses import (
     LossConfig,
-    loss_c3e,
+    c3e_objective,
+    c3e_reference,
     loss_c4,
     loss_dis,
     loss_dom,
@@ -140,7 +141,7 @@ def test_criterion_1_gradient_correctness():
                 < 1e-4
             )
 
-        # loss_c3e w.r.t. the perturbed input through a small frozen encoder
+        # c3e_objective w.r.t. the perturbed input through a small frozen encoder
         def mk_c3e(gen):
             in_dim = int(gen.integers(2, 9))
             out_dim = int(gen.integers(2, 9))
@@ -170,11 +171,10 @@ def test_criterion_1_gradient_correctness():
         for model, x, xt, mu in _sample_until(
             np.random.default_rng(104), mk_c3e, c3e_ok
         ):
-            table = compute_centroids([(7, mu)])
             assert (
                 grad_check(
-                    lambda t, model=model, x=x, table=table: loss_c3e(
-                        [(x, t, 7)], model, table, lconf
+                    lambda t, model=model, x=x, mu=mu: c3e_objective(
+                        x, t, mu, c3e_reference(x, mu, model), model, lconf.margin_m
                     ),
                     Tensor(xt),
                 )
@@ -222,10 +222,7 @@ def test_criterion_1_gradient_correctness():
             np.random.default_rng(105), mk_batch, batch_ok
         ):
             def f_dom(_t, model=model, X=X, labels=labels):
-                embeds = [
-                    (model.forward(Tensor(x)), y) for x, y in zip(X, labels)
-                ]
-                return loss_dom(embeds, lconf)
+                return loss_dom(model.forward(Tensor(X)), labels, lconf)
 
             _check_wrt_params(f_dom, model)
 
@@ -257,10 +254,9 @@ def test_criterion_1_gradient_correctness():
             lambda inst: batch_ok(inst, need_cos=True),
         ):
             table = _batch_centroids(model, X, labels)
-            batch = list(zip(X, labels))
 
-            def f_c4(_t, model=model, batch=batch, table=table):
-                return loss_c4(batch, model, table, lconf)
+            def f_c4(_t, model=model, X=X, labels=labels, table=table):
+                return loss_c4(X, labels, model, table, lconf)
 
             _check_wrt_params(f_c4, model)
 
@@ -415,8 +411,9 @@ def test_criterion_4_equilibrium():
             model = report.model
             E = model.embed_many(ds.features)
             table = compute_centroids(zip(ds.labels.tolist(), E))
-            batch = list(zip(ds.features, ds.labels.tolist()))
-            (row,) = c4_equilibrium_probe(model, batch, table, lconf, [lconf.lam])
+            (row,) = c4_equilibrium_probe(
+                model, ds.features, ds.labels.tolist(), table, lconf, [lconf.lam]
+            )
             denom = max(
                 row["grad_norm_contrastive"], row["grad_norm_centripetal_term"]
             )

@@ -12,9 +12,9 @@ import math
 import numpy as np
 import pytest
 from scalar_oracle import (
+    oracle_c3e_mean,
     oracle_expand_batch,
     oracle_forward,
-    oracle_loss_c3e,
     oracle_loss_c4,
     oracle_loss_dom,
 )
@@ -24,16 +24,8 @@ from centerpolar import expansion, trainer
 from centerpolar.encoder import EncoderModel
 from centerpolar.expansion import ExpansionConfig, ExpansionDivergedError, expand_batch
 from centerpolar.geometry import compute_centroids
-from centerpolar.losses import LossConfig, loss_c3e, loss_c4, loss_dom
-from centerpolar.tensor import (
-    ShapeError,
-    Tensor,
-    backward,
-    grad_check,
-    pair_distances,
-    record,
-    stack,
-)
+from centerpolar.losses import LossConfig, c3e_objective, c3e_reference, loss_c4, loss_dom
+from centerpolar.tensor import ShapeError, Tensor, backward, grad_check, pair_distances, record
 from centerpolar.trainer import ABLATIONS, train
 
 BATCHES = [2, 3, 8, 32]
@@ -51,10 +43,15 @@ def _grads(build, leaves):
 
 
 def _assert_same(got, want):
+    # gradients compare as one flat array: a stacked leaf against its rows
     (v1, g1), (v2, g2) = got, want
     assert v1 == v2
-    for a, b in zip(g1, g2, strict=True):
-        assert np.array_equal(a, b)
+    assert np.array_equal(np.concatenate(g1), np.concatenate(g2))
+
+
+def _leaves(X):
+    # the stack as one leaf and its rows as 1-D leaves
+    return Tensor(X, requires_grad=True), [Tensor(x, requires_grad=True) for x in X]
 
 
 def _labels(gen, n):
@@ -74,28 +71,24 @@ def _model(gen, in_dim=5, embed_dim=4):
 def test_loss_dom_matches_pair_loop(n):
     gen = np.random.default_rng(n)
     labels = _labels(gen, n)
-    embeds = [Tensor(gen.normal(size=3), requires_grad=True) for _ in range(n)]
-    embeds[1] = Tensor(embeds[0].numpy(), requires_grad=True)  # a zero-distance pair
+    E = gen.normal(size=(n, 3))
+    E[1] = E[0]  # a zero-distance pair
+    stacked, rows = _leaves(E)
     cfg = LossConfig(margin_pos=0.1, margin_neg=1.5)
-    batch = list(zip(embeds, labels))
     _assert_same(
-        _grads(lambda: loss_dom(batch, cfg), embeds),
-        _grads(lambda: oracle_loss_dom(batch, cfg), embeds),
+        _grads(lambda: loss_dom(stacked, labels, cfg), [stacked]),
+        _grads(lambda: oracle_loss_dom(rows, labels, cfg), rows),
     )
 
 
-def test_loss_dom_single_group_and_repeated_rows():
-    gen = np.random.default_rng(1)
-    e = [Tensor(gen.normal(size=3), requires_grad=True) for _ in range(3)]
+def test_loss_dom_single_group():
+    E = np.random.default_rng(1).normal(size=(3, 3))
     cfg = LossConfig()
-    for batch in (
-        [(e[0], 0), (e[1], 0), (e[2], 0)],  # no cross-class pair
-        [(e[0], 0), (e[1], 1), (e[2], 2)],  # no same-class pair
-        [(e[0], 0), (e[1], 1), (e[0], 1), (e[2], 0)],  # one tensor in two rows
-    ):
+    for labels in ([0, 0, 0], [0, 1, 2]):  # no cross-class pair, no same-class pair
+        stacked, rows = _leaves(E)
         _assert_same(
-            _grads(lambda: loss_dom(batch, cfg), e),
-            _grads(lambda: oracle_loss_dom(batch, cfg), e),
+            _grads(lambda: loss_dom(stacked, labels, cfg), [stacked]),
+            _grads(lambda: oracle_loss_dom(rows, labels, cfg), rows),
         )
 
 
@@ -107,28 +100,27 @@ def test_loss_c4_matches_per_sample_graphs(n, lam):
     labels = _labels(gen, n)
     X = gen.normal(size=(n, 5))
     table = compute_centroids(zip(labels, model.embed_many(X)))
-    batch = list(zip(X, labels))
     cfg = LossConfig(lam=lam)
     params = model.parameters()
     _assert_same(
-        _grads(lambda: loss_c4(batch, model, table, cfg), params),
-        _grads(lambda: oracle_loss_c4(batch, model, table, cfg), params),
+        _grads(lambda: loss_c4(X, labels, model, table, cfg), params),
+        _grads(lambda: oracle_loss_c4(X, labels, model, table, cfg), params),
     )
 
 
 @pytest.mark.parametrize("n", BATCHES)
-def test_loss_c3e_matches_per_sample_graphs(n):
+def test_c3e_objective_matches_per_sample_graphs(n):
     gen = np.random.default_rng(200 + n)
     model = _model(gen)
     labels = _labels(gen, n)
     X = gen.normal(size=(n, 5))
     table = compute_centroids(zip(labels, model.embed_many(X) + 0.3))
-    x_tildes = [Tensor(x + 0.1 * gen.normal(size=5), requires_grad=True) for x in X]
-    batch = list(zip(X, x_tildes, labels))
-    cfg = LossConfig(margin_m=0.4)
+    stacked, rows = _leaves(X + 0.1 * gen.normal(size=(n, 5)))
+    mu = table.vectors(labels)
+    d_orig = c3e_reference(X, mu, model)
     _assert_same(
-        _grads(lambda: loss_c3e(batch, model, table, cfg), x_tildes),
-        _grads(lambda: oracle_loss_c3e(batch, model, table, cfg), x_tildes),
+        _grads(lambda: c3e_objective(X, stacked, mu, d_orig, model, 0.4).mean(), [stacked]),
+        _grads(lambda: oracle_c3e_mean(X, rows, labels, model, table, 0.4), rows),
     )
 
 
@@ -163,7 +155,7 @@ def test_expansion_matches_per_sample_descent(n):
     labels = _labels(gen, n)
     X = gen.normal(size=(n, 5))
     table = compute_centroids(zip(labels, model.embed_many(X)))
-    batch = [(10 + i, x, y) for i, (x, y) in enumerate(zip(X, labels))]
+    batch = (np.arange(10, 10 + n), X, labels)
     econf = ExpansionConfig(iterations_te=3, step_size=0.05)
     lconf = LossConfig(margin_m=0.5)
     assert np.array_equal(
@@ -180,11 +172,11 @@ def test_expansion_blocks_give_rows_their_alone_bits():
     labels = gen.integers(0, 3, size=300).tolist()
     X = gen.normal(size=(300, 4))
     table = compute_centroids(zip(labels, model.embed_many(X)))
-    batch = [(i, x, y) for i, (x, y) in enumerate(zip(X, labels))]
     econf = ExpansionConfig(iterations_te=2, step_size=0.05)
-    together = expand_batch(batch, model, table, econf, LossConfig())
-    for entry, row in zip(batch, together):
-        (alone,) = expand_batch([entry], model, table, econf, LossConfig())
+    together = expand_batch((np.arange(300), X, labels), model, table, econf, LossConfig())
+    for i, row in enumerate(together):
+        one = ([i], X[i : i + 1], labels[i : i + 1])
+        (alone,) = expand_batch(one, model, table, econf, LossConfig())
         assert np.array_equal(row, alone)
 
 
@@ -192,10 +184,10 @@ def test_expansion_blocks_give_rows_their_alone_bits():
 def test_divergence_in_a_block_names_the_first_sample_alone():
     model = EncoderModel.default(2, embed_dim=2, hidden_dim=3, seed=0)
     table = compute_centroids([(0, [1.0, 0.0])])
-    batch = [(5, np.array([0.5, 0.5]), 0), (42, np.array([2.0, -1.0]), 0)]
+    batch = ([5, 42], np.array([[0.5, 0.5], [2.0, -1.0]]), [0, 0])
     econf = ExpansionConfig(iterations_te=10, step_size=1e155)
     with pytest.raises(ExpansionDivergedError) as alone:
-        expand_batch(batch[:1], model, table, econf, LossConfig())
+        expand_batch([column[:1] for column in batch], model, table, econf, LossConfig())
     with pytest.raises(ExpansionDivergedError) as together:
         expand_batch(batch, model, table, econf, LossConfig())
     assert str(together.value) == str(alone.value)
@@ -279,9 +271,7 @@ def _grad_check_rows(f, shape, seed):
         (lambda t: (t / t.l2_norm()).sum(axis=-1).square().mean().sum(), (4, 3)),
         (lambda t: Tensor(np.ones((3, 2))).matvec(t.take([2, 0, 2])).tanh().sum(), (4, 2)),
         (lambda t: t.matvec(Tensor(np.arange(12.0).reshape(4, 3))).square().sum(), (2, 3)),
-        (lambda t: (t + t.take([1]).rows()[0] * 2.0).square().mean().sum(), (3, 2)),
-        (lambda t: pair_distances(t.rows()).square().mean(), (5, 3)),
-        (lambda t: stack(t.rows()[::-1]).mean().dot(Tensor([1.0, -2.0])), (4, 2)),
+        (lambda t: pair_distances(t).square().mean(), (5, 3)),
     ],
 )
 def test_row_primitives_grad_check(f, shape):
@@ -289,9 +279,9 @@ def test_row_primitives_grad_check(f, shape):
 
 
 def test_pair_distances_order_and_values():
-    rows = [Tensor([0.0, 0.0]), Tensor([3.0, 4.0]), Tensor([0.0, 1.0])]
+    rows = Tensor([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
     assert pair_distances(rows).numpy().tolist() == [5.0, 1.0, math.sqrt(18.0)]
     with pytest.raises(ShapeError):
-        pair_distances(rows[:1])
+        pair_distances(rows.take([0]))
     with pytest.raises(ShapeError):
-        stack([Tensor([1.0]), Tensor([1.0, 2.0])])
+        pair_distances(Tensor([1.0, 2.0]))

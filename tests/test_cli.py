@@ -277,6 +277,12 @@ class TestTrain:
         assert rc == 2
         assert "train.csv" in capsys.readouterr().err
 
+    def test_malformed_train_csv_is_exit_2(self, tmp_path, data_dir, capsys):
+        (data_dir / "train.csv").write_text("garbage\n")
+        rc = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "line 1" in capsys.readouterr().err
+
     def test_config_not_an_object(self, tmp_path, data_dir, capsys):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text("[1, 2]")
@@ -368,6 +374,28 @@ class TestEval:
         assert main(argv[:-1] + [str(tmp_path / "plain.json"), "--data", str(data_dir)]) == 0
         plain = json.loads((tmp_path / "plain.json").read_text())
         assert report["domains"] == {**plain["domains"], "echo": plain["domains"]["near"]}
+
+    @pytest.mark.parametrize(
+        "train_csv", ["garbage,\x00\n1,2\n", None], ids=["garbage", "missing"]
+    )
+    def test_reads_only_the_test_csvs(self, tmp_path, data_dir, run_dir, train_csv):
+        # eval needs no train.csv: a broken or missing one changes nothing
+        tests_only = tmp_path / "tests_only"
+        tests_only.mkdir()
+        for path in data_dir.glob("test_*.csv"):
+            (tests_only / path.name).write_bytes(path.read_bytes())
+        if train_csv is not None:
+            (tests_only / "train.csv").write_text(train_csv)
+        ckpt = run_dir / "checkpoint.json"
+        out_path = tmp_path / "r.json"
+        argv = ["eval", "--checkpoint", str(ckpt), "--out", str(out_path)]
+        assert main(argv + ["--data", str(tests_only)]) == 0
+        manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
+        assert sorted(manifest["input_sha256"]) == sorted(
+            [str(ckpt), str(tests_only / "test_near.csv"), str(tests_only / "test_rot.csv")]
+        )
+        assert main(argv[:-1] + [str(tmp_path / "plain.json"), "--data", str(data_dir)]) == 0
+        assert out_path.read_text() == (tmp_path / "plain.json").read_text()
 
     def test_missing_checkpoint(self, tmp_path, data_dir, capsys):
         rc = main(

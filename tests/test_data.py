@@ -138,6 +138,9 @@ class TestDataSet:
             (dict(ids=[5, 2, 5]), "duplicate sample id 5"),
             (dict(ids=[5, 1.5, 7]), "sample 1.5: ids and class ids must be 64-bit integers"),
             (dict(labels=[1, "0", 1]), "sample 2: ids and class ids must be 64-bit integers"),
+            # bools mixed into integers still make an int64 array
+            (dict(labels=[1, 0, True]), "sample 7: ids and class ids must be 64-bit integers"),
+            (dict(ids=[5, True, 7]), "sample True: ids and class ids must be 64-bit integers"),
             (dict(ids=[5, 2, 2**63]), f"sample {2**63}: ids and class ids must be 64-bit"),
             # the first offending row wins over the order of the rules
             (dict(ids=[5, 2, 5], features=[[0, 1], [0, np.nan], [0, 0]]), "sample 2: non-finite"),

@@ -11,8 +11,13 @@ from centerpolar.expansion import (
     expansion_trajectory,
 )
 from centerpolar.geometry import compute_centroids, geodesic_distance
-from centerpolar.losses import LossConfig, loss_c3e
+from centerpolar.losses import LossConfig, c3e_objective, c3e_reference
 from centerpolar.tensor import Tensor, backward, record
+
+
+def one(sample_id, x, class_id):
+    # a batch of one sample, as columns
+    return [sample_id], [x], [class_id]
 
 
 def linear_encoder(W):
@@ -68,7 +73,7 @@ def test_single_step_matches_analytic_gradient():
     model = linear_encoder([[2.0, 1.0], [0.0, 1.0]])
     cents = compute_centroids([(0, [0.5, 0.4])])
     out = expand_batch(
-        [(7, np.array([0.8, -0.3]), 0)],
+        one(7, np.array([0.8, -0.3]), 0),
         model,
         cents,
         ExpansionConfig(iterations_te=1, step_size=0.05, expansion_epochs=(1,)),
@@ -82,19 +87,16 @@ def test_single_step_matches_analytic_gradient():
 def test_expanded_set_provenance():
     model = linear_encoder(np.eye(2))
     cents = compute_centroids([(0, [1.0, 0.0]), (1, [0.0, 1.0])])
-    batch = [
-        (10, np.array([0.9, 0.1]), 0),
-        (11, np.array([0.2, 1.1]), 1),
-    ]
+    ids, X, labels = [10, 11], np.array([[0.9, 0.1], [0.2, 1.1]]), [0, 1]
     cfg = ExpansionConfig(iterations_te=3)
-    out = expand_batch(batch, model, cents, cfg, LossConfig())
-    # one row per sample, in batch order: row i grew from batch[i]
+    out = expand_batch((ids, X, labels), model, cents, cfg, LossConfig())
+    # one row per sample, in batch order: row i grew from sample i
     assert out.shape == (2, 2)
     assert np.isfinite(out).all()
-    for row, entry in zip(out, batch):
-        (alone,) = expand_batch([entry], model, cents, cfg, LossConfig())
+    for r, row in enumerate(out):
+        (alone,) = expand_batch(one(ids[r], X[r], labels[r]), model, cents, cfg, LossConfig())
         assert np.array_equal(row, alone)
-    swapped = expand_batch(batch[::-1], model, cents, cfg, LossConfig())
+    swapped = expand_batch((ids[::-1], X[::-1], labels[::-1]), model, cents, cfg, LossConfig())
     assert np.array_equal(swapped, out[::-1])
 
 
@@ -103,7 +105,7 @@ def test_model_untouched_by_expansion():
     before = model.checksum()
     cents = compute_centroids([(0, [0.5, 0.5])])
     expand_batch(
-        [(0, np.array([0.1, 0.2, 0.3]), 0)],
+        one(0, np.array([0.1, 0.2, 0.3]), 0),
         model,
         cents,
         ExpansionConfig(iterations_te=5),
@@ -115,7 +117,7 @@ def test_model_untouched_by_expansion():
 def test_expansion_deterministic_bitwise():
     model = EncoderModel.build([3, 4, 2], ["tanh", "identity"], seed=4)
     cents = compute_centroids([(0, [0.3, -0.4])])
-    batch = [(0, np.array([0.5, -0.2, 0.8]), 0)]
+    batch = one(0, np.array([0.5, -0.2, 0.8]), 0)
     cfg = ExpansionConfig(iterations_te=8, step_size=5e-3)
     a = expand_batch(batch, model, cents, cfg, LossConfig())
     b = expand_batch(batch, model, cents, cfg, LossConfig())
@@ -126,9 +128,10 @@ def test_samples_expand_independently():
     model = EncoderModel.build([2, 3, 2], ["tanh", "identity"], seed=6)
     cents = compute_centroids([(0, [0.4, 0.1]), (1, [-0.3, 0.5])])
     cfg = ExpansionConfig(iterations_te=4)
-    b1 = [(0, np.array([0.7, 0.2]), 0)]
-    b2 = [(1, np.array([-0.1, 0.6]), 1)]
-    together = expand_batch(b1 + b2, model, cents, cfg, LossConfig())
+    b1 = one(0, np.array([0.7, 0.2]), 0)
+    b2 = one(1, np.array([-0.1, 0.6]), 1)
+    both = tuple(c1 + c2 for c1, c2 in zip(b1, b2))
+    together = expand_batch(both, model, cents, cfg, LossConfig())
     alone = np.concatenate(
         [
             expand_batch(b1, model, cents, cfg, LossConfig()),
@@ -172,7 +175,7 @@ def test_semantic_tether_linear_in_step_size():
 
     def drift(step):
         out = expand_batch(
-            [(0, x0, 0)],
+            one(0, x0, 0),
             model,
             cents,
             ExpansionConfig(iterations_te=3, step_size=step),
@@ -219,7 +222,7 @@ def test_trajectory_consistent_with_expand_batch():
     x0 = np.array([0.2, -0.7])
     cfg = ExpansionConfig(iterations_te=5, step_size=1e-2)
     rows = expansion_trajectory((x0, 0), model, cents, cfg, LossConfig())
-    out = expand_batch([(0, x0, 0)], model, cents, cfg, LossConfig())
+    out = expand_batch(one(0, x0, 0), model, cents, cfg, LossConfig())
     e = model.forward(Tensor(out[0]), frozen=True)
     d_final = geodesic_distance(Tensor(cents.vector(0)), e).item()
     assert rows[-1][1] == pytest.approx(d_final, abs=1e-15)
@@ -232,7 +235,7 @@ def test_divergence_names_sample_and_iteration():
     cents = compute_centroids([(0, [1.0, 0.0])])
     with pytest.raises(ExpansionDivergedError) as exc:
         expand_batch(
-            [(42, np.array([0.5, 0.5]), 0)],
+            one(42, np.array([0.5, 0.5]), 0),
             model,
             cents,
             ExpansionConfig(iterations_te=10, step_size=1e155),
@@ -243,8 +246,8 @@ def test_divergence_names_sample_and_iteration():
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_one_step_is_a_gradient_step_on_loss_c3e(seed):
-    # expansion descends exactly the objective that loss_c3e evaluates
+def test_one_step_is_a_gradient_step_on_c3e_objective(seed):
+    # expansion descends exactly the objective that c3e_objective evaluates
     gen = np.random.default_rng(seed)
     model = EncoderModel.default(4, embed_dim=3, hidden_dim=5, seed=seed)
     cents = compute_centroids([(0, gen.normal(size=3)), (1, gen.normal(size=3))])
@@ -252,8 +255,10 @@ def test_one_step_is_a_gradient_step_on_loss_c3e(seed):
     lconf = LossConfig(margin_m=0.5)
     for sid in range(10):
         x, c = gen.normal(size=4), sid % 2
-        (out,) = expand_batch([(sid, x, c)], model, cents, econf, lconf)
+        (out,) = expand_batch(one(sid, x, c), model, cents, econf, lconf)
+        mu = cents.vector(c)
         with record():
             xt = Tensor(x, requires_grad=True)
-            backward(loss_c3e([(x, xt, c)], model, cents, lconf))
+            d_orig = c3e_reference(x, mu, model)
+            backward(c3e_objective(x, xt, mu, d_orig, model, lconf.margin_m))
         assert np.array_equal(out, x - econf.step_size * xt.grad)

@@ -7,7 +7,8 @@ from centerpolar.encoder import EncoderModel, Layer
 from centerpolar.geometry import compute_centroids
 from centerpolar.losses import (
     LossConfig,
-    loss_c3e,
+    c3e_objective,
+    c3e_reference,
     loss_c4,
     loss_dis,
     loss_dom,
@@ -75,52 +76,48 @@ def test_loss_sem_high_zero_gradient_when_inactive():
     assert e_tilde.grad.tolist() == [0.0, 0.0]
 
 
-def test_loss_c3e_identity_case_equals_margin():
+def c3e_mean(x, x_tilde, class_ids, model, cents, margin=1.0):
+    # the mean expansion objective over a batch, as expansion descends it
+    mu = cents.vectors(class_ids)
+    return c3e_objective(x, x_tilde, mu, c3e_reference(x, mu, model), model, margin).mean()
+
+
+def test_c3e_objective_identity_case_equals_margin():
     model = identity_encoder()
     cents = compute_centroids([(0, [2.0, 0.0])])  # parallel to the embedding
-    x = np.array([1.0, 0.0])
-    out = loss_c3e([(x, Tensor(x), 0)], model, cents, LossConfig(margin_m=1.0))
-    assert out.item() == 1.0
+    x = np.array([[1.0, 0.0]])
+    assert c3e_mean(x, Tensor(x), [0], model, cents).item() == 1.0
 
 
-def test_loss_c3e_two_element_mean():
+def test_c3e_objective_two_element_mean():
     model = identity_encoder()
     cents = compute_centroids([(0, [1.0, 0.0])])
-    cfg = LossConfig(margin_m=1.0)
-    x = np.array([1.0, 0.0])
-    batch = [
-        (x, Tensor(x), 0),  # term 1.0
-        (x, Tensor([1.0, 1.0]), 0),  # -0.25 + 1 + 2 = 2.75
-    ]
-    assert loss_c3e(batch, model, cents, cfg).item() == pytest.approx(1.875, abs=1e-12)
+    x = np.array([[1.0, 0.0], [1.0, 0.0]])
+    # rows: term 1.0, and -0.25 + 1 + 2 = 2.75
+    x_tilde = Tensor([[1.0, 0.0], [1.0, 1.0]])
+    assert c3e_mean(x, x_tilde, [0, 0], model, cents).item() == pytest.approx(1.875, abs=1e-12)
 
 
-def test_loss_c3e_empty_batch_rejected():
-    with pytest.raises(ValueError):
-        loss_c3e([], identity_encoder(), compute_centroids([(0, [1.0, 0.0])]), LossConfig())
-
-
-def test_loss_c3e_gradient_reaches_x_tilde_only():
+def test_c3e_objective_gradient_reaches_x_tilde_only():
     model = identity_encoder()
     cents = compute_centroids([(0, [1.0, 0.5])])
-    x = np.array([0.3, 0.8])
+    x = np.array([[0.3, 0.8]])
     before = model.checksum()
     with record():
-        x_tilde = Tensor([0.4, 0.7], requires_grad=True)
-        out = loss_c3e([(x, x_tilde, 0)], model, cents, LossConfig())
-        backward(out)
+        x_tilde = Tensor([[0.4, 0.7]], requires_grad=True)
+        backward(c3e_mean(x, x_tilde, [0], model, cents))
     assert x_tilde.grad is not None and np.isfinite(x_tilde.grad).all()
     assert all(p.grad is None for p in model.parameters())
     assert model.checksum() == before
 
 
-def test_loss_c3e_grad_check():
+def test_c3e_objective_grad_check():
     model = EncoderModel.build([4, 6, 3], ["tanh", "identity"], seed=5)
-    cents = compute_centroids([(0, [0.4, -0.2, 0.7])])
+    mu = np.array([0.4, -0.2, 0.7])
     x = np.array([0.5, -0.1, 0.3, 0.9])
 
     def f(t):
-        return loss_c3e([(x, t, 0)], model, cents, LossConfig())
+        return c3e_objective(x, t, mu, c3e_reference(x, mu, model), model, 1.0)
 
     assert grad_check(f, Tensor([0.6, 0.1, 0.2, 0.8])) < 1e-4
 
@@ -130,49 +127,50 @@ def test_loss_c3e_grad_check():
 
 def test_loss_dom_single_group_cases():
     cfg = LossConfig()
-    same = [(Tensor([0.0, 0.0]), 0), (Tensor([0.4, 0.0]), 0)]
-    assert loss_dom(same, cfg).item() == pytest.approx(0.4, abs=1e-12)
-    diff = [(Tensor([0.0, 0.0]), 0), (Tensor([0.3, 0.0]), 1)]
-    assert loss_dom(diff, cfg).item() == pytest.approx(0.7, abs=1e-12)
-    far = [(Tensor([0.0, 0.0]), 0), (Tensor([5.0, 0.0]), 1)]
-    assert loss_dom(far, cfg).item() == 0.0
-    touching = [(Tensor([1.0, 1.0]), 0), (Tensor([1.0, 1.0]), 0)]
-    assert loss_dom(touching, cfg).item() == 0.0
+    assert loss_dom(Tensor([[0.0, 0.0], [0.4, 0.0]]), [0, 0], cfg).item() == pytest.approx(
+        0.4, abs=1e-12
+    )
+    assert loss_dom(Tensor([[0.0, 0.0], [0.3, 0.0]]), [0, 1], cfg).item() == pytest.approx(
+        0.7, abs=1e-12
+    )
+    assert loss_dom(Tensor([[0.0, 0.0], [5.0, 0.0]]), [0, 1], cfg).item() == 0.0  # far
+    assert loss_dom(Tensor([[1.0, 1.0], [1.0, 1.0]]), [0, 0], cfg).item() == 0.0  # touching
 
 
 def test_loss_dom_four_sample_hand_value():
     # A: (0,0), (0.4,0);  B: (0,0.3), (0.4,0.3)
     # positive pairs: 0.4, 0.4 -> mean 0.4
     # negative pairs: 0.3, 0.5, 0.5, 0.3 -> hinges 0.7, 0.5, 0.5, 0.7 -> mean 0.6
-    batch = [
-        (Tensor([0.0, 0.0]), 0),
-        (Tensor([0.4, 0.0]), 0),
-        (Tensor([0.0, 0.3]), 1),
-        (Tensor([0.4, 0.3]), 1),
-    ]
-    assert loss_dom(batch, LossConfig()).item() == pytest.approx(1.0, abs=1e-12)
+    E = Tensor([[0.0, 0.0], [0.4, 0.0], [0.0, 0.3], [0.4, 0.3]])
+    assert loss_dom(E, [0, 0, 1, 1], LossConfig()).item() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_loss_dom_margins_respected():
     cfg = LossConfig(margin_pos=0.1, margin_neg=0.5)
-    same = [(Tensor([0.0]), 0), (Tensor([0.4]), 0)]
-    assert loss_dom(same, cfg).item() == pytest.approx(0.3, abs=1e-12)
-    diff = [(Tensor([0.0]), 0), (Tensor([0.4]), 1)]
-    assert loss_dom(diff, cfg).item() == pytest.approx(0.1, abs=1e-12)
+    E = Tensor([[0.0], [0.4]])
+    assert loss_dom(E, [0, 0], cfg).item() == pytest.approx(0.3, abs=1e-12)
+    assert loss_dom(E, [0, 1], cfg).item() == pytest.approx(0.1, abs=1e-12)
 
 
 def test_loss_dom_batch_too_small():
-    with pytest.raises(ValueError):
-        loss_dom([(Tensor([1.0]), 0)], LossConfig())
+    with pytest.raises(ValueError, match="at least 2"):
+        loss_dom(Tensor([[1.0]]), [0], LossConfig())
+
+
+@pytest.mark.parametrize("n_rows, n_ids", [(3, 2), (2, 3), (1, 2)])
+def test_loss_dom_rejects_mismatched_lengths(n_rows, n_ids):
+    with pytest.raises(ValueError, match=f"{n_rows} embedding rows but {n_ids} class ids"):
+        loss_dom(Tensor(np.zeros((n_rows, 2))), [0] * n_ids, LossConfig())
 
 
 def test_loss_dom_permutation_invariant():
     gen = np.random.default_rng(4)
-    batch = [(Tensor(gen.normal(size=3)), int(i % 3)) for i in range(8)]
-    base = loss_dom(batch, LossConfig()).item()
+    E = gen.normal(size=(8, 3))
+    labels = np.arange(8) % 3
+    base = loss_dom(Tensor(E), labels, LossConfig()).item()
     for _ in range(5):
-        perm = [batch[i] for i in gen.permutation(len(batch))]
-        assert abs(loss_dom(perm, LossConfig()).item() - base) < 1e-12
+        perm = gen.permutation(8)
+        assert abs(loss_dom(Tensor(E[perm]), labels[perm], LossConfig()).item() - base) < 1e-12
 
 
 def test_loss_dis_negates_loss_geo():
@@ -186,11 +184,12 @@ def test_loss_dis_negates_loss_geo():
 def test_loss_c4_lambda_zero_is_loss_dom_exactly():
     model = identity_encoder(3)
     gen = np.random.default_rng(6)
-    xs = [(gen.normal(size=3), int(i % 2)) for i in range(6)]
-    cents = compute_centroids([(c, x) for x, c in xs])
+    X = gen.normal(size=(6, 3))
+    labels = [i % 2 for i in range(6)]
+    cents = compute_centroids(zip(labels, X))
     cfg = LossConfig(lam=0.0)
-    combined = loss_c4(xs, model, cents, cfg).item()
-    plain = loss_dom([(model.forward(Tensor(x)), c) for x, c in xs], cfg).item()
+    combined = loss_c4(X, labels, model, cents, cfg).item()
+    plain = loss_dom(model.forward(X), labels, cfg).item()
     assert combined == plain
 
 
@@ -198,7 +197,7 @@ def test_loss_c4_all_at_centroid_single_class():
     model = identity_encoder()
     x = np.array([1.0, 1.0])
     cents = compute_centroids([(0, x)])
-    out = loss_c4([(x, 0), (x, 0)], model, cents, LossConfig(lam=0.5))
+    out = loss_c4(np.stack([x, x]), [0, 0], model, cents, LossConfig(lam=0.5))
     assert out.item() == 0.0
 
 
@@ -206,32 +205,26 @@ def test_loss_c4_four_sample_hand_value():
     # embeddings on axes, centroids on the diagonals: loss_dom = sqrt(2)
     # (negative hinges all inactive), centripetal term = 0.25 everywhere
     model = identity_encoder()
-    batch = [
-        (np.array([1.0, 0.0]), 0),
-        (np.array([0.0, 1.0]), 0),
-        (np.array([-1.0, 0.0]), 1),
-        (np.array([0.0, -1.0]), 1),
-    ]
+    X = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
     cents = compute_centroids([(0, [1.0, 1.0]), (1, [-1.0, -1.0])])
-    out = loss_c4(batch, model, cents, LossConfig(lam=0.8))
+    out = loss_c4(X, [0, 0, 1, 1], model, cents, LossConfig(lam=0.8))
     assert out.item() == pytest.approx(math.sqrt(2.0) + 0.2, abs=1e-12)
 
 
 def test_loss_c4_batch_too_small():
     with pytest.raises(ValueError):
-        loss_c4([(np.array([1.0, 0.0]), 0)], identity_encoder(),
+        loss_c4(np.array([[1.0, 0.0]]), [0], identity_encoder(),
                 compute_centroids([(0, [1.0, 0.0])]), LossConfig())
 
 
 def test_loss_c4_gradient_reaches_parameters():
     model = EncoderModel.build([3, 4, 2], ["tanh", "identity"], seed=1)
     gen = np.random.default_rng(2)
-    batch = [(gen.normal(size=3), int(i % 2)) for i in range(4)]
-    cents = compute_centroids(
-        [(c, model.forward(Tensor(x)).numpy()) for x, c in batch]
-    )
+    X = gen.normal(size=(4, 3))
+    labels = [i % 2 for i in range(4)]
+    cents = compute_centroids(zip(labels, model.forward(X).numpy()))
     with record():
-        out = loss_c4(batch, model, cents, LossConfig())
+        out = loss_c4(X, labels, model, cents, LossConfig())
         backward(out)
     for p in model.parameters():
         assert p.grad is not None and np.isfinite(p.grad).all()
@@ -240,15 +233,15 @@ def test_loss_c4_gradient_reaches_parameters():
 def test_loss_c4_grad_check_through_one_weight():
     # reparametrize the first-layer weight matrix and differentiate through it
     gen = np.random.default_rng(3)
-    batch = [(gen.normal(size=2), int(i % 2)) for i in range(4)]
+    X = gen.normal(size=(4, 2))
+    labels = [i % 2 for i in range(4)]
     cents = compute_centroids([(0, [1.0, 0.3]), (1, [-0.8, -0.5])])
 
     def f(w):
         model = EncoderModel(
             [Layer(weight=w, bias=Tensor(np.zeros(2)), activation="identity")]
         )
-        return loss_c4(batch, model, cents, LossConfig())
+        return loss_c4(X, labels, model, cents, LossConfig())
 
     w0 = Tensor([[0.9, 0.2], [-0.1, 1.1]])
     assert grad_check(f, w0) < 1e-4
-

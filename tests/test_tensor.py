@@ -55,7 +55,6 @@ def test_scalar_broadcast():
     assert (3 - a).numpy().tolist() == [2.0, 1.0]
     assert (2 * a).numpy().tolist() == [2.0, 4.0]
     assert (a / 2).numpy().tolist() == [0.5, 1.0]
-    assert (2 / a).numpy().tolist() == [2.0, 1.0]
     assert (-a).numpy().tolist() == [-1.0, -2.0]
 
 
@@ -72,9 +71,14 @@ def test_reductions_and_unaries():
     assert t.sum().item() == 6.0
     assert t.mean().item() == 2.0
     assert t.square().numpy().tolist() == [1.0, 4.0, 9.0]
-    assert Tensor([4.0, 9.0]).sqrt().numpy().tolist() == [2.0, 3.0]
     assert Tensor([0.0]).tanh().item() == 0.0
-    assert Tensor([5.0, -5.0, 0.5]).clamp(-1.0, 1.0).numpy().tolist() == [1.0, -1.0, 0.5]
+
+
+def test_len_is_the_leading_axis():
+    assert len(Tensor(np.zeros((3, 2)))) == 3
+    assert len(Tensor([1.0, 2.0])) == 2
+    with pytest.raises(TypeError):
+        len(Tensor(1.0))
 
 
 def test_acos_endpoints_exact():
@@ -121,11 +125,6 @@ def test_backward_non_scalar_raises():
             backward(y)
 
 
-def test_clamp_bounds_validated():
-    with pytest.raises(ValueError):
-        Tensor([1.0]).clamp(2.0, 1.0)
-
-
 # -- gradients ------------------------------------------------------------------
 
 
@@ -164,11 +163,6 @@ def test_subgradient_conventions():
         z = Tensor([0.0, 0.0], requires_grad=True)
         backward(z.l2_norm())
     assert z.grad.tolist() == [0.0, 0.0]
-    # clamp passes no gradient at or beyond the bounds
-    with record():
-        c = Tensor([-2.0, 0.0, 2.0], requires_grad=True)
-        backward(c.clamp(-1.0, 1.0).sum())
-    assert c.grad.tolist() == [0.0, 1.0, 0.0]
     # acos is flat in the guard band next to the endpoints
     with record():
         a = Tensor([1.0 - 1e-9, 0.5], requires_grad=True)
@@ -297,12 +291,6 @@ def test_relu_idempotent_and_nonnegative(vals):
 @given(vectors)
 def test_l2_norm_nonnegative(vals):
     assert Tensor(vals).l2_norm().item() >= 0.0
-
-
-@given(vectors, st.floats(min_value=-1.0, max_value=0.0), st.floats(min_value=0.0, max_value=1.0))
-def test_clamp_respects_bounds(vals, lo, hi):
-    out = Tensor(vals).clamp(lo, hi).numpy()
-    assert (out >= lo).all() and (out <= hi).all()
 
 
 def test_public_constructor_copies_input():

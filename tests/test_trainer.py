@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from centerpolar.data import DataSet
+from centerpolar.data import DataSet, generate_benchmark
 from centerpolar.encoder import EncoderModel, Layer
 from centerpolar.expansion import ExpansionConfig
+from centerpolar.experiments import benchmark_train_config, default_benchmark_spec
 from centerpolar.geometry import compute_centroids
 from centerpolar.losses import LossConfig
 from centerpolar.tensor import ShapeError, Tensor
@@ -55,6 +56,14 @@ def small_config(**overrides):
     kwargs.update(overrides)
     return TrainConfig(**kwargs)
 
+
+# model checksums of each ablation on the reference benchmark at seed 0
+REFERENCE_CHECKSUMS = {
+    "baseline": "49d4fb42f2066e1852900e30e8a8e3a4cc09be0a0c3a3185ad95a40aa2d102e3",
+    "c4_only": "e6fa3558749f8bb5f04026521c5d7d146228e09999e08c58069599dd33eec2ba",
+    "c3e_only": "179132a5746440a155fbd8cb1d150f70638c644b10ef9c34f05b27869e9d8fa6",
+    "full": "08d38160a3538230058fbe4a4b4de19d1dd1217ae6a4125a3205e4d4fc7a8832",
+}
 
 positive_floats = st.floats(min_value=1e-9, max_value=1e3)
 unit_floats = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
@@ -369,6 +378,13 @@ class TestTrainLoop:
         assert r1.model.checksum() == r2.model.checksum()
         assert r1.epoch_losses == r2.epoch_losses
 
+    @pytest.mark.parametrize("ablation", ABLATIONS)
+    def test_reference_benchmark_checksums_pinned(self, ablation):
+        # the model bits every later change to training is held to
+        train_set, _tests = generate_benchmark(default_benchmark_spec(seed=0))
+        report = train(train_set, benchmark_train_config(0, ablation))
+        assert report.model.checksum() == REFERENCE_CHECKSUMS[ablation]
+
     def test_learns_to_separate_toy_clusters(self):
         ds = toy_dataset()
         report = train(ds, small_config(total_epochs=6))
@@ -533,20 +549,19 @@ class TestEquilibriumProbe:
         model = EncoderModel.default(input_dim=2, embed_dim=4, hidden_dim=8, seed=0)
         E = model.embed_many(ds.features)
         centroids = compute_centroids(zip(ds.labels.tolist(), E))
-        batch = list(zip(ds.features, ds.labels.tolist()))
-        return model, batch, centroids
+        return model, ds.features, ds.labels.tolist(), centroids
 
     def test_lambda_zero_row(self):
-        model, batch, centroids = self._setup()
-        rows = c4_equilibrium_probe(model, batch, centroids, LossConfig(), [0.0])
+        model, x, class_ids, centroids = self._setup()
+        rows = c4_equilibrium_probe(model, x, class_ids, centroids, LossConfig(), [0.0])
         (row,) = rows
         assert row["grad_norm_centripetal_term"] == 0.0
         assert row["grad_norm_total"] == row["grad_norm_contrastive"]
 
     def test_centripetal_column_linear_in_lambda(self):
-        model, batch, centroids = self._setup()
+        model, x, class_ids, centroids = self._setup()
         rows = c4_equilibrium_probe(
-            model, batch, centroids, LossConfig(), [0.25, 0.5, 1.0]
+            model, x, class_ids, centroids, LossConfig(), [0.25, 0.5, 1.0]
         )
         base = rows[0]["grad_norm_centripetal_term"]
         assert base > 0
@@ -555,21 +570,21 @@ class TestEquilibriumProbe:
 
     def test_total_obeys_triangle_bounds(self):
         # the centripetal column is unaveraged; the total mixes in 1/batch of it
-        model, batch, centroids = self._setup()
+        model, x, class_ids, centroids = self._setup()
         rows = c4_equilibrium_probe(
-            model, batch, centroids, LossConfig(), [0.0, 0.25, 0.5, 0.75, 1.0]
+            model, x, class_ids, centroids, LossConfig(), [0.0, 0.25, 0.5, 0.75, 1.0]
         )
         for row in rows:
             a = row["grad_norm_contrastive"]
-            b = row["grad_norm_centripetal_term"] / len(batch)
+            b = row["grad_norm_centripetal_term"] / len(x)
             t = row["grad_norm_total"]
             assert t <= a + b + 1e-9
             assert t >= abs(a - b) - 1e-9
 
     def test_negative_lambda_rejected(self):
-        model, batch, centroids = self._setup()
+        model, x, class_ids, centroids = self._setup()
         with pytest.raises(ValueError, match="lambda"):
-            c4_equilibrium_probe(model, batch, centroids, LossConfig(), [-0.1])
+            c4_equilibrium_probe(model, x, class_ids, centroids, LossConfig(), [-0.1])
 
 
 class TestCheckpoints:
