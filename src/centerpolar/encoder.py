@@ -9,10 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
+from . import rng, schema
 from .tensor import ShapeError, Tensor
 
 ACTIVATIONS = ("tanh", "relu", "identity")
+_LAYER_KEYS = {"activation", "bias", "weight", "weight_shape"}  # one layer's checkpoint object
 
 
 @dataclass
@@ -162,15 +163,38 @@ class EncoderModel:
 
     @classmethod
     def from_payload(cls, payload: list[dict]) -> "EncoderModel":
+        """Inverse of `to_payload`.  Anything it does not write (an unknown
+        or missing key, a non-integer dimension, bytes that do not fill the
+        weight shape, a non-finite parameter) raises ValueError naming the
+        key's path, such as `layers[0].bias`."""
+        if not isinstance(payload, list):
+            raise ValueError(f"layers: expected an array, got {type(payload).__name__}")
         layers = []
-        for spec in payload:
-            shape = tuple(int(d) for d in spec["weight_shape"])
-            w = _decode_array(spec["weight"]).reshape(shape)
-            b = _decode_array(spec["bias"])
+        for i, spec in enumerate(payload):
+            path = f"layers[{i}]"
+            if not isinstance(spec, dict):
+                raise ValueError(f"{path}: expected an object, got {type(spec).__name__}")
+            for key in sorted(_LAYER_KEYS - set(spec)):
+                raise ValueError(f"{path}.{key}: missing")
+            for key in sorted(set(spec) - _LAYER_KEYS):
+                raise ValueError(f"{path}.{key}: unknown key")
+            dims = spec["weight_shape"]
+            if not isinstance(dims, list) or len(dims) != 2:
+                raise ValueError(f"{path}.weight_shape: expected [rows, columns], got {dims!r}")
+            shape = tuple(
+                schema.integer(d, f"{path}.weight_shape[{j}]") for j, d in enumerate(dims)
+            )
+            if min(shape) < 1:
+                raise ValueError(f"{path}.weight_shape: dims must be >= 1, got {list(shape)}")
+            w = _decode_array(spec["weight"], f"{path}.weight")
+            if w.size != shape[0] * shape[1]:
+                raise ValueError(
+                    f"{path}.weight: {w.size} values do not fill weight_shape {list(shape)}"
+                )
             layers.append(
                 Layer(
-                    weight=Tensor(w, requires_grad=True),
-                    bias=Tensor(b, requires_grad=True),
+                    weight=Tensor(w.reshape(shape), requires_grad=True),
+                    bias=Tensor(_decode_array(spec["bias"], f"{path}.bias"), requires_grad=True),
                     activation=spec["activation"],
                 )
             )
@@ -182,5 +206,11 @@ def _encode_array(flat: np.ndarray) -> str:
     return base64.b64encode(flat.astype("<f8").tobytes()).decode("ascii")
 
 
-def _decode_array(text: str) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(text), dtype="<f8").astype(np.float64)
+def _decode_array(text: str, path: str) -> np.ndarray:
+    try:
+        arr = np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8")
+    except (TypeError, ValueError) as e:  # binascii.Error is a ValueError
+        raise ValueError(f"{path}: not base64 float64 bytes: {e}") from e
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{path}: non-finite value")
+    return arr.astype(np.float64)

@@ -55,21 +55,27 @@ def expand_batch(
 ) -> np.ndarray:
     """Expand a batch of samples independently.
 
-    `batch` is the column triple (sample ids, (n, d) inputs, class ids).
-    Returns the final iterates as an (n, d) array in batch order; model
-    parameters are not touched.  When `trajectory_sink` is given, rows
-    (sample_id, iter, d_geo, d_euclid, loss) are appended for every
-    iterate including the initial one, sample by sample.
+    `batch` is the column triple (sample ids, (n, d) inputs, class ids);
+    columns of different lengths raise ValueError.  Returns the final
+    iterates as an (n, d) array in batch order; model parameters are not
+    touched.  When `trajectory_sink` is given, rows (sample_id, iter,
+    d_geo, d_euclid, loss) are appended for every iterate including the
+    initial one, sample by sample.
 
     Rows are expanded together, one graph per iteration and block of
     `_BLOCK_ROWS` rows; each row gets the bits it gets expanded alone.
     """
     ids, x, class_ids = batch
+    x = np.asarray(x, dtype=np.float64)
     n = len(ids)
+    if x.ndim != 2 or not n == len(x) == len(class_ids):
+        raise ValueError(
+            f"expand_batch: {n} ids and {len(class_ids)} class ids "
+            f"but inputs of shape {x.shape}"
+        )
     if n == 0:
         return np.empty((0, model.input_dim))
     ids, class_ids = [int(i) for i in ids], [int(c) for c in class_ids]
-    x = np.asarray(x, dtype=np.float64).reshape(n, -1)
     return np.concatenate(
         [
             _expand_block(

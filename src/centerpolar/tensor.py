@@ -7,6 +7,14 @@ gradients bitwise reproducible for a fixed graph.  The active tape is per
 thread and per async context, so concurrent runs in one process keep
 separate graphs.
 
+Recording.  Every op computes its output, then returns it through
+`_record` with its tensor inputs and a vjp.  An input takes part when it
+requires a gradient or was itself recorded on the active tape; `_record`
+stores which inputs do as `needs`, and records nothing when none does.
+`backward` calls `vjp(g, needs)`, which returns one gradient per input,
+None where `needs` is false.  A plain-number operand is a constant: it
+is not an input and takes no gradient.
+
 Rows.  The leading axis of a 2-D tensor is the sample: a (B, k) tensor is
 a batch of B rows, and every op gives each row exactly the bits it gives
 that row alone as a 1-D (k,) tensor, gradients included, so one graph
@@ -56,7 +64,7 @@ class DomainError(ValueError):
 
 
 class Tape:
-    """Ordered record of primitive ops: (output, inputs, vjp, name)."""
+    """Ordered record of primitive ops: (output, inputs, needs, vjp, name)."""
 
     __slots__ = ("_entries",)
 
@@ -95,6 +103,17 @@ def record(tape: Tape | None = None):
         yield active
     finally:
         _ACTIVE.reset(token)
+
+
+def _record(out: "Tensor", inputs: tuple, vjp, name: str) -> "Tensor":
+    """Record `out = name(*inputs)` on the active tape if any input takes part."""
+    tape = _ACTIVE.get()
+    if tape is not None:
+        needs = [t.requires_grad or t._tape is tape for t in inputs]
+        if True in needs:
+            out._tape = tape
+            tape._entries.append((out, inputs, needs, vjp, name))
+    return out
 
 
 def _broadcast(op: str, sa: tuple, sb: tuple) -> tuple:
@@ -202,54 +221,41 @@ class Tensor:
         a = self.data.reshape(self.shape)
         b = other.data.reshape(other.shape)
         out = Tensor._wrap(np.asarray(fn(a, b)).ravel(), oshape)
-        tape = _ACTIVE.get()
-        if tape is not None:
-            na, nb = _part(self, tape), _part(other, tape)
-            if na or nb:
-                sa, sb = self.shape, other.shape
+        sa, sb = self.shape, other.shape
 
-                def back(g):
-                    ga, gb = vjp(g.reshape(oshape), a, b)
-                    return (
-                        _reduce_to(ga, sa) if na else None,
-                        _reduce_to(gb, sb) if nb else None,
-                    )
+        def back(g, needs):
+            ga, gb = vjp(g.reshape(oshape), a, b)
+            return (
+                _reduce_to(ga, sa) if needs[0] else None,
+                _reduce_to(gb, sb) if needs[1] else None,
+            )
 
-                _push(tape, out, (self, other), back, name)
-        return out
+        return _record(out, (self, other), back, name)
+
+    def _scalar(self, data: np.ndarray, name: str, vjp) -> "Tensor":
+        # an op with a plain-number operand: self is its one input
+        return _record(Tensor._wrap(data, self.shape), (self,), vjp, name)
 
     def __add__(self, other):
         if isinstance(other, Tensor):
             return self._binary(other, "add", np.add, lambda g, a, b: (g, g))
-        out = Tensor._wrap(self.data + float(other), self.shape)
-        _push_unary_passthrough(self, out, "add")
-        return out
+        return self._scalar(self.data + float(other), "add", lambda g, _: (g,))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Tensor):
             return self._binary(other, "sub", np.subtract, lambda g, a, b: (g, -g))
-        out = Tensor._wrap(self.data - float(other), self.shape)
-        _push_unary_passthrough(self, out, "sub")
-        return out
+        return self._scalar(self.data - float(other), "sub", lambda g, _: (g,))
 
     def __rsub__(self, other):
-        out = Tensor._wrap(float(other) - self.data, self.shape)
-        tape = _ACTIVE.get()
-        if tape is not None and _part(self, tape):
-            _push(tape, out, (self,), lambda g: (-g,), "rsub")
-        return out
+        return self._scalar(float(other) - self.data, "rsub", lambda g, _: (-g,))
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
             return self._binary(other, "mul", np.multiply, lambda g, a, b: (g * b, g * a))
         c = float(other)
-        out = Tensor._wrap(self.data * c, self.shape)
-        tape = _ACTIVE.get()
-        if tape is not None and _part(self, tape):
-            _push(tape, out, (self,), lambda g: (g * c,), "mul")
-        return out
+        return self._scalar(self.data * c, "mul", lambda g, _: (g * c,))
 
     __rmul__ = __mul__
 
@@ -259,50 +265,28 @@ class Tensor:
                 other, "div", np.divide, lambda g, a, b: (g / b, -g * a / (b * b))
             )
         c = float(other)
-        out = Tensor._wrap(self.data / c, self.shape)
-        tape = _ACTIVE.get()
-        if tape is not None and _part(self, tape):
-            _push(tape, out, (self,), lambda g: (g / c,), "div")
-        return out
+        return self._scalar(self.data / c, "div", lambda g, _: (g / c,))
 
     def __neg__(self):
         return self * -1.0
 
-    def __matmul__(self, other):
-        return self.matmul(other)
-
-    def matmul(self, other: "Tensor") -> "Tensor":
-        if not isinstance(other, Tensor):
+    def matmul(self, v: "Tensor") -> "Tensor":
+        """(m, n) matrix times a (n,) vector, as one numpy matrix product."""
+        if not isinstance(v, Tensor):
             raise TypeError("matmul: both operands must be tensors")
-        sa, sb = self.shape, other.shape
-        if len(sa) == 0 or len(sb) == 0 or len(sa) > 2 or len(sb) > 2:
-            raise ShapeError(f"matmul: shapes {sa} and {sb} are not 1-D/2-D")
-        if sa[-1] != sb[0]:
-            raise ShapeError(f"matmul: shapes {sa} and {sb} have mismatched inner dims")
+        sa, sb = self.shape, v.shape
+        if len(sa) != 2 or len(sb) != 1 or sa[1] != sb[0]:
+            raise ShapeError(f"matmul: shapes {sa} and {sb} are not (m, n) and (n,)")
         A = self.data.reshape(sa)
-        B = other.data.reshape(sb)
-        out_nd = A @ B
-        out = Tensor._wrap(out_nd, out_nd.shape)
-        tape = _ACTIVE.get()
-        if tape is not None:
-            na, nb = _part(self, tape), _part(other, tape)
-            if na or nb:
+        B = v.data
+        out = Tensor._wrap(A @ B, (sa[0],))
 
-                def vjp(g):
-                    G = g.reshape(out_nd.shape)
-                    if len(sa) == 2 and len(sb) == 2:
-                        ga = (G @ B.T).ravel() if na else None
-                        gb = (A.T @ G).ravel() if nb else None
-                    elif len(sa) == 1:  # (n,) @ (n,p) -> (p,)
-                        ga = (B @ G).ravel() if na else None
-                        gb = np.outer(A, G).ravel() if nb else None
-                    else:  # (m,n) @ (n,) -> (m,)
-                        ga = np.outer(G, B).ravel() if na else None
-                        gb = (A.T @ G).ravel() if nb else None
-                    return ga, gb
+        def vjp(g, needs):
+            ga = np.outer(g, B).ravel() if needs[0] else None
+            gb = (A.T @ g).ravel() if needs[1] else None
+            return ga, gb
 
-                _push(tape, out, (self, other), vjp, "matmul")
-        return out
+        return _record(out, (self, v), vjp, "matmul")
 
     def matvec(self, x: "Tensor") -> "Tensor":
         """(m, n) matrix times each row of x: (n,) -> (m,), (B, n) -> (B, m)."""
@@ -317,22 +301,17 @@ class Tensor:
         # gets the bits of W @ x; one X @ W.T gemm rounds differently
         Y = np.matmul(W, X[:, :, None])[:, :, 0]
         out = Tensor._wrap(Y.ravel(), sx[:-1] + (sw[0],))
-        tape = _ACTIVE.get()
-        if tape is not None:
-            nw, nx = _part(self, tape), _part(x, tape)
-            if nw or nx:
 
-                def vjp(g):
-                    G = g.reshape(-1, sw[0])
-                    gw = None
-                    if nw:  # outer products, last row first
-                        outer = G[::-1, :, None] * X[::-1, None, :]
-                        gw = Fold(outer.reshape(len(G), -1))
-                    gx = np.matmul(W.T, G[:, :, None])[:, :, 0].ravel() if nx else None
-                    return gw, gx
+        def vjp(g, needs):
+            G = g.reshape(-1, sw[0])
+            gw = None
+            if needs[0]:  # outer products, last row first
+                outer = G[::-1, :, None] * X[::-1, None, :]
+                gw = Fold(outer.reshape(len(G), -1))
+            gx = np.matmul(W.T, G[:, :, None])[:, :, 0].ravel() if needs[1] else None
+            return gw, gx
 
-                _push(tape, out, (self, x), vjp, "matvec")
-        return out
+        return _record(out, (self, x), vjp, "matvec")
 
     def dot(self, other: "Tensor") -> "Tensor":
         """Row-wise dot product: (k,) -> (), (B, k) -> (B, 1)."""
@@ -344,17 +323,12 @@ class Tensor:
             )
         A, B = self._row_matrix(), other._row_matrix()
         out = Tensor._wrap(_rowdot(A, B), _row_shape(self.shape))
-        tape = _ACTIVE.get()
-        if tape is not None:
-            na, nb = _part(self, tape), _part(other, tape)
-            if na or nb:
 
-                def vjp(g):
-                    G = g[:, None]
-                    return ((G * B).ravel() if na else None, (G * A).ravel() if nb else None)
+        def vjp(g, needs):
+            G = g[:, None]
+            return ((G * B).ravel() if needs[0] else None, (G * A).ravel() if needs[1] else None)
 
-                _push(tape, out, (self, other), vjp, "dot")
-        return out
+        return _record(out, (self, other), vjp, "dot")
 
     # -- reductions --------------------------------------------------------
 
@@ -364,7 +338,7 @@ class Tensor:
             out = Tensor._wrap(np.array([self.data.sum()]), ())
             n = self.size
 
-            def vjp(g):
+            def vjp(g, _):
                 return (np.full(n, g[0]),)
 
         elif axis == -1 and len(self.shape) in (1, 2):
@@ -372,15 +346,12 @@ class Tensor:
             out = Tensor._wrap(A.sum(axis=-1), _row_shape(self.shape))
             k = A.shape[1]
 
-            def vjp(g):
+            def vjp(g, _):
                 return (np.repeat(g, k),)
 
         else:
             raise ShapeError(f"sum: axis {axis} of shape {self.shape} (None or -1 only)")
-        tape = _ACTIVE.get()
-        if tape is not None and _part(self, tape):
-            _push(tape, out, (self,), vjp, "sum")
-        return out
+        return _record(out, (self,), vjp, "sum")
 
     def mean(self) -> "Tensor":
         """Mean over the leading axis, adding rows left to right."""
@@ -392,14 +363,11 @@ class Tensor:
         A = self.data.reshape(n, -1)
         total = np.add.accumulate(A, axis=0)[-1]  # a running sum, row by row
         out = Tensor._wrap(total / float(n), self.shape[1:])
-        tape = _ACTIVE.get()
-        if tape is not None and _part(self, tape):
 
-            def vjp(g):
-                return (np.tile(g / float(n), n),)
+        def vjp(g, _):
+            return (np.tile(g / float(n), n),)
 
-            _push(tape, out, (self,), vjp, "mean")
-        return out
+        return _record(out, (self,), vjp, "mean")
 
     def l2_norm(self) -> "Tensor":
         """Row-wise Euclidean norm: (k,) -> (), (B, k) -> (B, 1)."""
@@ -408,17 +376,14 @@ class Tensor:
         A = self._row_matrix()
         norm = np.sqrt(_rowdot(A, A))
         out = Tensor._wrap(norm, _row_shape(self.shape))
-        tape = _ACTIVE.get()
-        if tape is not None and _part(self, tape):
 
-            def vjp(g):
-                zero = norm == 0.0
-                ga = (g / np.where(zero, 1.0, norm))[:, None] * A
-                ga[zero] = 0.0  # subgradient 0 at the cone tip
-                return (ga.ravel(),)
+        def vjp(g, _):
+            zero = norm == 0.0
+            ga = (g / np.where(zero, 1.0, norm))[:, None] * A
+            ga[zero] = 0.0  # subgradient 0 at the cone tip
+            return (ga.ravel(),)
 
-            _push(tape, out, (self,), vjp, "l2_norm")
-        return out
+        return _record(out, (self,), vjp, "l2_norm")
 
     def take(self, index) -> "Tensor":
         """Rows (or elements, for 1-D) at `index` along the leading axis."""
@@ -428,52 +393,40 @@ class Tensor:
         n = self.shape[0]
         A = self.data.reshape(n, -1)
         out = Tensor._wrap(A[index].ravel(), (len(index),) + self.shape[1:])
-        tape = _ACTIVE.get()
-        if tape is not None and _part(self, tape):
 
-            def vjp(g):
-                return (_scatter_rows(n, index, g.reshape(len(index), -1)),)
+        def vjp(g, _):
+            return (_scatter_rows(n, index, g.reshape(len(index), -1)),)
 
-            _push(tape, out, (self,), vjp, "take")
-        return out
+        return _record(out, (self,), vjp, "take")
 
     # -- elementwise unaries -----------------------------------------------
 
     def relu(self) -> "Tensor":
         mask = self.data > 0.0  # subgradient at 0 is 0
         out = Tensor._wrap(np.where(mask, self.data, 0.0), self.shape)
-        tape = _ACTIVE.get()
-        if tape is not None and _part(self, tape):
 
-            def vjp(g):
-                return (g * mask,)
+        def vjp(g, _):
+            return (g * mask,)
 
-            _push(tape, out, (self,), vjp, "relu")
-        return out
+        return _record(out, (self,), vjp, "relu")
 
     def tanh(self) -> "Tensor":
         y = np.tanh(self.data)
         out = Tensor._wrap(y, self.shape)
-        tape = _ACTIVE.get()
-        if tape is not None and _part(self, tape):
 
-            def vjp(g):
-                return (g * (1.0 - y * y),)
+        def vjp(g, _):
+            return (g * (1.0 - y * y),)
 
-            _push(tape, out, (self,), vjp, "tanh")
-        return out
+        return _record(out, (self,), vjp, "tanh")
 
     def square(self) -> "Tensor":
-        out = Tensor._wrap(self.data * self.data, self.shape)
-        tape = _ACTIVE.get()
-        if tape is not None and _part(self, tape):
-            ad = self.data
+        ad = self.data
+        out = Tensor._wrap(ad * ad, self.shape)
 
-            def vjp(g):
-                return (g * (2.0 * ad),)
+        def vjp(g, _):
+            return (g * (2.0 * ad),)
 
-            _push(tape, out, (self,), vjp, "square")
-        return out
+        return _record(out, (self,), vjp, "square")
 
     def acos(self) -> "Tensor":
         ad = self.data
@@ -486,17 +439,14 @@ class Tensor:
             ad >= 1.0 - EPS_ACOS, 1.0, np.where(ad <= -1.0 + EPS_ACOS, -1.0, ad)
         )
         out = Tensor._wrap(np.arccos(snapped), self.shape)
-        tape = _ACTIVE.get()
-        if tape is not None and _part(self, tape):
-            mask = np.abs(ad) < 1.0 - EPS_ACOS
+        mask = np.abs(ad) < 1.0 - EPS_ACOS
 
-            def vjp(g):
-                ga = np.zeros_like(ad)
-                np.divide(-g, np.sqrt(np.where(mask, 1.0 - ad * ad, 1.0)), out=ga, where=mask)
-                return (ga,)
+        def vjp(g, _):
+            ga = np.zeros_like(ad)
+            np.divide(-g, np.sqrt(np.where(mask, 1.0 - ad * ad, 1.0)), out=ga, where=mask)
+            return (ga,)
 
-            _push(tape, out, (self,), vjp, "acos")
-        return out
+        return _record(out, (self,), vjp, "acos")
 
 
 def pair_distances(rows: Tensor) -> Tensor:
@@ -519,21 +469,18 @@ def pair_distances(rows: Tensor) -> Tensor:
     diff = E[i] - E[j]
     norm = np.sqrt(_rowdot(diff, diff))
     out = Tensor._wrap(norm, norm.shape)
-    tape = _ACTIVE.get()
-    if tape is not None and _part(rows, tape):
 
-        def vjp(g):
-            zero = norm == 0.0
-            contrib = (g / np.where(zero, 1.0, norm))[:, None] * diff
-            contrib[zero] = 0.0  # subgradient 0 at the cone tip
-            # as the first operand of e_i - e_j a row takes +c, as the second
-            # -c; step s adds every row's s-th partner
-            pair, sign = _partner_order(n)
-            steps = contrib[pair] * sign[:, :, None]
-            return (Fold(steps.reshape(n - 1, -1)),)
+    def vjp(g, _):
+        zero = norm == 0.0
+        contrib = (g / np.where(zero, 1.0, norm))[:, None] * diff
+        contrib[zero] = 0.0  # subgradient 0 at the cone tip
+        # as the first operand of e_i - e_j a row takes +c, as the second
+        # -c; step s adds every row's s-th partner
+        pair, sign = _partner_order(n)
+        steps = contrib[pair] * sign[:, :, None]
+        return (Fold(steps.reshape(n - 1, -1)),)
 
-        _push(tape, out, (rows,), vjp, "pair_distances")
-    return out
+    return _record(out, (rows,), vjp, "pair_distances")
 
 
 def _partner_order(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -548,27 +495,10 @@ def _partner_order(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pair.T, np.where(r < q, 1.0, -1.0).T
 
 
-def _part(t: Tensor, tape: Tape) -> bool:
-    return t.requires_grad or t._tape is tape
-
-
-def _push(tape: Tape, out: Tensor, inputs: tuple, vjp, name: str) -> None:
-    out._tape = tape
-    tape._entries.append((out, inputs, vjp, name))
-
-
-def _push_unary_passthrough(src: Tensor, out: Tensor, name: str) -> None:
-    # add/sub with a plain-number operand: grad passes straight through
-    tape = _ACTIVE.get()
-    if tape is not None and _part(src, tape):
-        _push(tape, out, (src,), lambda g: (g,), name)
-
-
-def backward(out: Tensor, accumulate: bool = False) -> None:
+def backward(out: Tensor) -> None:
     """Replay the tape backward from scalar `out`, populating `.grad`.
 
-    Gradients of requires_grad tensors reachable from `out` are overwritten
-    unless `accumulate` is set.
+    Gradients of requires_grad tensors reachable from `out` are overwritten.
     """
     tape = out._tape
     if tape is None:
@@ -579,11 +509,11 @@ def backward(out: Tensor, accumulate: bool = False) -> None:
     holders: dict[int, Tensor] = {}
     if out.requires_grad:
         holders[id(out)] = out
-    for entry_out, inputs, vjp, _name in reversed(tape._entries):
+    for entry_out, inputs, needs, vjp, _name in reversed(tape._entries):
         g = grads.get(id(entry_out))
         if g is None:
             continue
-        for t, ig in zip(inputs, vjp(g)):
+        for t, ig in zip(inputs, vjp(g, needs)):
             if ig is None:
                 continue
             acc = grads.get(id(t))
@@ -595,11 +525,7 @@ def backward(out: Tensor, accumulate: bool = False) -> None:
                 holders[id(t)] = t
     for t in holders.values():
         new = grads.get(id(t))
-        if new is None:
-            continue
-        if accumulate and t.grad is not None:
-            t.grad = t.grad + new
-        else:
+        if new is not None:
             t.grad = new.copy()
 
 

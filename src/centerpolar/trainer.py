@@ -319,6 +319,8 @@ def _param_grad(model, build_loss) -> np.ndarray:
 
 # -- checkpointing -------------------------------------------------------------
 
+_CHECKPOINT_FIELDS = ("config", "epoch", "seed", "layers")
+
 
 def save_checkpoint(path, model: EncoderModel, config: TrainConfig, epoch: int) -> None:
     payload = {
@@ -333,7 +335,12 @@ def save_checkpoint(path, model: EncoderModel, config: TrainConfig, epoch: int) 
 
 
 def load_checkpoint(path):
-    """Returns (model, config, epoch); parameters round-trip bit-exact."""
+    """Returns (model, config, epoch); parameters round-trip bit-exact.
+
+    Accepts only what `save_checkpoint` writes: a missing, unknown or
+    invalid field raises CheckpointError naming it.  The seed must equal
+    the config's and the epoch be >= 0.
+    """
     with open(path) as fh:
         try:
             payload = json.load(fh)
@@ -341,19 +348,26 @@ def load_checkpoint(path):
             raise CheckpointError(f"checkpoint is not valid JSON: {e}") from e
     if not isinstance(payload, dict):
         raise CheckpointError(f"checkpoint is not a JSON object, got {type(payload).__name__}")
-    for fieldname in ("config", "epoch", "seed", "layers"):
+    for fieldname in _CHECKPOINT_FIELDS:
         if fieldname not in payload:
             raise CheckpointError(f"checkpoint missing field {fieldname!r}")
+    for fieldname in sorted(set(payload) - set(_CHECKPOINT_FIELDS)):
+        raise CheckpointError(f"checkpoint has unknown field {fieldname!r}")
     try:
         config = TrainConfig.from_dict(payload["config"])
     except (ValueError, TypeError) as e:
         raise CheckpointError(f"checkpoint field 'config' is invalid: {e}") from e
     try:
         model = EncoderModel.from_payload(payload["layers"])
-    except (KeyError, ValueError, TypeError) as e:
+    except ValueError as e:
         raise CheckpointError(f"checkpoint field 'layers' is invalid: {e}") from e
     try:
         epoch = schema.integer(payload["epoch"], "epoch")
+        if epoch < 0:
+            raise ValueError(f"epoch: must be >= 0, got {epoch}")
+        seed = schema.integer(payload["seed"], "seed")
+        if seed != config.seed:
+            raise ValueError(f"seed: {seed} differs from config.seed {config.seed}")
     except ValueError as e:
-        raise CheckpointError(f"checkpoint field 'epoch' is invalid: {e}") from e
+        raise CheckpointError(f"checkpoint is invalid: {e}") from e
     return model, config, epoch

@@ -1,5 +1,6 @@
 """End-to-end CLI runs in temp directories, exit codes, manifests."""
 
+import base64
 import hashlib
 import json
 import os
@@ -68,6 +69,13 @@ def checkpoint_dict(**overrides):
         "layers": EncoderModel.default(input_dim=4, embed_dim=4, hidden_dim=8).to_payload(),
     }
     d.update(overrides)
+    return d
+
+
+def checkpoint_with_layer(**fields):
+    # checkpoint_dict() with fields of its first layer replaced
+    d = checkpoint_dict()
+    d["layers"][0].update(fields)
     return d
 
 
@@ -594,6 +602,19 @@ def test_train_byte_identical_across_blas_threads(tmp_path):
         ("eval", [1], "checkpoint"),
         ("eval", checkpoint_dict(epoch=[1]), "epoch"),
         ("eval", checkpoint_dict(epoch=1.7), "epoch"),
+        ("eval", checkpoint_dict(epoch=-5), "epoch"),
+        ("eval", checkpoint_dict(note="hi"), "note"),
+        ("eval", checkpoint_dict(seed="abc"), "seed"),
+        ("eval", checkpoint_dict(seed=1), "seed"),
+        ("eval", checkpoint_with_layer(scale=2.0), "layers[0].scale"),
+        ("eval", checkpoint_with_layer(weight_shape=[8.5, 4]), "layers[0].weight_shape"),
+        (
+            "eval",
+            checkpoint_with_layer(
+                bias=base64.b64encode(np.full(8, np.nan).astype("<f8").tobytes()).decode()
+            ),
+            "layers[0].bias",
+        ),
     ],
 )
 def test_malformed_input_file_is_exit_2(tmp_path, data_dir, capsys, command, content, key):

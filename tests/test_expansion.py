@@ -245,6 +245,21 @@ def test_divergence_names_sample_and_iteration():
     assert "42" in msg and "iteration" in msg
 
 
+@pytest.mark.parametrize(
+    "batch, shape",
+    [
+        (([0, 1], np.zeros((4, 1)), [0, 0]), "(4, 1)"),
+        (([0, 1], np.zeros(4), [0, 0]), "(4,)"),
+        (([0, 1], np.zeros((2, 2)), [0]), "(2, 2)"),
+    ],
+)
+def test_mismatched_columns_rejected(batch, shape):
+    model = linear_encoder(np.eye(2))
+    cents = compute_centroids([(0, [1.0, 0.0])])
+    with pytest.raises(ValueError, match=re.escape(f"ids but inputs of shape {shape}")):
+        expand_batch(batch, model, cents, ExpansionConfig(), LossConfig())
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_one_step_is_a_gradient_step_on_c3e_objective(seed):
     # expansion descends exactly the objective that c3e_objective evaluates

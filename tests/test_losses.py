@@ -245,3 +245,29 @@ def test_loss_c4_grad_check_through_one_weight():
 
     w0 = Tensor([[0.9, 0.2], [-0.1, 1.1]])
     assert grad_check(f, w0) < 1e-4
+
+
+def _tape_size(build) -> int:
+    with record() as tape:
+        build()
+    return len(tape)
+
+
+def test_tape_entries_per_graph_pinned():
+    # ops recorded by one graph of each kind; a change here changes the
+    # amount of work every backward does
+    model = EncoderModel.default(4, 3, 5, seed=0)
+    x = np.random.default_rng(0).normal(size=(8, 4))
+    labels = [0, 0, 1, 1, 0, 1, 0, 1]
+    cents = compute_centroids(zip(labels, model.embed_many(x)))
+    assert _tape_size(lambda: loss_c4(x, labels, model, cents, LossConfig(lam=0.0))) == 15
+    assert _tape_size(lambda: loss_c4(x, labels, model, cents, LossConfig(lam=0.75))) == 23
+    assert _tape_size(lambda: loss_dom(model.forward(x), labels, LossConfig())) == 15
+    mu = cents.vectors(labels)
+    d_orig = c3e_reference(x, mu, model)
+
+    def expansion_step():
+        x_tilde = Tensor(x, requires_grad=True)
+        c3e_objective(x, x_tilde, mu, d_orig, model, LossConfig().margin_m).sum()
+
+    assert _tape_size(expansion_step) == 22
