@@ -7,11 +7,17 @@ MAP@R averages precision-at-i over the relevant positions i <= R (counting
 missed ones as zero). Queries with R = 0 are excluded from the R-based
 aggregates and reported.
 
-Ranking, in `rank_neighbors` and `evaluate` alike, is by ascending distance
-with ties broken by ascending sample id.  Distances are computed directly
-(squared coordinate differences summed in order; metric="geodesic" takes
-the angle), so exactly tied items stay tied, and `evaluate` computes them
-one block of queries at a time.
+Ranking is exact: each query's gallery is ordered by ascending
+`_distances`, the one definition of the distance (squared coordinate
+differences summed in order; metric="geodesic" takes the angle), with ties
+broken by ascending sample id, so exactly tied items stay tied.  `evaluate`
+works one block of queries at a time and orders only the first K + 1
+columns of each row, K being the deepest rank a metric reads.  It finds
+them from a cheap key (one BLAS product; for "geodesic" the distance
+itself) and keeps a row's key order only where a rounding bound certifies
+that it equals the distance order (see `_first_columns`).  Every other
+row (an exact or near tie, a NaN) falls back to the distances and a stable
+full sort, so the result is the same, bit for bit, as sorting every row.
 """
 
 from __future__ import annotations
@@ -64,23 +70,6 @@ class RetrievalReport:
         return "".join("  ".join(v.ljust(w) for v, w in zip(r, widths)) + "\n" for r in table)
 
 
-def rank_neighbors(query_embed, gallery_embeds, gallery_ids=None) -> np.ndarray:
-    """Indices of gallery rows by ascending Euclidean distance to the query.
-
-    Ties are broken by ascending sample id so the ranking is deterministic
-    under any gallery permutation.
-    """
-    q = np.asarray(query_embed, dtype=np.float64).reshape(1, -1)
-    G = np.asarray(gallery_embeds, dtype=np.float64)
-    if G.ndim != 2 or G.shape[1] != q.shape[1]:
-        raise ValueError(
-            f"rank_neighbors: gallery shape {G.shape} does not match query dim {q.shape[1]}"
-        )
-    by_id = np.arange(len(G)) if gallery_ids is None else np.argsort(gallery_ids, kind="stable")
-    dists = _distances(q, G[by_id].T, "euclidean")[0]
-    return by_id[np.argsort(dists, kind="stable")]
-
-
 def _per_query(metric):
     """Turns a metric of the relevance of each query's top `cutoff` ranks into
     one taking ranked labels: 2-D with one row, query label and cutoff per
@@ -127,7 +116,10 @@ def evaluate(model, tests: dict, recall_ks=(1, 2), metric: str = "euclidean") ->
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     if not tests:
         raise ValueError("evaluate: no test sets given")
-    recall_ks = tuple(sorted(set(int(k) for k in recall_ks)))
+    ks = [schema.integer(k, "evaluate: recall_ks") for k in recall_ks]
+    if not ks or min(ks) < 1:
+        raise ValueError(f"evaluate: recall_ks must be non-empty, each k >= 1, got {recall_ks!r}")
+    recall_ks = tuple(sorted(set(ks)))
     domains = {name: _evaluate_domain(model, ds, recall_ks, metric) for name, ds in tests.items()}
     avg = DomainMetrics(
         recall_at={
@@ -162,6 +154,7 @@ def _evaluate_domain(model, ds: DataSet, recall_ks, metric: str) -> DomainMetric
     # gallery columns in id order, so a stable sort breaks ties by id
     by_id = np.argsort(ids, kind="stable")
     gallery = E[by_id].T.copy()
+    gallery_sq = np.einsum("ij,ij->j", gallery, gallery)
     gallery_labels = labels[by_id]
     own_column = np.argsort(by_id)
     _, label_index, class_sizes = np.unique(labels, return_inverse=True, return_counts=True)
@@ -172,10 +165,13 @@ def _evaluate_domain(model, ds: DataSet, recall_ks, metric: str) -> DomainMetric
     rows = max(1, _BLOCK_ENTRIES // n)
     for start in range(0, n, rows):
         block = slice(start, start + rows)
-        order = np.argsort(_distances(E[block], gallery, metric), axis=1, kind="stable")
-        # leave each query out by its own column; ids are unique
-        order = order[order != own_column[block, None]].reshape(-1, n - 1)
-        ranked = gallery_labels[order]
+        # the deepest rank a metric reads, plus one for the query's own column
+        width = max(int(R[block].max()), recall_ks[-1]) + 1
+        order = _first_columns(E[block], gallery, gallery_sq, metric, width)
+        # leave each query out by its own column, else by the last one kept
+        own = order == own_column[block, None]
+        own[:, -1] |= ~own.any(axis=1)
+        ranked = gallery_labels[order[~own].reshape(-1, width - 1)]
         query = labels[block]
         for k in recall_ks:
             recalls[k][block] = recall_at_k(ranked, query, k)
@@ -201,6 +197,75 @@ def _distances(Q: np.ndarray, gallery_t: np.ndarray, metric: str) -> np.ndarray:
     for q_j, g_j in zip(Q.T, gallery_t):
         D += (q_j[:, None] - g_j) ** 2
     return np.sqrt(D)
+
+
+def _first_columns(Q, gallery_t, gallery_sq, metric: str, width: int) -> np.ndarray:
+    """The first `width` columns of each row of a stable argsort of
+    `_distances(Q, gallery_t, metric)`: by distance, then by column.
+
+    Each row is ranked by a key, the distance itself for "geodesic" and
+    A = |q|^2 + |g|^2 - 2 q.g from one BLAS product for "euclidean".  Of
+    the `width` smallest keys and the first one past them, every gap must
+    exceed the row's slack (`_euclidean_slack`, 0 for "geodesic"); then the
+    key order is the distance order and no column past the cut can enter
+    it.  Other rows are ranked again from `_distances` with a stable sort.
+    """
+    n = gallery_t.shape[1]
+    if metric == "geodesic":
+        key = _distances(Q, gallery_t, metric)
+        slack = np.zeros(len(Q))
+    else:
+        q_sq = np.einsum("ij,ij->i", Q, Q)
+        key = Q @ gallery_t
+        key *= -2.0
+        key += gallery_sq
+        key += q_sq[:, None]
+        slack = _euclidean_slack(q_sq, gallery_sq.max(), Q.shape[1])
+    # the `width` smallest keys and, where there is one, the next
+    near = np.argpartition(key, min(width, n - 1), axis=1)[:, : width + 1]
+    near_key = np.take_along_axis(key, near, axis=1)
+    by_key = np.argsort(near_key, axis=1)
+    order = np.take_along_axis(near, by_key[:, :width], axis=1)
+    gaps = np.diff(np.take_along_axis(near_key, by_key, axis=1), axis=1)
+    redo = np.flatnonzero(~(gaps > slack[:, None]).all(axis=1))
+    if redo.size:
+        exact = key[redo] if metric == "geodesic" else _distances(Q[redo], gallery_t, metric)
+        order[redo] = np.argsort(exact, axis=1, kind="stable")[:, :width]
+    return order
+
+
+_UNIT_ROUNDOFF = 2.0**-53
+_MIN_REACH = 2.0**-500  # below it, underflow could outweigh the rounding bound
+
+
+def _euclidean_slack(q_sq, max_gallery_sq, dim: int) -> np.ndarray:
+    """4e per query: the gap each pair of neighbouring keys must exceed.
+
+    e = 2 g_{d+3} (|q| + max|g|)^2 bounds |A - D2|, where D2 is the sum
+    `_distances` takes the root of and A the key, with g_k = k u / (1 - k u)
+    and u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., sec. 3.1: the bounds hold in any summation order and with FMA).
+    Write M = |q| + |g|, S = |q - g|^2 <= M^2 and d for the dimension:
+
+    - D2 adds d terms fl(fl(q_j - g_j)^2) = (q_j - g_j)^2 (1 + t_3) to zero
+      in order, so |D2 - S| <= g_{d+2} S <= g_{d+2} M^2;
+    - |q|^2 and |g|^2 carry a relative error of at most g_d, the product
+      |fl(q.g) - q.g| <= g_d |q| |g|, and the two additions of the key
+      round values below (1 + g_{d+1}) M^2, so |A - S| <= g_{d+2} M^2.
+
+    The extra g_{d+3} - g_{d+2} covers the rounding of the norms that M is
+    computed from.  Two keys a < b of a row whose computed gap exceeds 4e
+    have D2_b - D2_a > 1.99 e once the check's own rounding is taken off,
+    so D2 is in the order of A.  As e >= 8 u M^2, that gap exceeds
+    15 u D2_b, and the exact roots differ by more than 7 u sqrt(D2_b), over
+    3 units in the last place of the larger: sqrt cannot merge the two
+    into one distance, whose tie the column would break.  A query
+    whose M^2 is not finite or is below _MIN_REACH, where underflow could
+    break the relative bounds, gets an infinite slack, which no gap exceeds.
+    """
+    k = (dim + 3) * _UNIT_ROUNDOFF
+    reach = (np.sqrt(q_sq) + np.sqrt(max_gallery_sq)) ** 2
+    return np.where(reach >= _MIN_REACH, 8 * k / (1 - k) * reach, np.inf)
 
 
 def _mean(values) -> float:

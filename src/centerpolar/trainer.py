@@ -339,7 +339,8 @@ def load_checkpoint(path):
 
     Accepts only what `save_checkpoint` writes: a missing, unknown or
     invalid field raises CheckpointError naming it.  The seed must equal
-    the config's and the epoch be >= 0.
+    the config's, the epoch be >= 0, and the layers' output sizes match the
+    config's `hidden_dim` (every layer but the last) and `embed_dim`.
     """
     with open(path) as fh:
         try:
@@ -368,6 +369,11 @@ def load_checkpoint(path):
         seed = schema.integer(payload["seed"], "seed")
         if seed != config.seed:
             raise ValueError(f"seed: {seed} differs from config.seed {config.seed}")
+        for i, layer in enumerate(model.layers):
+            key = "embed_dim" if i == len(model.layers) - 1 else "hidden_dim"
+            size, want = layer.weight.shape[0], getattr(config, key)
+            if size != want:
+                raise ValueError(f"layers[{i}]: {size} outputs differ from config.{key} {want}")
     except ValueError as e:
         raise CheckpointError(f"checkpoint is invalid: {e}") from e
     return model, config, epoch

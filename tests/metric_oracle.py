@@ -1,14 +1,30 @@
-"""Independent retrieval-metric oracle, pure python.
+"""Independent retrieval-metric oracle, pure python, and the full-sort
+reference that `evaluate`'s top-K ranking is held to.
 
-Everything here is written straight from the metric definitions with no
-shared code or numpy: ranking by sorted() on (distance, id) pairs, hit
-counting by explicit loops, and exact rationals via fractions.Fraction next
-to the float-accumulation variants the production code is expected to
-reproduce bit for bit.
+The `oracle_*` functions are written straight from the metric definitions
+with no shared code or numpy: ranking by sorted() on (distance, id) pairs,
+hit counting by explicit loops, and exact rationals via fractions.Fraction
+next to the float-accumulation variants the production code is expected to
+reproduce bit for bit.  `reference_evaluate_domain` is the slow numpy path
+that sorts every whole row; it shares `_distances` and the metric
+functions with the package, so only the ranking differs.
 """
 
 import math
 from fractions import Fraction
+
+import numpy as np
+
+from centerpolar.evaluation import (
+    _BLOCK_ENTRIES,
+    DomainMetrics,
+    _distances,
+    _mean,
+    map_at_r,
+    r_precision,
+    recall_at_k,
+)
+from centerpolar.geometry import EPS_PROJECTION
 
 
 def oracle_recall_at_k(relevance, k):
@@ -118,3 +134,44 @@ def oracle_leave_one_out(vectors, labels, ids, recall_ks=(1, 2)):
         "skipped_zero_relevant": skipped,
     }
     return per_query, means
+
+
+def reference_evaluate_domain(model, ds, recall_ks, metric):
+    """One domain's metrics from a stable argsort of every whole row of
+    `_distances`, with each query's own column dropped; `recall_ks` sorted
+    and unique, as `evaluate` passes them."""
+    n = len(ds)
+    E = model.embed_many(ds.features)
+    ids, labels = ds.ids, ds.labels
+    if metric == "geodesic":
+        norms = np.sqrt((E * E).sum(axis=1))
+        assert (norms > EPS_PROJECTION).all()
+        E = E / norms[:, None]
+    by_id = np.argsort(ids, kind="stable")
+    gallery = E[by_id].T.copy()
+    gallery_labels = labels[by_id]
+    own_column = np.argsort(by_id)
+    _, label_index, class_sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    R = class_sizes[label_index] - 1
+    scored = R > 0
+    recalls = {k: np.empty(n) for k in recall_ks}
+    rp, mp = np.empty(n), np.empty(n)
+    rows = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, n, rows):
+        block = slice(start, start + rows)
+        order = np.argsort(_distances(E[block], gallery, metric), axis=1, kind="stable")
+        order = order[order != own_column[block, None]].reshape(-1, n - 1)
+        ranked = gallery_labels[order]
+        query = labels[block]
+        for k in recall_ks:
+            recalls[k][block] = recall_at_k(ranked, query, k)
+        keep = scored[block]
+        rp[block][keep] = r_precision(ranked[keep], query[keep], R[block][keep])
+        mp[block][keep] = map_at_r(ranked[keep], query[keep], R[block][keep])
+    return DomainMetrics(
+        recall_at={k: _mean(recalls[k].tolist()) for k in recall_ks},
+        r_precision=_mean(rp[scored].tolist()) if scored.any() else 0.0,
+        map_at_r=_mean(mp[scored].tolist()) if scored.any() else 0.0,
+        queries=n,
+        skipped_zero_relevant=int(n - scored.sum()),
+    )

@@ -61,15 +61,21 @@ def train_config_dict(**overrides):
     return d
 
 
-def checkpoint_dict(**overrides):
+def checkpoint_dict(config=TrainConfig(embed_dim=4, hidden_dim=8), **overrides):
+    # layers built from the config it writes, for the 4-dim spec_dict() data
     d = {
-        "config": TrainConfig().to_dict(),
+        "config": config.to_dict(),
         "epoch": 1,
-        "seed": 0,
-        "layers": EncoderModel.default(input_dim=4, embed_dim=4, hidden_dim=8).to_payload(),
+        "seed": config.seed,
+        "layers": EncoderModel.default(4, config.embed_dim, config.hidden_dim).to_payload(),
     }
     d.update(overrides)
     return d
+
+
+def layers_for(**dims):
+    # the layers of checkpoint_dict() for a config of other sizes
+    return checkpoint_dict(TrainConfig(**dims))["layers"]
 
 
 def checkpoint_with_layer(**fields):
@@ -606,6 +612,8 @@ def test_train_byte_identical_across_blas_threads(tmp_path):
         ("eval", checkpoint_dict(note="hi"), "note"),
         ("eval", checkpoint_dict(seed="abc"), "seed"),
         ("eval", checkpoint_dict(seed=1), "seed"),
+        ("eval", checkpoint_dict(layers=layers_for(embed_dim=5, hidden_dim=8)), "embed_dim"),
+        ("eval", checkpoint_dict(layers=layers_for(embed_dim=4, hidden_dim=9)), "hidden_dim"),
         ("eval", checkpoint_with_layer(scale=2.0), "layers[0].scale"),
         ("eval", checkpoint_with_layer(weight_shape=[8.5, 4]), "layers[0].weight_shape"),
         (

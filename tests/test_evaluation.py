@@ -1,23 +1,27 @@
-"""Retrieval metrics against hand values and the pure-python oracle."""
+"""Retrieval metrics against hand values, the pure-python oracle and the
+full-sort reference ranking."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from centerpolar import data, evaluation, experiments, trainer
 from centerpolar.data import DataSet
 from centerpolar.encoder import EncoderModel, Layer
 from centerpolar.evaluation import (
     _BLOCK_ENTRIES,
     _distances,
+    _first_columns,
     evaluate,
     map_at_r,
     r_precision,
-    rank_neighbors,
     recall_at_k,
 )
 from centerpolar.geometry import DegenerateVectorError
-from centerpolar.tensor import Tensor
+from centerpolar.tensor import ShapeError, Tensor
 
 from metric_oracle import (
     oracle_distance,
@@ -28,6 +32,7 @@ from metric_oracle import (
     oracle_r_precision_exact,
     oracle_rank,
     oracle_recall_at_k,
+    reference_evaluate_domain,
 )
 
 
@@ -83,22 +88,39 @@ class TestMetricHandValues:
             fn([1, 1, 0, 0], 1, k)
 
 
-class TestRankNeighbors:
+class TestRanking:
+    """The ranking rule, on `oracle_rank` and through `evaluate`'s metrics."""
+
     def test_single_item_gallery(self):
-        assert list(rank_neighbors([0.0, 0.0], [[1.0, 1.0]])) == [0]
+        assert oracle_rank([0.0, 0.0], [[1.0, 1.0]], [0]) == [0]
+        ds = DataSet([0, 1], [0, 0], ["d"] * 2, [[0.0, 0.0], [1.0, 1.0]])
+        assert evaluate(identity_model(2), {"d": ds}, recall_ks=(1,)).average.recall_at[1] == 1.0
 
     def test_orders_by_distance(self):
         gallery = [[2.0], [1.0], [3.0]]
-        assert list(rank_neighbors([0.0], gallery)) == [1, 0, 2]
+        assert oracle_rank([0.0], gallery, [0, 1, 2]) == [1, 0, 2]
+        # only the query at 2.2 misses: its nearest is the label-0 item at 1
+        ds = line_dataset([0.0, 2.2, 1.0, 3.5], [0, 1, 0, 1])
+        m = evaluate(identity_model(1), {"d": ds}, recall_ks=(1,)).domains["d"]
+        assert m.recall_at[1] == 0.75
 
     def test_ties_break_by_id(self):
         gallery = [[1.0, 0.0], [1.0, 0.0]]
-        assert list(rank_neighbors([0.0, 0.0], gallery)) == [0, 1]
-        assert list(rank_neighbors([0.0, 0.0], gallery, gallery_ids=[9, 4])) == [1, 0]
+        assert oracle_rank([0.0, 0.0], gallery, [0, 1]) == [0, 1]
+        assert oracle_rank([0.0, 0.0], gallery, [9, 4]) == [4, 9]
+        # the query at the origin has two tied neighbors: the label-0 one
+        # comes first only when its id is the smaller; the two tied items
+        # see each other at distance 0 and miss
+        points = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]]
+        for ids, hits in (([0, 4, 9], 1), ([0, 9, 4], 0)):
+            ds = DataSet(ids, [0, 0, 1], ["d"] * 3, points)
+            m = evaluate(identity_model(2), {"d": ds}, recall_ks=(1,)).domains["d"]
+            assert m.recall_at[1] == hits / 3
 
     def test_dim_mismatch(self):
-        with pytest.raises(ValueError, match="gallery shape"):
-            rank_neighbors([0.0, 0.0], [[1.0, 2.0, 3.0]])
+        ds = line_dataset([0.0, 1.0, 2.0], [0, 0, 0])
+        with pytest.raises(ShapeError, match="does not match"):
+            evaluate(identity_model(2), {"d": ds})
 
 
 class TestAgainstOracle:
@@ -194,11 +216,14 @@ class TestAgainstOracle:
             assert m.r_precision == means["r_precision"]
             assert m.map_at_r == means["map_at_r"]
             assert m.skipped_zero_relevant == means["skipped_zero_relevant"]
-            if len(X) <= 30:  # and the one-query ranking, on the small domains
+            if len(X) <= 30:  # and every query's whole ranking, on the small domains
+                by_id = np.argsort(ids, kind="stable")
+                G = X[by_id].T.copy()
+                order = _first_columns(X, G, np.einsum("ij,ij->j", G, G), "euclidean", len(X))
                 for q in range(len(X)):
                     rest = [i for i in range(len(X)) if i != q]
-                    got = rank_neighbors(X[q], X[rest], ids[rest])
-                    assert ids[rest][got].tolist() == oracle_rank(
+                    got = [int(ids[by_id[c]]) for c in order[q] if by_id[c] != q]
+                    assert got == oracle_rank(
                         vectors[q], [vectors[i] for i in rest], ids[rest].tolist()
                     )
 
@@ -364,3 +389,165 @@ class TestReportShapes:
         assert "average" in text
         assert "R@1" in text
         assert text.endswith("\n")
+
+
+class TestRecallKs:
+    # a one-sample domain fails its own check; recall_ks is checked first
+    TINY = {"d": line_dataset([0.0], [0])}
+
+    @pytest.mark.parametrize(
+        "recall_ks, named",
+        [
+            ((), r"got \(\)"),
+            ((1.7,), "1.7"),
+            ((0,), r"got \(0,\)"),
+            ((2, -1), "-1"),
+            ((True,), "True"),
+        ],
+    )
+    def test_rejected_before_any_domain(self, recall_ks, named):
+        with pytest.raises(ValueError, match=named) as err:
+            evaluate(identity_model(1), self.TINY, recall_ks=recall_ks)
+        assert "recall_ks" in str(err.value)
+
+    def test_numpy_integers_accepted(self):
+        ds = line_dataset([0.0, 1.0, 2.0], [0, 0, 0])
+        report = evaluate(identity_model(1), {"d": ds}, recall_ks=(np.int64(2), 1))
+        assert list(report.domains["d"].recall_at) == [1, 2]
+
+
+def assert_matches_reference(model, ds, metric, recall_ks=(1, 2)):
+    got = evaluate(model, {"d": ds}, recall_ks, metric).domains["d"]
+    want = reference_evaluate_domain(model, ds, tuple(sorted(set(recall_ks))), metric)
+    assert got.to_dict() == want.to_dict()
+
+
+def shuffled_domain(gen, X, n_labels):
+    n = len(X)
+    return DataSet(gen.permutation(3 * n)[:n], gen.integers(0, n_labels, size=n), ["d"] * n, X)
+
+
+def one_ulp_triples(gen, count, dim):
+    """Triples q, q + a e_0, q + a e_0 + a 2^-26 e_1, 64 apart along e_2,
+    whose squared distances from q are exactly s = a^2 and the next double
+    above it: the two roots round to one distance, so the tie goes to the
+    smaller id, which the third row of each triple has."""
+    rows = []
+    for i in range(count):
+        a = 2.0 ** int(gen.integers(-3, 4))
+        q = gen.integers(0, 1 << 10, size=dim) / 1024.0 * a
+        q[2] += 64.0 * i
+        g1 = q.copy()
+        g1[0] += a
+        g2 = g1.copy()
+        g2[1] += a * 2.0**-26
+        rows += [q, g1, g2]
+    ids = [3 * (i // 3) + 2 - i % 3 for i in range(len(rows))]
+    return DataSet(ids, [0, 0, 1] * count, ["d"] * len(rows), np.array(rows))
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "geodesic"])
+class TestMatchesReference:
+    """`evaluate`'s top-K ranking against a stable sort of every whole row."""
+
+    def test_real_valued_domain_at_gallery_1999(self, metric):
+        spec = experiments.default_benchmark_spec(seed=0, samples_per_class=500)
+        _train, tests = data.generate_benchmark(spec)
+        ds = next(iter(tests.values()))
+        assert len(ds) == 2000
+        assert_matches_reference(EncoderModel.default(16, seed=0), ds, metric, (1, 2, 4))
+
+    def test_mirrored_triples(self, metric):
+        gen = np.random.default_rng(3)
+        ds = shuffled_domain(gen, mirrored_pairs(gen, 40, 6), 4)
+        assert_matches_reference(identity_model(6), ds, metric)
+
+    def test_duplicated_rows_tie_with_the_own_column(self, metric):
+        gen = np.random.default_rng(4)
+        X = gen.normal(size=(40, 5))
+        ds = shuffled_domain(gen, np.vstack([X, X[:20], X[:5]]), 3)
+        assert_matches_reference(identity_model(5), ds, metric)
+
+    def test_squared_distances_one_ulp_apart(self, metric):
+        ds = one_ulp_triples(np.random.default_rng(5), 30, 4)
+        X = ds.features
+        D = _distances(X[0:1], X[1:3].T, "euclidean")
+        assert D[0, 0] == D[0, 1]  # merged by the square root
+        assert_matches_reference(identity_model(4), ds, metric, (1, 2, 3))
+
+    def test_far_outlier_row(self, metric):
+        gen = np.random.default_rng(6)
+        X = gen.normal(size=(300, 8)) + 3 * gen.integers(0, 2, size=(300, 1))
+        X[17] = 1e4
+        assert_matches_reference(identity_model(8), shuffled_domain(gen, X, 4), metric)
+
+    def test_scaled_copies(self, metric):
+        gen = np.random.default_rng(8)
+        X = gen.normal(size=(50, 4))
+        copies = X[:20] * np.array([2.0, 3.7, 0.5, 1e3] * 5)[:, None]
+        ds = shuffled_domain(gen, np.vstack([X, copies]), 3)
+        assert_matches_reference(identity_model(4), ds, metric)
+
+
+@st.composite
+def tied_domains(draw):
+    """Small domains on a coarse grid, so exact ties in distance and angle
+    abound, with some rows planted again under other ids."""
+    n = draw(st.integers(3, 24))
+    dim = draw(st.integers(1, 4))
+    coords = st.integers(-3, 3).map(lambda v: v / 2.0)
+    rows = draw(st.lists(st.lists(coords, min_size=dim, max_size=dim), min_size=n, max_size=n))
+    copies = draw(st.lists(st.integers(0, n - 1), max_size=n // 2))
+    X = np.array(rows + [rows[i] for i in copies])
+    X[np.abs(X).sum(axis=1) == 0] = 0.5  # no zero rows, for the angle
+    m = len(X)
+    ids = draw(st.permutations(range(2 * m)))[:m]
+    labels = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    ks = draw(st.sets(st.integers(1, m - 1), min_size=1, max_size=3))
+    metric = draw(st.sampled_from(["euclidean", "geodesic"]))
+    return DataSet(ids, labels, ["d"] * m, X), tuple(ks), metric
+
+
+@given(tied_domains(), st.sampled_from([1 << 16, 37]))
+def test_matches_reference_on_tied_domains(case, block_entries):
+    ds, ks, metric = case
+    with pytest.MonkeyPatch.context() as mp:
+        # small blocks give each block its own cut width
+        mp.setattr(evaluation, "_BLOCK_ENTRIES", block_entries)
+        mp.setattr("metric_oracle._BLOCK_ENTRIES", block_entries)
+        assert_matches_reference(identity_model(ds.features.shape[1]), ds, metric, ks)
+
+
+def count_distance_rows(monkeypatch):
+    """Rows given to `evaluation._distances`; on the euclidean path only
+    rows whose key order is not certified get there."""
+    rows = []
+    real = evaluation._distances
+
+    def counted(Q, gallery_t, metric):
+        rows.append(len(Q))
+        return real(Q, gallery_t, metric)
+
+    monkeypatch.setattr(evaluation, "_distances", counted)
+    return rows
+
+
+class TestFastPathTaken:
+    def test_no_fallback_on_the_seed_0_reference_domains(self, monkeypatch):
+        train_set, tests = data.generate_benchmark(experiments.default_benchmark_spec(seed=0))
+        model = trainer.train(train_set, experiments.benchmark_train_config(0, "full")).model
+        rows = count_distance_rows(monkeypatch)
+        report = evaluate(model, tests)
+        assert report.query_count == 2400
+        assert sum(rows) == 0
+
+    def test_planted_duplicate_falls_back_to_the_same_result(self, monkeypatch):
+        gen = np.random.default_rng(9)
+        X = gen.normal(size=(80, 6))
+        X[50] = X[3]
+        ds = shuffled_domain(gen, X, 4)
+        rows = count_distance_rows(monkeypatch)
+        got = evaluate(identity_model(6), {"d": ds}).domains["d"]
+        assert sum(rows) >= 2  # the duplicate and its original
+        monkeypatch.undo()
+        assert got == reference_evaluate_domain(identity_model(6), ds, (1, 2), "euclidean")

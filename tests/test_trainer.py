@@ -1,5 +1,6 @@
 """Trainer: config plumbing, Adam, the two-phase loop, probe, checkpoints."""
 
+import dataclasses
 import json
 import math
 import re
@@ -642,6 +643,15 @@ class TestCheckpoints:
         resaved = tmp_path / "resaved.json"
         save_checkpoint(resaved, model, config, epoch)
         assert resaved.read_text() == PARENT_CHECKPOINT
+
+    @pytest.mark.parametrize("key", ["embed_dim", "hidden_dim"])
+    def test_layer_sizes_must_match_config(self, tmp_path, key):
+        path = tmp_path / "ckpt.json"
+        report = train(toy_dataset(), small_config(total_epochs=0))
+        config = dataclasses.replace(report.config, **{key: getattr(report.config, key) + 1})
+        save_checkpoint(path, report.model, config, epoch=0)
+        with pytest.raises(CheckpointError, match=f"config.{key}"):
+            load_checkpoint(path)
 
     def test_invalid_config_wrapped(self, tmp_path):
         path = tmp_path / "ckpt.json"
