@@ -53,12 +53,26 @@ def geodesic_distance(u, v) -> Tensor:
     return c.acos() / math.pi
 
 
-@dataclass
+@dataclass(frozen=True)
 class CentroidTable:
-    """Per-class mean vectors, frozen at construction."""
+    """Per-class mean vectors, frozen at construction.
 
-    centroids: dict[int, np.ndarray] = field(default_factory=dict)
-    counts: dict[int, int] = field(default_factory=dict)
+    The centroids are stacked once, in ascending class order, into one
+    read-only matrix; `centroids` maps each class to its row.
+    """
+
+    centroids: dict[int, np.ndarray]
+    counts: dict[int, int]
+    _classes: np.ndarray = field(init=False, repr=False, compare=False)
+    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        classes = sorted(self.centroids)
+        matrix = np.stack([self.centroids[c] for c in classes])
+        matrix.flags.writeable = False
+        object.__setattr__(self, "_classes", np.array(classes))
+        object.__setattr__(self, "_matrix", matrix)
+        object.__setattr__(self, "centroids", dict(zip(classes, matrix)))
 
     def vector(self, class_id: int) -> np.ndarray:
         if class_id not in self.centroids:
@@ -67,13 +81,12 @@ class CentroidTable:
 
     def vectors(self, class_ids) -> np.ndarray:
         """The centroid of each class in `class_ids`, as rows."""
-        return np.stack([self.vector(c) for c in class_ids])
-
-    def classes(self) -> list[int]:
-        return sorted(self.centroids)
-
-    def __contains__(self, class_id: int) -> bool:
-        return class_id in self.centroids
+        wanted = np.asarray(class_ids)
+        rows = np.searchsorted(self._classes, wanted).clip(max=len(self._classes) - 1)
+        missing = self._classes[rows] != wanted
+        if missing.any():
+            raise KeyError(f"no centroid for class {wanted[missing.argmax()]}")
+        return self._matrix[rows]
 
 
 def compute_centroids(items) -> CentroidTable:

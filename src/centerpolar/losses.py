@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import CentroidTable, as_tensor, euclidean_distance, geodesic_distance
-from .tensor import Tensor, pair_distances
+from .tensor import Tensor, pair_distances, pair_index
 
 @dataclass(frozen=True)
 class LossConfig:
@@ -106,7 +106,7 @@ def loss_dom(embeddings: Tensor, class_ids, config: LossConfig) -> Tensor:
         raise ValueError(f"loss_dom: need at least 2 samples, got {n}")
     d = pair_distances(embeddings)
     labels = np.asarray(class_ids)
-    i, j = np.triu_indices(n, 1)
+    i, j = pair_index(n)  # the pairs of `d`, in its order
     same = labels[i] == labels[j]
     total = None
     if same.any():

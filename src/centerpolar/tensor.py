@@ -35,9 +35,14 @@ graphs, recorded one row after another, would sum them.  An input that is
 shared by all rows takes the per-row contributions one at a time, from the
 last row to the first.  A row of `pair_distances` takes one contribution
 per partner, in descending partner index.  Such an op hands `backward` an
-ordered `Fold` of contributions for that one input, which it adds to the
-input's running gradient one by one; a single pre-summed array would
-round differently.
+ordered `Fold` of contributions for that one input, a (parts, n) array;
+a single pre-summed array would round differently.  `backward` stacks the
+input's running gradient on top of the parts and adds the stack down its
+leading axis with one `np.add.reduce`.  Along the slow axis of a
+C-contiguous array numpy adds row after row, left to right, as a loop of
+`acc + part` does (pairwise summation, which regroups the terms, runs only
+along the contiguous axis; see the Notes of `numpy.sum`).  A Fold of one
+column is that contiguous axis, so `backward` adds its parts in a loop.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,8 +82,9 @@ class Tape:
 
 
 class Fold:
-    """Gradient contributions of one op to one input, in the order `backward`
-    adds them to the input's running gradient, one at a time."""
+    """Gradient contributions of one op to one input: a (parts, n) array
+    whose rows `backward` adds to the input's running gradient, first row
+    first."""
 
     __slots__ = ("parts",)
 
@@ -449,6 +456,27 @@ class Tensor:
         return _record(out, (self,), vjp, "acos")
 
 
+# index arrays depend on the row count alone; a training run meets a few
+# batch sizes, so a small cache serves every batch after the first
+_INDEX_CACHE = 64
+
+
+def _frozen(*arrays: np.ndarray) -> tuple:
+    # cached arrays are shared by every later call: make them read-only
+    out = tuple(np.ascontiguousarray(a) for a in arrays)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=_INDEX_CACHE)
+def pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row indices (i, j) of the unordered pairs i < j of n rows,
+    in row-major order: `np.triu_indices(n, 1)`.  The one definition of
+    the pair order, for `pair_distances` and whoever reads its output."""
+    return _frozen(*np.triu_indices(n, 1))
+
+
 def pair_distances(rows: Tensor) -> Tensor:
     """Euclidean distance of every unordered pair of rows of a (B, k)
     tensor, as a (P,) tensor.
@@ -465,7 +493,7 @@ def pair_distances(rows: Tensor) -> Tensor:
     if n < 2:
         raise ShapeError(f"pair_distances: need 2 or more rows, got {n}")
     E = rows._row_matrix()
-    i, j = np.triu_indices(n, 1)
+    i, j = pair_index(n)
     diff = E[i] - E[j]
     norm = np.sqrt(_rowdot(diff, diff))
     out = Tensor._wrap(norm, norm.shape)
@@ -483,16 +511,17 @@ def pair_distances(rows: Tensor) -> Tensor:
     return _record(out, (rows,), vjp, "pair_distances")
 
 
+@lru_cache(maxsize=_INDEX_CACHE)
 def _partner_order(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n - 1, n) arrays: at [s, r], the s-th partner q of row r in
-    descending order (q != r) as the row-major pair index of (min, max),
+    """Read-only (n - 1, n) arrays: at [s, r], the s-th partner q of row r
+    in descending order (q != r) as the row-major pair index of (min, max),
     and +1 where r < q, else -1."""
     r = np.arange(n)[:, None]
     q = np.broadcast_to(np.arange(n - 1, -1, -1), (n, n))
     q = q[q != r].reshape(n, n - 1)
     a, b = np.minimum(r, q), np.maximum(r, q)
     pair = a * n - a * (a + 1) // 2 + (b - a - 1)
-    return pair.T, np.where(r < q, 1.0, -1.0).T
+    return _frozen(pair.T, np.where(r < q, 1.0, -1.0).T)
 
 
 def backward(out: Tensor) -> None:
@@ -517,8 +546,14 @@ def backward(out: Tensor) -> None:
             if ig is None:
                 continue
             acc = grads.get(id(t))
-            for part in ig.parts if type(ig) is Fold else (ig,):
-                acc = part if acc is None else acc + part
+            if type(ig) is not Fold:
+                acc = ig if acc is None else acc + ig
+            elif ig.parts.shape[1] > 1:
+                parts = ig.parts if acc is None else np.concatenate((acc[None], ig.parts))
+                acc = np.add.reduce(np.ascontiguousarray(parts), axis=0)
+            else:  # one column: reduce would sum it pairwise
+                for part in ig.parts:
+                    acc = part if acc is None else acc + part
             grads[id(t)] = acc
         for t in inputs:
             if t.requires_grad:

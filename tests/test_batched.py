@@ -30,6 +30,13 @@ from centerpolar.trainer import ABLATIONS, train
 
 BATCHES = [2, 3, 8, 32]
 LAMBDAS = [0.0, 0.75]
+# encoders as (in_dim, embed_dim, hidden_dim); in the two thin ones some
+# parameter takes its per-row gradients as a Fold of one column, which
+# numpy's one-call reduction would sum pairwise: the output bias when
+# embed_dim = 1, the first weight and bias when in_dim = hidden_dim = 1
+WIDE = (5, 4, 7)
+THIN = [(5, 1, 7), (1, 4, 1)]
+THIN_BATCHES = [8, 32, 33]
 
 
 def _grads(build, leaves):
@@ -62,9 +69,13 @@ def _labels(gen, n):
     return labels.tolist()
 
 
-def _model(gen, in_dim=5, embed_dim=4):
+def _model(gen, in_dim=5, embed_dim=4, hidden_dim=7):
     seed = int(gen.integers(1000))
-    return EncoderModel.default(in_dim, embed_dim=embed_dim, hidden_dim=7, seed=seed)
+    return EncoderModel.default(in_dim, embed_dim=embed_dim, hidden_dim=hidden_dim, seed=seed)
+
+
+def _dims_id(dims):
+    return "x".join(map(str, dims))
 
 
 @pytest.mark.parametrize("n", BATCHES)
@@ -93,12 +104,16 @@ def test_loss_dom_single_group():
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)
-@pytest.mark.parametrize("n", BATCHES)
-def test_loss_c4_matches_per_sample_graphs(n, lam):
+@pytest.mark.parametrize(
+    "n, dims",
+    [pytest.param(n, WIDE, id=str(n)) for n in BATCHES]
+    + [pytest.param(n, d, id=f"{n}-{_dims_id(d)}") for d in THIN for n in THIN_BATCHES],
+)
+def test_loss_c4_matches_per_sample_graphs(n, dims, lam):
     gen = np.random.default_rng(100 + n)
-    model = _model(gen)
+    model = _model(gen, *dims)
     labels = _labels(gen, n)
-    X = gen.normal(size=(n, 5))
+    X = gen.normal(size=(n, dims[0]))
     table = compute_centroids(zip(labels, model.embed_many(X)))
     cfg = LossConfig(lam=lam)
     params = model.parameters()
@@ -194,17 +209,33 @@ def test_divergence_in_a_block_names_the_first_sample_alone():
     assert "sample 5" in str(alone.value)
 
 
+def _assert_trains_like_the_oracle(monkeypatch, dataset, cfg):
+    batched = train(dataset, cfg)
+    monkeypatch.setattr(trainer, "loss_c4", oracle_loss_c4)
+    monkeypatch.setattr(trainer, "loss_dom", oracle_loss_dom)
+    monkeypatch.setattr(trainer, "expand_batch", oracle_expand_batch)
+    per_sample = train(dataset, cfg)
+    assert batched.model.checksum() == per_sample.model.checksum()
+    assert batched.epoch_losses == per_sample.epoch_losses
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.75])
 @pytest.mark.parametrize("ablation", ABLATIONS)
 def test_train_with_oracle_losses_gives_the_same_model(monkeypatch, ablation, lam):
     cfg = small_config(ablation=ablation, loss=LossConfig(lam=lam))
-    batched = train(toy_dataset(), cfg)
-    monkeypatch.setattr(trainer, "loss_c4", oracle_loss_c4)
-    monkeypatch.setattr(trainer, "loss_dom", oracle_loss_dom)
-    monkeypatch.setattr(trainer, "expand_batch", oracle_expand_batch)
-    per_sample = train(toy_dataset(), cfg)
-    assert batched.model.checksum() == per_sample.model.checksum()
-    assert batched.epoch_losses == per_sample.epoch_losses
+    _assert_trains_like_the_oracle(monkeypatch, toy_dataset(), cfg)
+
+
+@pytest.mark.parametrize("batch_size", THIN_BATCHES)
+@pytest.mark.parametrize("dims", THIN, ids=_dims_id)
+def test_train_thin_encoder_with_oracle_losses_gives_the_same_model(
+    monkeypatch, dims, batch_size
+):
+    in_dim, embed_dim, hidden_dim = dims
+    centers = [np.linspace(-1.0, 1.0, in_dim) * c for c in (-1.0, 1.0, 0.2)]
+    dataset = toy_dataset(n_per_class=12, centers=centers)
+    cfg = small_config(batch_size=batch_size, embed_dim=embed_dim, hidden_dim=hidden_dim)
+    _assert_trains_like_the_oracle(monkeypatch, dataset, cfg)
 
 
 # -- row primitives -----------------------------------------------------------

@@ -14,6 +14,7 @@ from centerpolar.encoder import EncoderModel, Layer
 from centerpolar.evaluation import (
     _BLOCK_ENTRIES,
     _distances,
+    _euclidean_slack,
     _first_columns,
     evaluate,
     map_at_r,
@@ -551,3 +552,37 @@ class TestFastPathTaken:
         assert sum(rows) >= 2  # the duplicate and its original
         monkeypatch.undo()
         assert got == reference_evaluate_domain(identity_model(6), ds, (1, 2), "euclidean")
+
+
+class TestCertificateSlack:
+    """`_euclidean_slack` is 4e = 8 g_{d+3} (|q| + max|g|)^2, g_k = k u / (1 - k u).
+
+    Norms are chosen whose squares are exact doubles, so the exact slack is
+    a rational number; the computed one may differ only by the handful of
+    roundings `_euclidean_slack` itself makes.
+    """
+
+    U = Fraction(1, 2**53)
+
+    def exact(self, q, g, dim):
+        k = (dim + 3) * self.U
+        return 8 * k / (1 - k) * (Fraction(q) + Fraction(g)) ** 2
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 32, 100, 4093])
+    def test_matches_the_bound_in_exact_arithmetic(self, dim):
+        qs = np.array([0.0, 0.375, 1.0, 3.0, 2.0**-200, 1.5 * 2.0**240])
+        for g in (0.375, 1.0, 7.0, 2.0**-100, 2.0**250):
+            got = _euclidean_slack(qs * qs, g * g, dim)
+            for q, value in zip(qs, got):
+                want = self.exact(q, g, dim)
+                assert abs(Fraction(value) - want) <= 16 * self.U * want, (q, g, dim)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_infinite_below_the_minimum_reach_and_when_not_finite(self):
+        floor = 2.0**-250  # (|q| + |g|)^2 = 2^-500 with |q| = |g| = floor / 2
+        at, below = (floor / 2) ** 2, (floor / 4) ** 2
+        got = _euclidean_slack(np.array([at, below, 0.0]), at, 3)
+        assert np.isfinite(got[0]) and got[0] > 0
+        assert np.isinf(got[1:]).all()  # reaches 2^-500 * 9/16 and 1/4
+        for q_sq, g_sq in ((np.inf, 1), (np.nan, 1), (1, np.inf), (1, np.nan), (1e308, 1e308)):
+            assert _euclidean_slack(np.array([q_sq]), g_sq, 3)[0] == np.inf, (q_sq, g_sq)

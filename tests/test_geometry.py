@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -145,8 +146,9 @@ def test_centroid_two_classes():
     )
     assert table.vector(0).tolist() == [0.5, 0.5]
     assert table.vector(1).tolist() == [5.0, 5.0]
-    assert sorted(table.classes()) == [0, 1]
-    assert 0 in table and 2 not in table
+    assert table.counts == {0: 2, 1: 1}
+    with pytest.raises(KeyError, match="class 2"):
+        table.vector(2)
 
 
 def test_centroid_permutation_stable():
@@ -154,7 +156,8 @@ def test_centroid_permutation_stable():
     items = [(int(i % 3), gen.normal(size=4)) for i in range(12)]
     base = compute_centroids(items)
     perm = compute_centroids([items[i] for i in gen.permutation(12)])
-    for c in base.classes():
+    assert base.counts == perm.counts == {0: 4, 1: 4, 2: 4}
+    for c in base.counts:
         assert np.abs(base.vector(c) - perm.vector(c)).max() < 1e-12
 
 
@@ -172,3 +175,25 @@ def test_centroid_lookup_unknown_class():
     table = compute_centroids([(0, [1.0, 1.0])])
     with pytest.raises(KeyError):
         table.vector(7)
+
+
+def test_centroid_vectors_are_rows_in_the_order_asked():
+    table = compute_centroids([(5, [1.0, 2.0]), (0, [3.0, 4.0]), (2, [5.0, 6.0])])
+    got = table.vectors([2, 5, 5, 0])
+    assert got.tolist() == [[5.0, 6.0], [1.0, 2.0], [1.0, 2.0], [3.0, 4.0]]
+    assert np.array_equal(got, np.stack([table.vector(c) for c in [2, 5, 5, 0]]))
+    got[0, 0] = 9.0  # the rows are the caller's copy
+    assert table.vector(2).tolist() == [5.0, 6.0]
+    # a class between, past or before the stored ones is named
+    for ids, missing in (([0, 3, 9], 3), ([9], 9), ([-1, 0], -1)):
+        with pytest.raises(KeyError, match=f"no centroid for class {missing}"):
+            table.vectors(ids)
+
+
+def test_centroid_table_is_frozen():
+    table = compute_centroids([(0, [1.0, 1.0]), (1, [2.0, 0.0])])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.counts = {}
+    with pytest.raises(ValueError, match="read-only"):
+        table.vector(0)[0] = 5.0
+    assert table.vectors([0, 1]).tolist() == [[1.0, 1.0], [2.0, 0.0]]

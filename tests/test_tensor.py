@@ -11,8 +11,10 @@ from centerpolar.tensor import (
     Tape,
     TapeError,
     Tensor,
+    _partner_order,
     backward,
     grad_check,
+    pair_index,
     record,
 )
 
@@ -193,6 +195,51 @@ def test_fan_out_grads_sum_within_one_tape():
         y = x * 3.0 + x * 5.0
         backward(y.sum())
     assert x.grad.tolist() == [8.0]
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_fold_adds_onto_the_running_gradient_row_by_row(k):
+    # a row shared by 40 rows takes them last to first, onto what the later
+    # `dot` gave it first; magnitudes 1e-8..1e8 make any regrouping show
+    gen = np.random.default_rng(k)
+    G = gen.normal(size=(40, k)) * 10.0 ** gen.integers(-8, 9, size=(40, k))
+    h = gen.normal(size=k)
+    with record():
+        b = Tensor(np.zeros(k), requires_grad=True)
+        backward(((Tensor(np.zeros((40, k))) + b) * Tensor(G)).sum() + b.dot(Tensor(h)))
+    acc = h
+    for row in G[::-1]:
+        acc = acc + row
+    assert np.array_equal(b.grad, acc)
+
+
+def _partner_order_by_loop(n):
+    # the docstring of `_partner_order`, one row and one partner at a time
+    position = {pair: p for p, pair in enumerate(zip(*np.triu_indices(n, 1)))}
+    pair, sign = np.empty((n - 1, n), dtype=np.intp), np.empty((n - 1, n))
+    for r in range(n):
+        partners = [q for q in range(n - 1, -1, -1) if q != r]
+        for s, q in enumerate(partners):
+            pair[s, r] = position[(min(r, q), max(r, q))]
+            sign[s, r] = 1.0 if r < q else -1.0
+    return pair, sign
+
+
+def test_cached_index_arrays_match_their_definitions_and_are_read_only():
+    for n in range(2, 41):
+        i, j = pair_index(n)
+        want_i, want_j = np.triu_indices(n, 1)
+        assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+        pair, sign = _partner_order(n)
+        want_pair, want_sign = _partner_order_by_loop(n)
+        assert np.array_equal(pair, want_pair) and np.array_equal(sign, want_sign)
+        assert pair_index(n)[0] is i and _partner_order(n)[0] is pair  # cached
+        # every later batch of this size reads these arrays
+        for a in (i, j, pair, sign):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[-1]
+            with pytest.raises(ValueError, match="read-only"):
+                a += a
 
 
 def test_detach_shares_storage_but_blocks_grads():
