@@ -25,6 +25,8 @@ def main() -> None:
     parser.add_argument("--epochs", type=int, default=None, help="training epochs per run")
     parser.add_argument("--out", default=None, help="optional JSON output path")
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error(f"--seeds must be >= 1, got {args.seeds}")
 
     kwargs = {}
     if args.lambdas is not None:

@@ -132,8 +132,7 @@ class EncoderModel:
             )
         H = X
         for layer in self.layers:
-            W = layer.weight.data.reshape(layer.weight.shape)
-            H = H @ W.T + layer.bias.data
+            H = H @ layer.weight.data.T + layer.bias.data
             if layer.activation == "tanh":
                 H = np.tanh(H)
             elif layer.activation == "relu":
@@ -201,9 +200,9 @@ class EncoderModel:
         return cls(layers)
 
 
-def _encode_array(flat: np.ndarray) -> str:
-    # little-endian float64 bytes, base64; bit-exact round trip
-    return base64.b64encode(flat.astype("<f8").tobytes()).decode("ascii")
+def _encode_array(values: np.ndarray) -> str:
+    # little-endian float64 bytes in row-major order, base64; bit-exact round trip
+    return base64.b64encode(values.astype("<f8").tobytes()).decode("ascii")
 
 
 def _decode_array(text: str, path: str) -> np.ndarray:

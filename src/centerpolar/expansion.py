@@ -111,10 +111,13 @@ def expansion_trajectory(
 
     Returns iterations+1 rows (iteration, d_geo, d_euclid, loss), row 0
     describing the unperturbed input.  `iterations` overrides the config
-    (0 is allowed here and yields the single initial row).
+    (0 is allowed here and yields the single initial row); anything but a
+    nonnegative integer raises ValueError.
     """
     x, class_id = sample
-    n_iter = econfig.iterations_te if iterations is None else int(iterations)
+    n_iter = econfig.iterations_te
+    if iterations is not None:
+        n_iter = schema.integer(iterations, "iterations")
     if n_iter < 0:
         raise ValueError(f"iterations must be >= 0, got {n_iter}")
     sink: list = []
@@ -184,7 +187,7 @@ def _descend(ids, x0, class_ids, model, centroids, iterations, step_size, lconfi
         except (DomainError, FloatingPointError) as e:
             # a non-finite embedding means the iterate already ran away
             raise diverged(t, e) from e
-        g = xt.grad.reshape(x_cur.shape)
+        g = xt.grad
         if not np.isfinite(g).all():
             raise diverged(t, "non-finite gradient")
         with np.errstate(over="ignore", invalid="ignore"):

@@ -33,7 +33,7 @@ def project_to_sphere(v) -> Tensor:
     short = n.data <= EPS_PROJECTION
     if short.any():
         raise DegenerateVectorError(
-            f"cannot project vector with norm {n.data[short.argmax()]:.3e} (<= {EPS_PROJECTION})"
+            f"cannot project vector with norm {n.data[short][0]:.3e} (<= {EPS_PROJECTION})"
         )
     return v / n
 

@@ -122,14 +122,15 @@ def loss_dis(embedding: Tensor, centroid) -> Tensor:
     return geodesic_distance(centroid, embedding)
 
 
-def loss_c4(x, class_ids, model, centroids: CentroidTable, config: LossConfig) -> Tensor:
+def loss_c4(x, class_ids, model, centroids: CentroidTable | None, config: LossConfig) -> Tensor:
     """Contrastive term plus lambda-weighted centripetal term over a batch.
 
     `x` holds the (B, d) inputs, originals and expanded samples alike, and
     `class_ids` their classes; expanded samples inherit the centroids of
-    their class.  Both terms read the one embedding stack; the centripetal
-    term is recorded last, so each row sums its centripetal gradient first
-    and its pair gradients onto it, as per-sample graphs do.
+    their class, and at lambda 0 the table is not read and may be None.
+    Both terms read the one embedding stack; the centripetal term is
+    recorded last, so each row sums its centripetal gradient first and its
+    pair gradients onto it, as per-sample graphs do.
     """
     if len(x) < 2:
         raise ValueError(f"loss_c4: need at least 2 samples, got {len(x)}")

@@ -1,19 +1,19 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-Storage is a flat row-major float64 array plus a shape tuple.  Ops record
-onto the active tape (see `record`) when any operand participates in it;
-`backward` replays the tape in reverse execution order, which makes
-gradients bitwise reproducible for a fixed graph.  The active tape is per
-thread and per async context, so concurrent runs in one process keep
-separate graphs.
+A tensor's `data` is a float64 array in the tensor's own shape, and each
+gradient has the shape of its tensor.  Ops record onto the active tape
+(see `record`) when any operand participates in it; `backward` replays the
+tape in reverse execution order, which makes gradients bitwise
+reproducible for a fixed graph.  The active tape is per thread and per
+async context, so concurrent runs in one process keep separate graphs.
 
 Recording.  Every op computes its output, then returns it through
 `_record` with its tensor inputs and a vjp.  An input takes part when it
 requires a gradient or was itself recorded on the active tape; `_record`
 stores which inputs do as `needs`, and records nothing when none does.
 `backward` calls `vjp(g, needs)`, which returns one gradient per input,
-None where `needs` is false.  A plain-number operand is a constant: it
-is not an input and takes no gradient.
+None where `needs` is false.  A plain-number operand of an arithmetic op
+becomes a constant 0-d tensor, which takes no gradient.
 
 Rows.  The leading axis of a 2-D tensor is the sample: a (B, k) tensor is
 a batch of B rows, and every op gives each row exactly the bits it gives
@@ -35,14 +35,15 @@ graphs, recorded one row after another, would sum them.  An input that is
 shared by all rows takes the per-row contributions one at a time, from the
 last row to the first.  A row of `pair_distances` takes one contribution
 per partner, in descending partner index.  Such an op hands `backward` an
-ordered `Fold` of contributions for that one input, a (parts, n) array;
-a single pre-summed array would round differently.  `backward` stacks the
-input's running gradient on top of the parts and adds the stack down its
-leading axis with one `np.add.reduce`.  Along the slow axis of a
-C-contiguous array numpy adds row after row, left to right, as a loop of
+ordered `Fold` of contributions for that one input, a (parts, *shape)
+array; a single pre-summed array would round differently.  `backward`
+stacks the input's running gradient on top of the parts and adds the stack
+down its leading axis with one `np.add.reduce`.  Along the slow axis of a
+C-contiguous array numpy adds part after part, left to right, as a loop of
 `acc + part` does (pairwise summation, which regroups the terms, runs only
-along the contiguous axis; see the Notes of `numpy.sum`).  A Fold of one
-column is that contiguous axis, so `backward` adds its parts in a loop.
+along the contiguous axis; see the Notes of `numpy.sum`).  When each part
+holds one element the leading axis is that contiguous axis, so `backward`
+adds those parts in a loop.
 """
 
 from __future__ import annotations
@@ -82,9 +83,9 @@ class Tape:
 
 
 class Fold:
-    """Gradient contributions of one op to one input: a (parts, n) array
-    whose rows `backward` adds to the input's running gradient, first row
-    first."""
+    """Gradient contributions of one op to one input: a (parts, *input
+    shape) array whose parts `backward` adds to the input's running
+    gradient, first part first."""
 
     __slots__ = ("parts",)
 
@@ -123,17 +124,13 @@ def _record(out: "Tensor", inputs: tuple, vjp, name: str) -> "Tensor":
     return out
 
 
-def _broadcast(op: str, sa: tuple, sb: tuple) -> tuple:
-    if sa == sb or sb == ():
-        return sa
-    if sa == ():
-        return sb
+def _check_broadcast(op: str, sa: tuple, sb: tuple) -> None:
+    if sa == sb or sa == () or sb == ():
+        return
     if len(sa) == len(sb) == 2 and sa[0] == sb[0] and 1 in (sa[1], sb[1]):
-        return (sa[0], max(sa[1], sb[1]))  # a column against rows
-    if len(sa) == 2 and sb == sa[1:]:
-        return sa  # one row shared by all rows
-    if len(sb) == 2 and sa == sb[1:]:
-        return sb
+        return  # a column against rows
+    if len(sa) == 2 and sb == sa[1:] or len(sb) == 2 and sa == sb[1:]:
+        return  # one row shared by all rows
     raise ShapeError(
         f"{op}: shapes {sa} and {sb} are incompatible (equal shapes, a scalar, "
         "a column against rows, or one row against rows)"
@@ -143,70 +140,69 @@ def _broadcast(op: str, sa: tuple, sb: tuple) -> tuple:
 def _reduce_to(g: np.ndarray, shape: tuple):
     """Gradient of an operand of `shape` from the output gradient `g`."""
     if g.shape == shape:
-        return g.ravel()
+        return g
     if shape == ():
-        return np.array([g.sum()])
+        return g.sum()
     if len(shape) == g.ndim:
-        return g.sum(axis=-1)  # a column: one sum per row
+        return g.sum(axis=-1, keepdims=True)  # a column: one sum per row
     return Fold(g[::-1])  # a shared row: per-row contributions, last row first
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # (R, k) x (R, k) -> (R,): each row as np.dot computes it; einsum and
-    # (a * b).sum(1) round differently
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    # each row's dot product as np.dot computes it, in the row shape:
+    # (k,) -> (), (R, k) -> (R, 1); einsum and (a * b).sum(-1) round differently
+    if a.ndim == 1:
+        return a @ b
+    return (a[:, None, :] @ b[:, :, None])[:, 0]
 
 
-def _row_shape(shape: tuple) -> tuple:
-    # a per-row value: a scalar for one row, a column for a stack of rows
-    return () if len(shape) == 1 else (shape[0], 1)
-
-
-def _scatter_rows(n_rows: int, index, values: np.ndarray) -> np.ndarray:
-    # -0.0 is the additive identity (x + -0.0 == x for every x, +0.0
-    # included), so the padding leaves each row's gradient bits unchanged
-    out = np.full((n_rows, values.shape[-1]), -0.0)
-    np.add.at(out, index, values)
-    return out.ravel()
+def _norm_grad(g, norm, rows: np.ndarray) -> np.ndarray:
+    # gradient of each row's norm, with subgradient 0 at the cone tip
+    zero = norm == 0.0
+    grad = g / np.where(zero, 1.0, norm) * rows
+    np.copyto(grad, 0.0, where=zero)
+    return grad
 
 
 class Tensor:
-    __slots__ = ("shape", "data", "requires_grad", "grad", "_tape")
+    __slots__ = ("data", "requires_grad", "grad", "_tape")
 
     def __init__(self, values, requires_grad: bool = False):
-        arr = np.array(values, dtype=np.float64, order="C")
-        self.shape = arr.shape
-        self.data = arr.reshape(-1)
+        self.data = np.array(values, dtype=np.float64, order="C")
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._tape: Tape | None = None
 
     @classmethod
-    def _wrap(cls, data: np.ndarray, shape: tuple) -> "Tensor":
-        # internal: takes ownership of `data`, no copy, no validation
+    def _wrap(cls, data) -> "Tensor":
+        # internal: takes ownership of `data`, no copy, no validation; a
+        # ufunc on 0-d arrays returns a numpy scalar, kept as a 0-d array
         t = object.__new__(cls)
-        t.shape = shape
-        t.data = data if data.ndim == 1 else data.ravel()
+        t.data = np.asarray(data)
         t.requires_grad = False
         t.grad = None
         t._tape = None
         return t
 
     @property
+    def shape(self) -> tuple:
+        return self.data.shape
+
+    @property
     def size(self) -> int:
-        return self.data.shape[0]
+        return self.data.size
 
     def numpy(self) -> np.ndarray:
-        return self.data.reshape(self.shape).copy()
+        return self.data.copy()
 
     def item(self) -> float:
         if self.size != 1:
             raise ShapeError(f"item: tensor of shape {self.shape} is not a scalar")
-        return float(self.data[0])
+        return self.data.item()
 
     def detach(self) -> "Tensor":
         # shares storage, drops grad tracking; ops never mutate inputs
-        return Tensor._wrap(self.data, self.shape)
+        return Tensor._wrap(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -215,107 +211,66 @@ class Tensor:
         """Length of the leading axis: the number of rows of a stack."""
         if self.shape == ():
             raise TypeError("len() of a 0-d tensor")
-        return self.shape[0]
-
-    def _row_matrix(self) -> np.ndarray:
-        # the data as (rows, row length); a 1-D tensor is one row
-        return self.data.reshape(-1, self.shape[-1])
+        return len(self.data)
 
     # -- binary arithmetic ------------------------------------------------
 
-    def _binary(self, other: "Tensor", name: str, fn, vjp) -> "Tensor":
-        oshape = _broadcast(name, self.shape, other.shape)
-        a = self.data.reshape(self.shape)
-        b = other.data.reshape(other.shape)
-        out = Tensor._wrap(np.asarray(fn(a, b)).ravel(), oshape)
-        sa, sb = self.shape, other.shape
+    def _binary(self, other, name: str, fn, vjp) -> "Tensor":
+        if not isinstance(other, Tensor):
+            other = Tensor(float(other))  # a constant: it never needs a gradient
+        a, b = self.data, other.data
+        _check_broadcast(name, a.shape, b.shape)
 
         def back(g, needs):
-            ga, gb = vjp(g.reshape(oshape), a, b)
+            ga, gb = vjp(g, a, b)
             return (
-                _reduce_to(ga, sa) if needs[0] else None,
-                _reduce_to(gb, sb) if needs[1] else None,
+                _reduce_to(ga, a.shape) if needs[0] else None,
+                _reduce_to(gb, b.shape) if needs[1] else None,
             )
 
-        return _record(out, (self, other), back, name)
-
-    def _scalar(self, data: np.ndarray, name: str, vjp) -> "Tensor":
-        # an op with a plain-number operand: self is its one input
-        return _record(Tensor._wrap(data, self.shape), (self,), vjp, name)
+        return _record(Tensor._wrap(fn(a, b)), (self, other), back, name)
 
     def __add__(self, other):
-        if isinstance(other, Tensor):
-            return self._binary(other, "add", np.add, lambda g, a, b: (g, g))
-        return self._scalar(self.data + float(other), "add", lambda g, _: (g,))
+        return self._binary(other, "add", np.add, lambda g, a, b: (g, g))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return self._binary(other, "sub", np.subtract, lambda g, a, b: (g, -g))
-        return self._scalar(self.data - float(other), "sub", lambda g, _: (g,))
+        return self._binary(other, "sub", np.subtract, lambda g, a, b: (g, -g))
 
     def __rsub__(self, other):
-        return self._scalar(float(other) - self.data, "rsub", lambda g, _: (-g,))
+        return Tensor(float(other)) - self
 
     def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return self._binary(other, "mul", np.multiply, lambda g, a, b: (g * b, g * a))
-        c = float(other)
-        return self._scalar(self.data * c, "mul", lambda g, _: (g * c,))
+        return self._binary(other, "mul", np.multiply, lambda g, a, b: (g * b, g * a))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return self._binary(
-                other, "div", np.divide, lambda g, a, b: (g / b, -g * a / (b * b))
-            )
-        c = float(other)
-        return self._scalar(self.data / c, "div", lambda g, _: (g / c,))
+        return self._binary(other, "div", np.divide, lambda g, a, b: (g / b, -g * a / (b * b)))
 
     def __neg__(self):
         return self * -1.0
-
-    def matmul(self, v: "Tensor") -> "Tensor":
-        """(m, n) matrix times a (n,) vector, as one numpy matrix product."""
-        if not isinstance(v, Tensor):
-            raise TypeError("matmul: both operands must be tensors")
-        sa, sb = self.shape, v.shape
-        if len(sa) != 2 or len(sb) != 1 or sa[1] != sb[0]:
-            raise ShapeError(f"matmul: shapes {sa} and {sb} are not (m, n) and (n,)")
-        A = self.data.reshape(sa)
-        B = v.data
-        out = Tensor._wrap(A @ B, (sa[0],))
-
-        def vjp(g, needs):
-            ga = np.outer(g, B).ravel() if needs[0] else None
-            gb = (A.T @ g).ravel() if needs[1] else None
-            return ga, gb
-
-        return _record(out, (self, v), vjp, "matmul")
 
     def matvec(self, x: "Tensor") -> "Tensor":
         """(m, n) matrix times each row of x: (n,) -> (m,), (B, n) -> (B, m)."""
         if not isinstance(x, Tensor):
             raise TypeError("matvec: both operands must be tensors")
-        sw, sx = self.shape, x.shape
-        if len(sw) != 2 or len(sx) not in (1, 2) or sx[-1] != sw[1]:
-            raise ShapeError(f"matvec: shapes {sw} and {sx} do not give a matrix and rows")
-        W = self.data.reshape(sw)
-        X = x._row_matrix()
+        W, X = self.data, x.data
+        if W.ndim != 2 or X.ndim not in (1, 2) or X.shape[-1] != W.shape[1]:
+            raise ShapeError(
+                f"matvec: shapes {W.shape} and {X.shape} do not give a matrix and rows"
+            )
         # a stack of matrix-vector products, one gemv per row, so each row
         # gets the bits of W @ x; one X @ W.T gemm rounds differently
-        Y = np.matmul(W, X[:, :, None])[:, :, 0]
-        out = Tensor._wrap(Y.ravel(), sx[:-1] + (sw[0],))
+        out = Tensor._wrap((W @ X[..., None])[..., 0])
 
         def vjp(g, needs):
-            G = g.reshape(-1, sw[0])
-            gw = None
-            if needs[0]:  # outer products, last row first
-                outer = G[::-1, :, None] * X[::-1, None, :]
-                gw = Fold(outer.reshape(len(G), -1))
-            gx = np.matmul(W.T, G[:, :, None])[:, :, 0].ravel() if needs[1] else None
+            gw = gx = None
+            if needs[0]:  # outer products; for rows one per row, last row first
+                gw = np.outer(g, X) if X.ndim == 1 else Fold(g[::-1, :, None] * X[::-1, None, :])
+            if needs[1]:
+                gx = (W.T @ g[..., None])[..., 0]
             return gw, gx
 
         return _record(out, (self, x), vjp, "matvec")
@@ -324,93 +279,74 @@ class Tensor:
         """Row-wise dot product: (k,) -> (), (B, k) -> (B, 1)."""
         if not isinstance(other, Tensor):
             raise TypeError("dot: both operands must be tensors")
-        if len(self.shape) not in (1, 2) or self.shape != other.shape:
-            raise ShapeError(
-                f"dot: shapes {self.shape} and {other.shape} must be equal 1-D or 2-D"
-            )
-        A, B = self._row_matrix(), other._row_matrix()
-        out = Tensor._wrap(_rowdot(A, B), _row_shape(self.shape))
+        A, B = self.data, other.data
+        if A.ndim not in (1, 2) or A.shape != B.shape:
+            raise ShapeError(f"dot: shapes {A.shape} and {B.shape} must be equal 1-D or 2-D")
 
         def vjp(g, needs):
-            G = g[:, None]
-            return ((G * B).ravel() if needs[0] else None, (G * A).ravel() if needs[1] else None)
+            return (g * B if needs[0] else None, g * A if needs[1] else None)
 
-        return _record(out, (self, other), vjp, "dot")
+        return _record(Tensor._wrap(_rowdot(A, B)), (self, other), vjp, "dot")
 
     # -- reductions --------------------------------------------------------
 
     def sum(self, axis: int | None = None) -> "Tensor":
         """Sum of all elements, or with axis=-1 of each row (a column for rows)."""
+        A = self.data
         if axis is None:
-            out = Tensor._wrap(np.array([self.data.sum()]), ())
-            n = self.size
-
-            def vjp(g, _):
-                return (np.full(n, g[0]),)
-
-        elif axis == -1 and len(self.shape) in (1, 2):
-            A = self._row_matrix()
-            out = Tensor._wrap(A.sum(axis=-1), _row_shape(self.shape))
-            k = A.shape[1]
-
-            def vjp(g, _):
-                return (np.repeat(g, k),)
-
+            total = A.sum()
+        elif axis == -1 and A.ndim in (1, 2):
+            total = A.sum(axis=-1, keepdims=A.ndim == 2)
         else:
-            raise ShapeError(f"sum: axis {axis} of shape {self.shape} (None or -1 only)")
-        return _record(out, (self,), vjp, "sum")
+            raise ShapeError(f"sum: axis {axis} of shape {A.shape} (None or -1 only)")
+        return _record(Tensor._wrap(total), (self,), lambda g, _: (np.full(A.shape, g),), "sum")
 
     def mean(self) -> "Tensor":
         """Mean over the leading axis, adding rows left to right."""
-        if self.shape == ():
+        A = self.data
+        if A.ndim == 0:
             raise ShapeError("mean: tensor has no leading axis")
-        n = self.shape[0]
+        n = float(len(A))
         if n == 0:
             raise ShapeError("mean: tensor has no elements")
-        A = self.data.reshape(n, -1)
         total = np.add.accumulate(A, axis=0)[-1]  # a running sum, row by row
-        out = Tensor._wrap(total / float(n), self.shape[1:])
-
-        def vjp(g, _):
-            return (np.tile(g / float(n), n),)
-
-        return _record(out, (self,), vjp, "mean")
+        return _record(
+            Tensor._wrap(total / n), (self,), lambda g, _: (np.full(A.shape, g / n),), "mean"
+        )
 
     def l2_norm(self) -> "Tensor":
         """Row-wise Euclidean norm: (k,) -> (), (B, k) -> (B, 1)."""
-        if len(self.shape) not in (1, 2):
-            raise ShapeError(f"l2_norm: shape {self.shape} is not 1-D or 2-D")
-        A = self._row_matrix()
+        A = self.data
+        if A.ndim not in (1, 2):
+            raise ShapeError(f"l2_norm: shape {A.shape} is not 1-D or 2-D")
         norm = np.sqrt(_rowdot(A, A))
-        out = Tensor._wrap(norm, _row_shape(self.shape))
 
         def vjp(g, _):
-            zero = norm == 0.0
-            ga = (g / np.where(zero, 1.0, norm))[:, None] * A
-            ga[zero] = 0.0  # subgradient 0 at the cone tip
-            return (ga.ravel(),)
+            return (_norm_grad(g, norm, A),)
 
-        return _record(out, (self,), vjp, "l2_norm")
+        return _record(Tensor._wrap(norm), (self,), vjp, "l2_norm")
 
     def take(self, index) -> "Tensor":
         """Rows (or elements, for 1-D) at `index` along the leading axis."""
-        if self.shape == ():
+        A = self.data
+        if A.ndim == 0:
             raise ShapeError("take: tensor has no leading axis")
         index = np.asarray(index, dtype=np.intp)
-        n = self.shape[0]
-        A = self.data.reshape(n, -1)
-        out = Tensor._wrap(A[index].ravel(), (len(index),) + self.shape[1:])
 
         def vjp(g, _):
-            return (_scatter_rows(n, index, g.reshape(len(index), -1)),)
+            # -0.0 is the additive identity (x + -0.0 == x for every x, +0.0
+            # included), so the padding leaves each row's gradient bits unchanged
+            ga = np.full(A.shape, -0.0)
+            np.add.at(ga, index, g)
+            return (ga,)
 
-        return _record(out, (self,), vjp, "take")
+        return _record(Tensor._wrap(A[index]), (self,), vjp, "take")
 
     # -- elementwise unaries -----------------------------------------------
 
     def relu(self) -> "Tensor":
         mask = self.data > 0.0  # subgradient at 0 is 0
-        out = Tensor._wrap(np.where(mask, self.data, 0.0), self.shape)
+        out = Tensor._wrap(np.where(mask, self.data, 0.0))
 
         def vjp(g, _):
             return (g * mask,)
@@ -419,7 +355,7 @@ class Tensor:
 
     def tanh(self) -> "Tensor":
         y = np.tanh(self.data)
-        out = Tensor._wrap(y, self.shape)
+        out = Tensor._wrap(y)
 
         def vjp(g, _):
             return (g * (1.0 - y * y),)
@@ -428,7 +364,7 @@ class Tensor:
 
     def square(self) -> "Tensor":
         ad = self.data
-        out = Tensor._wrap(ad * ad, self.shape)
+        out = Tensor._wrap(ad * ad)
 
         def vjp(g, _):
             return (g * (2.0 * ad),)
@@ -445,7 +381,7 @@ class Tensor:
         snapped = np.where(
             ad >= 1.0 - EPS_ACOS, 1.0, np.where(ad <= -1.0 + EPS_ACOS, -1.0, ad)
         )
-        out = Tensor._wrap(np.arccos(snapped), self.shape)
+        out = Tensor._wrap(np.arccos(snapped))
         mask = np.abs(ad) < 1.0 - EPS_ACOS
 
         def vjp(g, _):
@@ -487,28 +423,24 @@ def pair_distances(rows: Tensor) -> Tensor:
     per partner, in descending partner index, as that loop's reversed tape
     would add them.
     """
-    if len(rows.shape) != 2:
-        raise ShapeError(f"pair_distances: shape {rows.shape} is not (B, k)")
-    n = rows.shape[0]
+    E = rows.data
+    if E.ndim != 2:
+        raise ShapeError(f"pair_distances: shape {E.shape} is not (B, k)")
+    n = len(E)
     if n < 2:
         raise ShapeError(f"pair_distances: need 2 or more rows, got {n}")
-    E = rows._row_matrix()
     i, j = pair_index(n)
     diff = E[i] - E[j]
     norm = np.sqrt(_rowdot(diff, diff))
-    out = Tensor._wrap(norm, norm.shape)
 
     def vjp(g, _):
-        zero = norm == 0.0
-        contrib = (g / np.where(zero, 1.0, norm))[:, None] * diff
-        contrib[zero] = 0.0  # subgradient 0 at the cone tip
+        contrib = _norm_grad(g[:, None], norm, diff)
         # as the first operand of e_i - e_j a row takes +c, as the second
         # -c; step s adds every row's s-th partner
         pair, sign = _partner_order(n)
-        steps = contrib[pair] * sign[:, :, None]
-        return (Fold(steps.reshape(n - 1, -1)),)
+        return (Fold(contrib[pair] * sign[:, :, None]),)
 
-    return _record(out, (rows,), vjp, "pair_distances")
+    return _record(Tensor._wrap(norm[:, 0]), (rows,), vjp, "pair_distances")
 
 
 @lru_cache(maxsize=_INDEX_CACHE)
@@ -534,7 +466,7 @@ def backward(out: Tensor) -> None:
         raise TapeError("backward: output was not produced under an active tape")
     if out.size != 1:
         raise TapeError(f"backward: output must be a scalar, got shape {out.shape}")
-    grads: dict[int, np.ndarray] = {id(out): np.ones(1)}
+    grads: dict[int, np.ndarray] = {id(out): np.ones(out.shape)}
     holders: dict[int, Tensor] = {}
     if out.requires_grad:
         holders[id(out)] = out
@@ -548,10 +480,10 @@ def backward(out: Tensor) -> None:
             acc = grads.get(id(t))
             if type(ig) is not Fold:
                 acc = ig if acc is None else acc + ig
-            elif ig.parts.shape[1] > 1:
+            elif math.prod(ig.parts.shape[1:]) > 1:
                 parts = ig.parts if acc is None else np.concatenate((acc[None], ig.parts))
                 acc = np.add.reduce(np.ascontiguousarray(parts), axis=0)
-            else:  # one column: reduce would sum it pairwise
+            else:  # one element per part: reduce would sum them pairwise
                 for part in ig.parts:
                     acc = part if acc is None else acc + part
             grads[id(t)] = acc
@@ -561,7 +493,7 @@ def backward(out: Tensor) -> None:
     for t in holders.values():
         new = grads.get(id(t))
         if new is not None:
-            t.grad = new.copy()
+            t.grad = np.array(new)  # a copy, and an array for a 0-d input too
 
 
 def grad_check(f, x: Tensor, h: float = 1e-5) -> float:
@@ -582,17 +514,18 @@ def grad_check(f, x: Tensor, h: float = 1e-5) -> float:
             analytic = np.zeros(x.size)  # f is constant in x
         else:
             backward(y)
-            analytic = x.grad.copy() if x.grad is not None else np.zeros(x.size)
-    if not np.isfinite(float(y.data[0])):
+            analytic = x.grad.ravel() if x.grad is not None else np.zeros(x.size)
+    if not np.isfinite(y.item()):
         raise FloatingPointError("grad_check: f returned a non-finite value")
+    coords = x.data.flat  # writes go through to x
     numeric = np.empty(x.size)
     for i in range(x.size):
-        orig = x.data[i]
-        x.data[i] = orig + h
-        hi = float(f(x).data[0])
-        x.data[i] = orig - h
-        lo = float(f(x).data[0])
-        x.data[i] = orig
+        orig = coords[i]
+        coords[i] = orig + h
+        hi = f(x).item()
+        coords[i] = orig - h
+        lo = f(x).item()
+        coords[i] = orig
         if not (math.isfinite(hi) and math.isfinite(lo)):
             raise FloatingPointError(
                 f"grad_check: f returned a non-finite value at coordinate {i}"

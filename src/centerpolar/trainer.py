@@ -1,12 +1,13 @@
 """Two-phase training loop.
 
-Each epoch recomputes class centroids from the current encoder (frozen
-within the epoch).  On scheduled epochs the inputs are expanded from a
-persistent per-sample buffer that carries over between rounds, and the
-working set becomes originals plus the freshest expanded copies.  The
-encoder is then updated by Adam on the phase-two loss over class-balanced
-batches: the full objective, or plain contrastive when the centripetal
-term is ablated.
+An epoch that reads class centroids recomputes them from the current
+encoder (frozen within the epoch): an expansion epoch, or any epoch when
+the centripetal term has a nonzero weight.  On scheduled epochs the
+inputs are expanded from a persistent per-sample buffer that carries over
+between rounds, and the working set becomes originals plus the freshest
+expanded copies.  The encoder is then updated by Adam on the phase-two
+loss over class-balanced batches: the full objective, or plain
+contrastive when the centripetal term is ablated.
 """
 
 from __future__ import annotations
@@ -171,14 +172,18 @@ def train(
 
     run_expansion = config.ablation in ("c3e_only", "full")
     use_centripetal = config.ablation in ("c4_only", "full")
+    pulls_to_centroids = use_centripetal and config.loss.lam != 0.0  # loss_c4 reads the table
     counts = dict.fromkeys(("loss_c3e", "loss_dom", "loss_dis", "loss_c4", "expand_batch"), 0)
 
     epoch_losses: list[float] = []
     snapshots: dict[int, RetrievalReport] = {}
     for epoch in range(1, config.total_epochs + 1):
-        # centroids from the originals under the current encoder, frozen for the epoch
-        centroids = compute_centroids(zip(labels.tolist(), model.embed_many(features)))
-        if run_expansion and epoch in config.expansion.expansion_epochs:
+        expands = run_expansion and epoch in config.expansion.expansion_epochs
+        centroids = None
+        if expands or pulls_to_centroids:
+            # centroids from the originals under the current encoder, frozen for the epoch
+            centroids = compute_centroids(zip(labels.tolist(), model.embed_many(features)))
+        if expands:
             carry = expand_batch(
                 (ids, carry, labels),
                 model,
@@ -223,8 +228,8 @@ def train(
             counts["loss_dom"] += 1
             if use_centripetal:
                 counts["loss_c4"] += 1
-                if config.loss.lam != 0.0:
-                    counts["loss_dis"] += len(y)
+            if pulls_to_centroids:
+                counts["loss_dis"] += len(y)
             loss_sum += value
             n_batches += 1
         epoch_losses.append(loss_sum / n_batches)
@@ -314,7 +319,7 @@ def _param_grad(model, build_loss) -> np.ndarray:
     with record():
         loss = build_loss()
         backward(loss)
-    return np.concatenate([p.grad for p in params])
+    return np.concatenate([p.grad.ravel() for p in params])
 
 
 # -- checkpointing -------------------------------------------------------------

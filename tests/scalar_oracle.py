@@ -29,7 +29,7 @@ def oracle_forward(model, x, frozen: bool = False) -> Tensor:
     for layer in model.layers:
         w = layer.weight.detach() if frozen else layer.weight
         b = layer.bias.detach() if frozen else layer.bias
-        h = w.matmul(h) + b
+        h = w.matvec(h) + b
         if layer.activation == "tanh":
             h = h.tanh()
         elif layer.activation == "relu":
@@ -40,8 +40,8 @@ def oracle_forward(model, x, frozen: bool = False) -> Tensor:
 def _project(v) -> Tensor:
     v = _t(v)
     n = v.l2_norm()
-    if n.data[0] <= EPS_PROJECTION:
-        raise DegenerateVectorError(f"cannot project vector with norm {n.data[0]:.3e}")
+    if n.item() <= EPS_PROJECTION:
+        raise DegenerateVectorError(f"cannot project vector with norm {n.item():.3e}")
     return v / n
 
 

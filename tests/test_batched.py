@@ -53,7 +53,9 @@ def _assert_same(got, want):
     # gradients compare as one flat array: a stacked leaf against its rows
     (v1, g1), (v2, g2) = got, want
     assert v1 == v2
-    assert np.array_equal(np.concatenate(g1), np.concatenate(g2))
+    assert np.array_equal(
+        np.concatenate([g.ravel() for g in g1]), np.concatenate([g.ravel() for g in g2])
+    )
 
 
 def _leaves(X):

@@ -216,6 +216,27 @@ def test_trajectory_zero_iterations_single_row():
     assert rows[0][0] == 0
 
 
+@pytest.mark.parametrize("iterations", [2.7, True, -1])
+def test_trajectory_rejects_iterations_that_are_not_a_count(iterations):
+    model = linear_encoder(np.eye(2))
+    cents = compute_centroids([(0, [1.0, 0.0])])
+    with pytest.raises(ValueError, match="iterations"):
+        expansion_trajectory(
+            (np.array([0.5, 0.5]), 0), model, cents, ExpansionConfig(), LossConfig(),
+            iterations=iterations,
+        )
+
+
+def test_trajectory_accepts_a_numpy_integer():
+    model = linear_encoder(np.eye(2))
+    cents = compute_centroids([(0, [1.0, 0.0])])
+    rows = expansion_trajectory(
+        (np.array([0.5, 0.5]), 0), model, cents, ExpansionConfig(), LossConfig(),
+        iterations=np.int64(3),
+    )
+    assert [r[0] for r in rows] == [0, 1, 2, 3]
+
+
 def test_trajectory_consistent_with_expand_batch():
     model = EncoderModel.build([2, 3, 2], ["tanh", "identity"], seed=12)
     cents = compute_centroids([(0, [0.5, 0.3])])

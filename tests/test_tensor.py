@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from centerpolar.tensor import (
     _partner_order,
     backward,
     grad_check,
+    pair_distances,
     pair_index,
     record,
 )
@@ -60,10 +62,10 @@ def test_scalar_broadcast():
     assert (-a).numpy().tolist() == [-1.0, -2.0]
 
 
-def test_matmul_shapes():
+def test_matvec_shapes():
     M = Tensor([[1.0, 2.0], [3.0, 4.0]])
     v = Tensor([1.0, 1.0])
-    assert M.matmul(v).numpy().tolist() == [3.0, 7.0]
+    assert M.matvec(v).numpy().tolist() == [3.0, 7.0]
 
 
 def test_reductions_and_unaries():
@@ -99,11 +101,12 @@ def test_shape_mismatch_names_op_and_shapes():
     assert "add" in msg and "(2,)" in msg and "(3,)" in msg
 
 
-def test_matmul_shape_errors():
+def test_matvec_shape_errors():
+    # a (1, 2) matrix maps rows of width 2, so a width of 3 is the mismatch
     with pytest.raises(ShapeError):
-        Tensor([[1.0, 2.0]]).matmul(Tensor([[1.0, 2.0]]))
+        Tensor([[1.0, 2.0]]).matvec(Tensor([[1.0, 2.0, 3.0]]))
     with pytest.raises(ShapeError):
-        Tensor([1.0, 2.0, 3.0]).matmul(Tensor([[1.0], [2.0]]))
+        Tensor([1.0, 2.0, 3.0]).matvec(Tensor([[1.0], [2.0]]))
 
 
 def test_acos_nonfinite_raises():
@@ -135,11 +138,28 @@ def test_grad_sum_of_squares():
     assert x.grad.tolist() == [2.0, 4.0]
 
 
-def test_grad_matmul_linearity():
+def test_grad_matvec_linearity():
     with record():
         W = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
-        backward(W.matmul(Tensor([1.0, 1.0])).sum())
-    assert W.grad.tolist() == [1.0, 1.0, 1.0, 1.0]
+        backward(W.matvec(Tensor([1.0, 1.0])).sum())
+    assert W.grad.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+
+
+def test_matvec_on_a_vector_gives_the_bits_of_the_matrix_product():
+    # the per-sample oracle embeds one 1-D row at a time through matvec
+    gen = np.random.default_rng(9)
+    for _ in range(300):
+        m, n = gen.integers(1, 70, size=2)
+        W = gen.normal(size=(m, n)) * 10.0 ** gen.integers(-8, 9, size=(m, n))
+        x = gen.normal(size=n) * 10.0 ** gen.integers(-8, 9, size=n)
+        g = gen.normal(size=m)
+        with record():
+            Wt, xt = Tensor(W, requires_grad=True), Tensor(x, requires_grad=True)
+            y = Wt.matvec(xt)
+            backward(y.dot(Tensor(g)))
+        assert np.array_equal(y.numpy(), W @ x)
+        assert np.array_equal(Wt.grad, np.outer(g, x))
+        assert np.array_equal(xt.grad, W.T @ g)
 
 
 def test_grad_acos_of_dot():
@@ -270,6 +290,69 @@ def test_nested_tapes_restore_previous():
         assert b._tape is inner
         backward((a * 1.0).sum())
     assert x.grad.tolist() == [2.0]
+
+
+# -- the shape contract ---------------------------------------------------------
+
+_ROW, _ROWS, _COLUMN = (3,), (4, 3), (4, 1)
+# operand shapes of the binary ops: equal shapes and each allowed broadcast
+_BINARY_SHAPES = [
+    ((), ()),
+    ((), _ROW),
+    (_ROW, ()),
+    (_ROW, _ROW),
+    (_ROWS, _ROWS),
+    (_ROWS, ()),
+    ((), _ROWS),
+    (_ROWS, _COLUMN),
+    (_COLUMN, _ROWS),
+    (_ROWS, _ROW),
+    (_ROW, _ROWS),
+]
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _shape_cases():
+    """(id, op, input shapes, output shape) for every op on 1-D and 2-D inputs."""
+    for sym, op in _BINARY.items():
+        for sa, sb in _BINARY_SHAPES:
+            yield f"{sa}{sym}{sb}", op, (sa, sb), np.broadcast_shapes(sa, sb)
+        for s in ((), _ROW, _ROWS):
+            yield f"{s}{sym}number", lambda t, op=op: op(t, 2.0), (s,), s
+            if sym != "/":  # a number over a tensor is not an op
+                yield f"number{sym}{s}", lambda t, op=op: op(2.0, t), (s,), s
+    yield "matvec", Tensor.matvec, ((2, 3), _ROW), (2,)
+    yield "matvec-rows", Tensor.matvec, ((2, 3), _ROWS), (4, 2)
+    yield "dot", Tensor.dot, (_ROW, _ROW), ()
+    yield "dot-rows", Tensor.dot, (_ROWS, _ROWS), (4, 1)
+    for s, per_row, mean in ((_ROW, (), ()), (_ROWS, _COLUMN, _ROW)):
+        yield f"sum{s}", Tensor.sum, (s,), ()
+        yield f"sum-rows{s}", lambda t: t.sum(axis=-1), (s,), per_row
+        yield f"mean{s}", Tensor.mean, (s,), mean
+        yield f"l2_norm{s}", Tensor.l2_norm, (s,), per_row
+    yield "take", lambda t: t.take([2, 0, 2]), (_ROW,), (3,)
+    yield "take-rows", lambda t: t.take([3, 1]), (_ROWS,), (2, 3)
+    for name in ("relu", "tanh", "square", "acos", "__neg__"):
+        for s in ((), _ROW, _ROWS):
+            yield f"{name}{s}", getattr(Tensor, name), (s,), s
+    yield "pair_distances", pair_distances, (_ROWS,), (6,)
+
+
+@pytest.mark.parametrize(
+    "op, shapes, out_shape", [pytest.param(*case[1:], id=case[0]) for case in _shape_cases()]
+)
+def test_data_and_gradients_keep_their_shapes(op, shapes, out_shape):
+    gen = np.random.default_rng(5)
+    with record():
+        # in (0.1, 0.9): nonzero divisors and norms, inside acos's domain
+        leaves = [Tensor(gen.uniform(0.1, 0.9, size=s), requires_grad=True) for s in shapes]
+        out = op(*leaves)
+        assert type(out.data) is np.ndarray
+        assert out.data.shape == out.shape == out_shape
+        backward(out.sum())
+    for leaf in leaves:
+        assert type(leaf.grad) is np.ndarray
+        assert leaf.grad.shape == leaf.shape
 
 
 # -- grad_check -----------------------------------------------------------------

@@ -386,6 +386,34 @@ class TestTrainLoop:
         report = train(train_set, benchmark_train_config(0, ablation))
         assert report.model.checksum() == REFERENCE_CHECKSUMS[ablation]
 
+    @pytest.mark.parametrize(
+        "ablation, lam, tables",
+        [
+            ("baseline", 0.75, 0),
+            ("c3e_only", 0.75, 1),  # the expansion epoch only
+            ("c4_only", 0.0, 0),  # lambda 0 reads no table
+            ("c4_only", 0.75, 2),
+            ("full", 0.0, 1),
+            ("full", 0.75, 2),
+        ],
+    )
+    def test_centroids_only_for_epochs_that_read_them(self, monkeypatch, ablation, lam, tables):
+        # the reference config: two epochs, expansion in the first
+        from centerpolar import trainer
+
+        calls = []
+
+        def counted(items):
+            calls.append(1)
+            return compute_centroids(items)
+
+        monkeypatch.setattr(trainer, "compute_centroids", counted)
+        train_set, _tests = generate_benchmark(default_benchmark_spec(seed=0))
+        report = train(train_set, benchmark_train_config(0, ablation, lam))
+        assert len(calls) == tables
+        if lam == 0.75:
+            assert report.model.checksum() == REFERENCE_CHECKSUMS[ablation]
+
     def test_learns_to_separate_toy_clusters(self):
         ds = toy_dataset()
         report = train(ds, small_config(total_epochs=6))
