@@ -7,9 +7,9 @@ curve rises monotonically over [0, 1]; longer schedules bend it over.
 """
 
 import argparse
-import json
 
-from centerpolar.experiments import run_lambda_sweep
+from centerpolar import schema
+from centerpolar.experiments import DEFAULT_LAMBDA, benchmark_train_config, run_lambda_sweep
 
 
 def main() -> None:
@@ -28,20 +28,20 @@ def main() -> None:
     if args.seeds < 1:
         parser.error(f"--seeds must be >= 1, got {args.seeds}")
 
-    kwargs = {}
-    if args.lambdas is not None:
-        kwargs["lambdas"] = tuple(args.lambdas)
-    if args.epochs is not None:
-        kwargs["total_epochs"] = args.epochs
-    curve = run_lambda_sweep(range(args.seeds), **kwargs)
+    epochs = {} if args.epochs is None else {"total_epochs": args.epochs}
+    try:  # the grid's config rules, checked before any cell runs
+        for lam in args.lambdas or [DEFAULT_LAMBDA]:
+            benchmark_train_config(0, "full", lam, **epochs)
+    except ValueError as e:
+        parser.error(str(e))
+    lambdas = {} if args.lambdas is None else {"lambdas": tuple(args.lambdas)}
+    curve = run_lambda_sweep(range(args.seeds), **lambdas, **epochs)
 
     for lam, scores in curve.items():
         mean = sum(scores) / len(scores)
         print(f"lambda={lam:<5g} mean={mean:.4f}  " + " ".join(f"{s:.4f}" for s in scores))
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({str(k): v for k, v in curve.items()}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        schema.write_json({str(k): v for k, v in curve.items()}, args.out)
         print(f"wrote {args.out}")
 
 

@@ -7,9 +7,9 @@ release-check configuration.
 """
 
 import argparse
-import json
 
-from centerpolar.experiments import run_ablation_grid
+from centerpolar import schema
+from centerpolar.experiments import benchmark_train_config, run_ablation_grid
 
 
 def main() -> None:
@@ -27,15 +27,17 @@ def main() -> None:
         kwargs["lam"] = args.lam
     if args.epochs is not None:
         kwargs["total_epochs"] = args.epochs
+    try:  # the grid's config rules, checked before any cell runs
+        benchmark_train_config(0, "full", **kwargs)
+    except ValueError as e:
+        parser.error(str(e))
     results = run_ablation_grid(range(args.seeds), **kwargs)
 
     for ablation, scores in results.items():
         mean = sum(scores) / len(scores)
         print(f"{ablation:9s} mean={mean:.4f}  " + " ".join(f"{s:.4f}" for s in scores))
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(results, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        schema.write_json(results, args.out)
         print(f"wrote {args.out}")
 
 

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import schema
 from .data import (
     BenchmarkSpec,
     CsvFormatError,
@@ -203,7 +204,7 @@ def cmd_train(args) -> int:
     checkpoint_path = out_dir / "checkpoint.json"
     save_checkpoint(checkpoint_path, report.model, config, config.total_epochs)
     report_path = out_dir / "report.json"
-    _write_json(report.to_dict(), report_path)
+    schema.write_json(report.to_dict(), report_path)
     artifacts = {"checkpoint": str(checkpoint_path), "report": str(report_path)}
     if sink is not None:
         dump_dir = Path(args.dump_trajectories)
@@ -244,7 +245,7 @@ def cmd_eval(args) -> int:
     report = evaluate(model, tests, metric=args.metric)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(report.to_dict(), out_path)
+    schema.write_json(report.to_dict(), out_path)
     _write_manifest(
         Path(str(out_path) + ".manifest.json"),
         command="eval",
@@ -304,12 +305,6 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_json(obj, path: Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_manifest(
     path: Path,
     command: str,
@@ -332,7 +327,7 @@ def _write_manifest(
     }
     if extra:
         manifest.update(extra)
-    _write_json(manifest, path)
+    schema.write_json(manifest, path)
 
 
 if __name__ == "__main__":

@@ -166,16 +166,12 @@ class DomainTransform:
                     f"transform {self.name}: {len(self.rotation_angles)} plane angles "
                     f"need dimension >= {2 * len(self.rotation_angles)}, got {dim}"
                 )
+            # the planes are disjoint, so the product of the rotations is
+            # block-diagonal; a zero sine is +0.0 on both sides, as in that product
             R = np.eye(dim)
             for i, angle in enumerate(self.rotation_angles):
-                a, b = 2 * i, 2 * i + 1
                 c, s = math.cos(angle), math.sin(angle)
-                G = np.eye(dim)
-                G[a, a] = c
-                G[a, b] = -s
-                G[b, a] = s
-                G[b, b] = c
-                R = G @ R
+                R[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = ((c, 0.0 - s), (s + 0.0, c))
             return R
         if self.rotation_seed is not None:
             gen = rng.stream(self.rotation_seed, rng.STREAM_TRANSFORM_ROTATION)

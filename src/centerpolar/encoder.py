@@ -9,11 +9,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng, schema
+from . import rng
 from .tensor import ShapeError, Tensor
 
 ACTIVATIONS = ("tanh", "relu", "identity")
-_LAYER_KEYS = {"activation", "bias", "weight", "weight_shape"}  # one layer's checkpoint object
+
+
+@dataclass(frozen=True)
+class LayerRecord:
+    """One layer in a checkpoint: parameters as base64 float64 bytes."""
+
+    activation: str
+    weight_shape: tuple[int, ...]
+    weight: str
+    bias: str
 
 
 @dataclass
@@ -145,47 +154,33 @@ class EncoderModel:
             h.update(p.data.tobytes())
         return h.hexdigest()
 
-    # -- checkpoint payload -------------------------------------------------
+    # -- checkpoint records -------------------------------------------------
 
-    def to_payload(self) -> list[dict]:
-        payload = []
-        for layer in self.layers:
-            payload.append(
-                {
-                    "activation": layer.activation,
-                    "weight_shape": list(layer.weight.shape),
-                    "weight": _encode_array(layer.weight.data),
-                    "bias": _encode_array(layer.bias.data),
-                }
+    def records(self) -> tuple[LayerRecord, ...]:
+        return tuple(
+            LayerRecord(
+                activation=layer.activation,
+                weight_shape=layer.weight.shape,
+                weight=_encode_array(layer.weight.data),
+                bias=_encode_array(layer.bias.data),
             )
-        return payload
+            for layer in self.layers
+        )
 
     @classmethod
-    def from_payload(cls, payload: list[dict]) -> "EncoderModel":
-        """Inverse of `to_payload`.  Anything it does not write (an unknown
-        or missing key, a non-integer dimension, bytes that do not fill the
-        weight shape, a non-finite parameter) raises ValueError naming the
-        key's path, such as `layers[0].bias`."""
-        if not isinstance(payload, list):
-            raise ValueError(f"layers: expected an array, got {type(payload).__name__}")
+    def from_records(cls, records: tuple[LayerRecord, ...]) -> "EncoderModel":
+        """Inverse of `records`.  A weight shape that is not two dims >= 1,
+        bytes that do not fill it, or a non-finite parameter raises
+        ValueError naming the key's path, such as `layers[0].bias`."""
         layers = []
-        for i, spec in enumerate(payload):
+        for i, rec in enumerate(records):
             path = f"layers[{i}]"
-            if not isinstance(spec, dict):
-                raise ValueError(f"{path}: expected an object, got {type(spec).__name__}")
-            for key in sorted(_LAYER_KEYS - set(spec)):
-                raise ValueError(f"{path}.{key}: missing")
-            for key in sorted(set(spec) - _LAYER_KEYS):
-                raise ValueError(f"{path}.{key}: unknown key")
-            dims = spec["weight_shape"]
-            if not isinstance(dims, list) or len(dims) != 2:
-                raise ValueError(f"{path}.weight_shape: expected [rows, columns], got {dims!r}")
-            shape = tuple(
-                schema.integer(d, f"{path}.weight_shape[{j}]") for j, d in enumerate(dims)
-            )
-            if min(shape) < 1:
-                raise ValueError(f"{path}.weight_shape: dims must be >= 1, got {list(shape)}")
-            w = _decode_array(spec["weight"], f"{path}.weight")
+            shape = rec.weight_shape
+            if len(shape) != 2 or min(shape) < 1:
+                raise ValueError(
+                    f"{path}.weight_shape: expected two dims >= 1, got {list(shape)}"
+                )
+            w = _decode_array(rec.weight, f"{path}.weight")
             if w.size != shape[0] * shape[1]:
                 raise ValueError(
                     f"{path}.weight: {w.size} values do not fill weight_shape {list(shape)}"
@@ -193,8 +188,8 @@ class EncoderModel:
             layers.append(
                 Layer(
                     weight=Tensor(w.reshape(shape), requires_grad=True),
-                    bias=Tensor(_decode_array(spec["bias"], f"{path}.bias"), requires_grad=True),
-                    activation=spec["activation"],
+                    bias=Tensor(_decode_array(rec.bias, f"{path}.bias"), requires_grad=True),
+                    activation=rec.activation,
                 )
             )
         return cls(layers)

@@ -3,17 +3,20 @@
 `to_dict` writes every init field under its key (`metadata["key"]` when
 set, else the field name), nested dataclasses as objects, tuples as lists
 and dicts as objects with string keys.  `from_dict` is its strict inverse
-for the configs, which hold no dicts: an unknown key at any depth, a
-missing field without a default, or a value that does not match the
-field's annotation raises ValueError naming the dotted path of the key.
-`int` takes JSON integers only, `float` any JSON number (stored as a
-float), and neither takes a boolean.  `check_integers` holds the `int`
-fields to the same rule at construction.
+for the specs, configs and checkpoints, which hold no dicts: an unknown
+key at any depth, a missing field without a default, or a value that does
+not match the field's annotation raises ValueError naming the dotted path
+of the key, and a nested dataclass's own ValueError is prefixed with its
+path.  `int` takes JSON integers only, `float` any JSON number (stored as
+a float), and neither takes a boolean.  `check_integers` holds the `int`
+fields to the same rule at construction.  `write_json` is the one JSON
+writer.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import numbers
 import types
 import typing
@@ -56,7 +59,7 @@ def from_dict(cls, d, path: str = ""):
     fields = {_key(f): f for f in dataclasses.fields(cls) if f.init}
     unknown = [_join(path, k) for k in sorted(set(d) - set(fields), key=str)]
     if unknown:
-        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+        raise ValueError(f"unknown key(s): {', '.join(unknown)}")
     hints = typing.get_type_hints(cls)
     kwargs = {}
     for key, f in fields.items():
@@ -64,7 +67,19 @@ def from_dict(cls, d, path: str = ""):
             kwargs[f.name] = _load(hints[f.name], d[key], _join(path, key))
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise ValueError(f"missing required key {_join(path, key)!r}")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as e:
+        if not path:
+            raise
+        raise ValueError(f"{path}: {e}") from e
+
+
+def write_json(obj, path) -> None:
+    """Write `obj` to `path` as JSON: keys sorted, indented by 2, newline-terminated."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _load(tp, value, path: str):

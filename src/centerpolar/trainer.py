@@ -19,7 +19,7 @@ import numpy as np
 
 from . import rng, schema
 from .data import DataSet
-from .encoder import EncoderModel
+from .encoder import EncoderModel, LayerRecord
 from .evaluation import RetrievalReport, evaluate
 from .expansion import ExpansionConfig, expand_batch
 from .geometry import CentroidTable, compute_centroids
@@ -324,19 +324,27 @@ def _param_grad(model, build_loss) -> np.ndarray:
 
 # -- checkpointing -------------------------------------------------------------
 
-_CHECKPOINT_FIELDS = ("config", "epoch", "seed", "layers")
+
+@dataclass(frozen=True)
+class Checkpoint:
+    """What `checkpoint.json` holds; `schema` derives its JSON form and reading."""
+
+    config: TrainConfig
+    epoch: int
+    seed: int
+    layers: tuple[LayerRecord, ...]
+
+    def __post_init__(self):
+        schema.check_integers(self)
+        if self.epoch < 0:
+            raise ValueError(f"epoch: must be >= 0, got {self.epoch}")
+        if self.seed != self.config.seed:
+            raise ValueError(f"seed: {self.seed} differs from config.seed {self.config.seed}")
 
 
 def save_checkpoint(path, model: EncoderModel, config: TrainConfig, epoch: int) -> None:
-    payload = {
-        "config": config.to_dict(),
-        "epoch": int(epoch),
-        "seed": config.seed,
-        "layers": model.to_payload(),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    checkpoint = Checkpoint(config, epoch, config.seed, model.records())
+    schema.write_json(schema.to_dict(checkpoint), path)
 
 
 def load_checkpoint(path):
@@ -352,28 +360,10 @@ def load_checkpoint(path):
             payload = json.load(fh)
         except json.JSONDecodeError as e:
             raise CheckpointError(f"checkpoint is not valid JSON: {e}") from e
-    if not isinstance(payload, dict):
-        raise CheckpointError(f"checkpoint is not a JSON object, got {type(payload).__name__}")
-    for fieldname in _CHECKPOINT_FIELDS:
-        if fieldname not in payload:
-            raise CheckpointError(f"checkpoint missing field {fieldname!r}")
-    for fieldname in sorted(set(payload) - set(_CHECKPOINT_FIELDS)):
-        raise CheckpointError(f"checkpoint has unknown field {fieldname!r}")
     try:
-        config = TrainConfig.from_dict(payload["config"])
-    except (ValueError, TypeError) as e:
-        raise CheckpointError(f"checkpoint field 'config' is invalid: {e}") from e
-    try:
-        model = EncoderModel.from_payload(payload["layers"])
-    except ValueError as e:
-        raise CheckpointError(f"checkpoint field 'layers' is invalid: {e}") from e
-    try:
-        epoch = schema.integer(payload["epoch"], "epoch")
-        if epoch < 0:
-            raise ValueError(f"epoch: must be >= 0, got {epoch}")
-        seed = schema.integer(payload["seed"], "seed")
-        if seed != config.seed:
-            raise ValueError(f"seed: {seed} differs from config.seed {config.seed}")
+        checkpoint = schema.from_dict(Checkpoint, payload)
+        config = checkpoint.config
+        model = EncoderModel.from_records(checkpoint.layers)
         for i, layer in enumerate(model.layers):
             key = "embed_dim" if i == len(model.layers) - 1 else "hidden_dim"
             size, want = layer.weight.shape[0], getattr(config, key)
@@ -381,4 +371,4 @@ def load_checkpoint(path):
                 raise ValueError(f"layers[{i}]: {size} outputs differ from config.{key} {want}")
     except ValueError as e:
         raise CheckpointError(f"checkpoint is invalid: {e}") from e
-    return model, config, epoch
+    return model, config, checkpoint.epoch

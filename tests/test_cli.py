@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 import centerpolar
+from centerpolar import schema
 from centerpolar.cli import main
 from centerpolar.data import load_csv
 from centerpolar.encoder import EncoderModel
 from centerpolar.experiments import default_benchmark_spec
-from centerpolar.trainer import TrainConfig, load_checkpoint
+from centerpolar.trainer import Checkpoint, TrainConfig, load_checkpoint
 
 MANIFEST_KEYS = {
     "command",
@@ -63,12 +64,8 @@ def train_config_dict(**overrides):
 
 def checkpoint_dict(config=TrainConfig(embed_dim=4, hidden_dim=8), **overrides):
     # layers built from the config it writes, for the 4-dim spec_dict() data
-    d = {
-        "config": config.to_dict(),
-        "epoch": 1,
-        "seed": config.seed,
-        "layers": EncoderModel.default(4, config.embed_dim, config.hidden_dim).to_payload(),
-    }
+    model = EncoderModel.default(4, config.embed_dim, config.hidden_dim)
+    d = schema.to_dict(Checkpoint(config, 1, config.seed, model.records()))
     d.update(overrides)
     return d
 
@@ -82,6 +79,13 @@ def checkpoint_with_layer(**fields):
     # checkpoint_dict() with fields of its first layer replaced
     d = checkpoint_dict()
     d["layers"][0].update(fields)
+    return d
+
+
+def checkpoint_without_layer_key(key):
+    # checkpoint_dict() with one key of its first layer removed
+    d = checkpoint_dict()
+    del d["layers"][0][key]
     return d
 
 
@@ -596,6 +600,7 @@ def test_train_byte_identical_across_blas_threads(tmp_path):
         ("train", {"total_epochs": 1.5}, "total_epochs"),
         ("train", {"batch_size": 8.0}, "batch_size"),
         ("train", {"loss": {"lamda": 0.1}}, "loss.lamda"),
+        ("train", {"loss": {"lambda": -1}}, "loss"),
         ("gen-data", [1], "BenchmarkSpec"),
         ("gen-data", spec_dict(nuisance_sd=1.0), "nuisance_sd"),
         ("gen-data", spec_dict(samples_per_class=2.9), "samples_per_class"),
@@ -603,6 +608,11 @@ def test_train_byte_identical_across_blas_threads(tmp_path):
             "gen-data",
             spec_dict(domain_transforms=[{"name": "near", "scael": 2.0}]),
             "domain_transforms[0].scael",
+        ),
+        (
+            "gen-data",
+            spec_dict(domain_transforms=[{"name": "near", "scale": -1}]),
+            "domain_transforms[0]",
         ),
         ("eval", 1, "checkpoint"),
         ("eval", [1], "checkpoint"),
@@ -616,6 +626,9 @@ def test_train_byte_identical_across_blas_threads(tmp_path):
         ("eval", checkpoint_dict(layers=layers_for(embed_dim=4, hidden_dim=9)), "hidden_dim"),
         ("eval", checkpoint_with_layer(scale=2.0), "layers[0].scale"),
         ("eval", checkpoint_with_layer(weight_shape=[8.5, 4]), "layers[0].weight_shape"),
+        ("eval", checkpoint_with_layer(weight_shape=[2, 3, 4]), "layers[0].weight_shape"),
+        ("eval", checkpoint_dict(layers={}), "layers"),
+        ("eval", checkpoint_without_layer_key("bias"), "layers[0].bias"),
         (
             "eval",
             checkpoint_with_layer(

@@ -269,6 +269,22 @@ class TestBenchmarkSpec:
             BenchmarkSpec.from_dict(d)
 
 
+def givens_product(angles, dim):
+    """Oracle for `DomainTransform.rotation_matrix`: one full dim x dim Givens
+    rotation per plane (0,1), (2,3), ..., multiplied onto the identity."""
+    R = np.eye(dim)
+    for i, angle in enumerate(angles):
+        a, b = 2 * i, 2 * i + 1
+        c, s = math.cos(angle), math.sin(angle)
+        G = np.eye(dim)
+        G[a, a] = c
+        G[a, b] = -s
+        G[b, a] = s
+        G[b, b] = c
+        R = G @ R
+    return R
+
+
 class TestDomainTransform:
     @pytest.mark.parametrize("name", ["source", "expanded"])
     def test_reserved_names_rejected(self, name):
@@ -282,6 +298,21 @@ class TestDomainTransform:
         assert abs(out[0] - math.cos(0.3)) < 1e-15
         assert abs(out[1] - math.sin(0.3)) < 1e-15
         assert out[2] == 0.0 and out[3] == 0.0
+
+    @given(
+        angles=st.lists(st.floats(-7.0, 7.0) | st.sampled_from([0.0, -0.0, math.pi]), max_size=6),
+        extra=st.integers(0, 3),
+    )
+    def test_plane_rotation_is_the_givens_product(self, angles, extra):
+        # same bytes as the plane rotations multiplied out, signed zeros included
+        t = DomainTransform(name="a", rotation_angles=tuple(angles))
+        dim = max(1, 2 * len(angles) + extra)
+        assert t.rotation_matrix(dim).tobytes() == givens_product(angles, dim).tobytes()
+
+    def test_reference_rotations_are_the_givens_product(self):
+        for t in default_benchmark_spec().domain_transforms:
+            expected = givens_product(t.rotation_angles, 16)
+            assert t.rotation_matrix(16).tobytes() == expected.tobytes()
 
     def test_plane_rotation_needs_room(self):
         t = DomainTransform(name="a", rotation_angles=(0.1, 0.2, 0.3))

@@ -44,3 +44,20 @@ def test_script_rejects_an_empty_seed_list(name, seeds):
     assert proc.returncode == 2
     assert "--seeds" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "name, args, value",
+    [
+        ("lambda_sweep.py", ["--epochs", "1", "--lambdas", "-1"], "-1"),
+        ("lambda_sweep.py", ["--epochs", "1", "--lambdas", "0.5", "-3"], "-3"),
+        ("lambda_sweep.py", ["--epochs", "-1"], "-1"),
+        ("run_ablation.py", ["--epochs", "-1"], "-1"),
+        ("run_ablation.py", ["--epochs", "1", "--lam", "-1"], "-1"),
+    ],
+)
+def test_script_rejects_an_invalid_config_flag_before_the_grid(name, args, value):
+    proc = run_script(name, "--seeds", "1", *args)
+    assert proc.returncode == 2
+    assert f"got {value}" in proc.stderr
+    assert "Traceback" not in proc.stderr
