@@ -28,6 +28,7 @@ from .data import (
     generate_benchmark,
     load_csv,
     save_csv,
+    _write_rows,
 )
 from .evaluation import METRICS, evaluate
 from .expansion import ExpansionDivergedError
@@ -267,19 +268,9 @@ def cmd_export_embeddings(args) -> int:
     started = _now()
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["id", "label", "domain"] + [f"e{i}" for i in range(model.embed_dim)]
-        )
-        if len(ds):
-            E = model.embed_many(ds.features)
-            writer.writerows(
-                [i, label, domain, *[f"{v:.17g}" for v in row.tolist()]]
-                for i, label, domain, row in zip(
-                    ds.ids.tolist(), ds.labels.tolist(), ds.domains.tolist(), E
-                )
-            )
+    header = ("id", "label", "domain", *(f"e{i}" for i in range(model.embed_dim)))
+    E = model.embed_many(ds.features) if len(ds) else np.zeros((0, model.embed_dim))
+    _write_rows(out_path, header, ds, E)
     _write_manifest(
         Path(str(out_path) + ".manifest.json"),
         command="export-embeddings",

@@ -13,6 +13,7 @@ regenerates the identical dataset bit for bit.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import numbers
@@ -329,23 +330,31 @@ _BASE_COLUMNS = ("id", "label", "domain")
 
 
 def save_csv(dataset: DataSet, path) -> None:
-    """Write `id,label,domain,f0..f{D-1}` with 17-significant-digit floats."""
+    """Write `id,label,domain,f0..f{D-1}` (only `id,label,domain` when
+    empty) in the row format of `_write_rows`."""
+    dim = dataset.features.shape[1] if len(dataset) else 0
+    header = _BASE_COLUMNS + tuple(f"f{i}" for i in range(dim))
+    _write_rows(path, header, dataset, dataset.features)
+
+
+def _write_rows(path, header, dataset: DataSet, values: np.ndarray) -> None:
+    """Write `header`, then per row of `dataset` its id, label and domain tag
+    and that row of `values` as 17-significant-digit floats: the bytes
+    `csv.writer` writes, tags quoted where CSV needs it, lines ending \\r\\n."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if len(dataset) == 0:
-            writer.writerow(_BASE_COLUMNS)
-            return
-        dim = dataset.features.shape[1]
-        writer.writerow(list(_BASE_COLUMNS) + [f"f{i}" for i in range(dim)])
+        csv.writer(fh).writerow(header)
+        tags = {}
+        for tag in set(dataset.domains.tolist()):
+            quoted = io.StringIO()
+            csv.writer(quoted).writerow([tag])
+            tags[tag] = quoted.getvalue()[:-2]
+        line = "%d,%d,%s" + ",%.17g" * values.shape[1] + "\r\n"
         # one row's floats at a time: the whole matrix as Python floats at
         # once fragments the heap and raises the process's peak RSS
-        writer.writerows(
-            [i, label, domain, *[f"{v:.17g}" for v in row.tolist()]]
-            for i, label, domain, row in zip(
-                dataset.ids.tolist(),
-                dataset.labels.tolist(),
-                dataset.domains.tolist(),
-                dataset.features,
+        fh.writelines(
+            line % (i, label, tags[tag], *row.tolist())
+            for i, label, tag, row in zip(
+                dataset.ids.tolist(), dataset.labels.tolist(), dataset.domains.tolist(), values
             )
         )
 

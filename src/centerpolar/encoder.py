@@ -170,11 +170,17 @@ class EncoderModel:
     @classmethod
     def from_records(cls, records: tuple[LayerRecord, ...]) -> "EncoderModel":
         """Inverse of `records`.  A weight shape that is not two dims >= 1,
-        bytes that do not fill it, or a non-finite parameter raises
+        bytes that do not fill it, a bias that is not one value per weight
+        row, an unknown activation or a non-finite parameter raises
         ValueError naming the key's path, such as `layers[0].bias`."""
         layers = []
         for i, rec in enumerate(records):
             path = f"layers[{i}]"
+            if rec.activation not in ACTIVATIONS:
+                raise ValueError(
+                    f"{path}.activation: unknown activation {rec.activation!r}, "
+                    f"expected one of {ACTIVATIONS}"
+                )
             shape = rec.weight_shape
             if len(shape) != 2 or min(shape) < 1:
                 raise ValueError(
@@ -185,10 +191,13 @@ class EncoderModel:
                 raise ValueError(
                     f"{path}.weight: {w.size} values do not fill weight_shape {list(shape)}"
                 )
+            b = _decode_array(rec.bias, f"{path}.bias")
+            if b.size != shape[0]:
+                raise ValueError(f"{path}.bias: {b.size} values, weight has {shape[0]} rows")
             layers.append(
                 Layer(
                     weight=Tensor(w.reshape(shape), requires_grad=True),
-                    bias=Tensor(_decode_array(rec.bias, f"{path}.bias"), requires_grad=True),
+                    bias=Tensor(b, requires_grad=True),
                     activation=rec.activation,
                 )
             )

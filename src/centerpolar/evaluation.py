@@ -223,10 +223,12 @@ def _first_columns(Q, gallery_t, gallery_sq, metric: str, width: int) -> np.ndar
         slack = _euclidean_slack(q_sq, gallery_sq.max(), Q.shape[1])
     # the `width` smallest keys and, where there is one, the next
     near = np.argpartition(key, min(width, n - 1), axis=1)[:, : width + 1]
-    near_key = np.take_along_axis(key, near, axis=1)
-    by_key = np.argsort(near_key, axis=1)
-    order = np.take_along_axis(near, by_key[:, :width], axis=1)
-    gaps = np.diff(np.take_along_axis(near_key, by_key, axis=1), axis=1)
+    # gathers by flat index into the C-ordered rows
+    rows = np.arange(len(near))[:, None]
+    near_key = key.take(near + rows * n)
+    by_key = np.argsort(near_key, axis=1) + rows * near.shape[1]
+    order = near.take(by_key[:, :width])
+    gaps = np.diff(near_key.take(by_key), axis=1)
     redo = np.flatnonzero(~(gaps > slack[:, None]).all(axis=1))
     if redo.size:
         exact = key[redo] if metric == "geodesic" else _distances(Q[redo], gallery_t, metric)

@@ -95,28 +95,29 @@ def compute_centroids(items) -> CentroidTable:
     Summation runs in input order, so results are reproducible for a fixed
     ordering and agree across reorderings up to float associativity.
     """
-    sums: dict[int, np.ndarray] = {}
-    counts: dict[int, int] = {}
-    dim = None
-    n = 0
-    for class_id, vec in items:
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.ndim != 1:
-            raise ShapeError(f"compute_centroids: vector for class {class_id} is not 1-D")
-        if dim is None:
-            dim = vec.shape[0]
-        elif vec.shape[0] != dim:
-            raise ShapeError(
-                f"compute_centroids: mixed dims {dim} and {vec.shape[0]}"
-            )
-        if class_id in sums:
-            sums[class_id] = sums[class_id] + vec
-            counts[class_id] += 1
-        else:
-            sums[class_id] = vec.copy()
-            counts[class_id] = 1
-        n += 1
-    if n == 0:
+    pairs = list(items)
+    if not pairs:
         raise ValueError("compute_centroids: empty input")
-    centroids = {c: sums[c] / counts[c] for c in sums}
-    return CentroidTable(centroids=centroids, counts=counts)
+    vectors = [np.asarray(vec, dtype=np.float64) for _, vec in pairs]
+    if len({vec.shape for vec in vectors}) != 1 or vectors[0].ndim != 1:
+        # name the first vector that is not 1-D or not of the first one's size
+        for (class_id, _), vec in zip(pairs, vectors):
+            if vec.ndim != 1:
+                raise ShapeError(f"compute_centroids: vector for class {class_id} is not 1-D")
+            if vec.shape != vectors[0].shape:
+                raise ShapeError(
+                    f"compute_centroids: mixed dims {len(vectors[0])} and {len(vec)}"
+                )
+    members: dict = {}
+    for (class_id, _), vec in zip(pairs, vectors):
+        members.setdefault(class_id, []).append(vec)
+    # each class's rows in input order, one class after another
+    rows = np.concatenate([vec for group in members.values() for vec in group])
+    rows = rows.reshape(len(pairs), len(vectors[0]))
+    counts = [len(group) for group in members.values()]
+    ends = np.cumsum(counts).tolist()
+    # accumulate adds row after row, also for one column, where a reduction
+    # would add pairwise
+    sums = [np.add.accumulate(rows[end - n : end], axis=0)[-1] for end, n in zip(ends, counts)]
+    centroids = dict(zip(members, np.stack(sums) / np.array(counts)[:, None]))
+    return CentroidTable(centroids=centroids, counts=dict(zip(members, counts)))

@@ -16,6 +16,7 @@ writer.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import numbers
 import types
@@ -60,7 +61,7 @@ def from_dict(cls, d, path: str = ""):
     unknown = [_join(path, k) for k in sorted(set(d) - set(fields), key=str)]
     if unknown:
         raise ValueError(f"unknown key(s): {', '.join(unknown)}")
-    hints = typing.get_type_hints(cls)
+    hints = _hints(cls)
     kwargs = {}
     for key, f in fields.items():
         if key in d:
@@ -109,7 +110,7 @@ def check_integers(obj) -> None:
     """Store each `int` field of the frozen dataclass `obj`, and each item of
     a `tuple[int, ...]` field, as an int.  A boolean or a non-integer (numpy
     integers are integers) raises ValueError naming the field."""
-    hints = typing.get_type_hints(type(obj))
+    hints = _hints(type(obj))
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
         if hints[f.name] is int:
@@ -125,6 +126,13 @@ def integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise _mismatch(path, "an integer", value)
     return int(value)
+
+
+@functools.cache
+def _hints(cls) -> types.MappingProxyType:
+    # resolving the string annotations compiles each one, so once per class;
+    # read-only, as every caller shares it
+    return types.MappingProxyType(typing.get_type_hints(cls))
 
 
 def _join(path: str, key) -> str:

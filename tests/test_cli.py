@@ -17,7 +17,8 @@ from centerpolar.cli import main
 from centerpolar.data import load_csv
 from centerpolar.encoder import EncoderModel
 from centerpolar.experiments import default_benchmark_spec
-from centerpolar.trainer import Checkpoint, TrainConfig, load_checkpoint
+from centerpolar.trainer import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint
+from csv_oracle import oracle_write_csv
 
 MANIFEST_KEYS = {
     "command",
@@ -497,6 +498,31 @@ class TestExportEmbeddings:
         assert manifest["command"] == "export-embeddings"
         assert manifest["resolved_config"] == {"embed_dim": 4}
 
+    def test_reference_spec_bytes_pinned(self, tmp_path):
+        # the export's row format, across commits, on an untrained seed-0 encoder
+        spec = default_benchmark_spec(seed=0, samples_per_class=20)
+        spec_path, data = tmp_path / "spec.json", tmp_path / "data"
+        spec_path.write_text(json.dumps(spec.to_dict()))
+        assert main(["gen-data", "--spec", str(spec_path), "--out", str(data)]) == 0
+        config = TrainConfig()
+        model = EncoderModel.default(spec.input_dim, config.embed_dim, config.hidden_dim, config.seed)
+        checkpoint = tmp_path / "checkpoint.json"
+        save_checkpoint(checkpoint, model, config, 0)
+        out, oracle = tmp_path / "emb.csv", tmp_path / "oracle.csv"
+        source = data / "test_tilt_up.csv"
+        argv = ["export-embeddings", "--checkpoint", str(checkpoint), "--data", str(source)]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert (
+            hashlib.sha256(out.read_bytes()).hexdigest()
+            == "e26622ce24d7b403522a87c7deb9e58d7db4362ede88279f948b95e7d52510f0"
+        )
+        ds = load_csv(source)
+        header = ["id", "label", "domain", *(f"e{i}" for i in range(config.embed_dim))]
+        oracle_write_csv(
+            oracle, header, ds.ids, ds.labels, ds.domains, model.embed_many(ds.features)
+        )
+        assert out.read_bytes() == oracle.read_bytes()
+
     def test_empty_input(self, tmp_path, run_dir, capsys):
         src = tmp_path / "empty.csv"
         src.write_text("id,label,domain,f0,f1,f2,f3\n")
@@ -637,6 +663,12 @@ def test_train_byte_identical_across_blas_threads(tmp_path):
         ("eval", checkpoint_with_layer(weight_shape=[2, 3, 4]), "layers[0].weight_shape"),
         ("eval", checkpoint_dict(layers={}), "layers"),
         ("eval", checkpoint_without_layer_key("bias"), "layers[0].bias"),
+        ("eval", checkpoint_with_layer(activation="sigmoid"), "layers[0].activation"),
+        (
+            "eval",
+            checkpoint_with_layer(bias=base64.b64encode(np.zeros(7).astype("<f8").tobytes()).decode()),
+            "layers[0].bias",
+        ),
     ],
 )
 def test_malformed_input_file_is_exit_2(tmp_path, data_dir, capsys, command, content, key):

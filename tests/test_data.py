@@ -22,6 +22,7 @@ from centerpolar.data import (
 from centerpolar import data as data_module
 from centerpolar import rng
 from centerpolar.experiments import default_benchmark_spec
+from csv_oracle import oracle_write_csv
 from schema_paths import object_paths
 
 
@@ -563,6 +564,25 @@ class TestCsv:
             assert np.array_equal(back.ids, ds.ids)
             assert np.array_equal(back.labels, ds.labels)
             assert np.array_equal(back.domains, ds.domains)
+
+    @pytest.mark.parametrize("tag", ["a,b", 'say "hi"', "two\nlines", "plain"])
+    def test_bytes_match_the_csv_writer_oracle(self, tmp_path, tag):
+        # quoting of each tag and the extremes of float64 formatting
+        features = np.array(
+            [[-0.0, 5e-324, 1.7976931348623157e308], [0.1, -2.5e-310, -1.7976931348623157e308]]
+        )
+        ds = DataSet([7, 3], [0, 12], [tag, "other"], features)
+        path, oracle = tmp_path / "fast.csv", tmp_path / "oracle.csv"
+        save_csv(ds, path)
+        oracle_write_csv(
+            oracle, ["id", "label", "domain", "f0", "f1", "f2"], ds.ids, ds.labels, ds.domains,
+            ds.features,
+        )
+        assert path.read_bytes() == oracle.read_bytes()
+        back = load_csv(path)
+        assert back.domains.tolist() == [tag, "other"]
+        assert back.features.tobytes() == features.tobytes()  # -0.0 keeps its sign
+        assert np.array_equal(back.ids, ds.ids) and np.array_equal(back.labels, ds.labels)
 
     def test_empty_dataset_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"

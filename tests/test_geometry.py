@@ -161,9 +161,41 @@ def test_centroid_permutation_stable():
         assert np.abs(base.vector(c) - perm.vector(c)).max() < 1e-12
 
 
+def loop_centroids(items):
+    # the reference: each class's running sum, one vector at a time
+    sums, counts = {}, {}
+    for class_id, vec in items:
+        vec = np.asarray(vec, dtype=np.float64)
+        sums[class_id] = sums[class_id] + vec if class_id in sums else vec.copy()
+        counts[class_id] = counts.get(class_id, 0) + 1
+    return {c: sums[c] / counts[c] for c in sums}, counts
+
+
+@pytest.mark.parametrize("dim", [1, 32])
+def test_centroid_sums_match_the_loop_bitwise(dim):
+    # 1-column rows are where a pairwise reduction would differ
+    gen = np.random.default_rng(dim)
+    labels = gen.permutation(np.repeat(np.arange(5), [16, 17, 23, 40, 31]))
+    X = gen.normal(size=(len(labels), dim)) * 10.0 ** gen.integers(-8, 9, size=(len(labels), 1))
+    table = compute_centroids(zip(labels.tolist(), X))
+    expected, counts = loop_centroids(zip(labels.tolist(), X))
+    assert table.counts == counts
+    for c, vec in expected.items():
+        assert table.vector(c).tobytes() == vec.tobytes()
+
+
 def test_centroid_dim_mismatch():
     with pytest.raises(ShapeError):
         compute_centroids([(0, [1.0, 2.0]), (0, [1.0, 2.0, 3.0])])
+
+
+def test_centroid_first_bad_vector_named():
+    with pytest.raises(ShapeError, match="vector for class 4 is not 1-D"):
+        compute_centroids([(0, [1.0, 2.0]), (4, [[1.0, 2.0]]), (1, [1.0])])
+    with pytest.raises(ShapeError, match="mixed dims 2 and 1"):
+        compute_centroids([(0, [1.0, 2.0]), (4, [1.0]), (1, [[1.0, 2.0]])])
+    with pytest.raises(ShapeError, match="vector for class 3 is not 1-D"):
+        compute_centroids([(3, 1.0), (4, 2.0)])
 
 
 def test_centroid_empty_rejected():
