@@ -170,12 +170,22 @@ def _resolve_train_config(args) -> tuple[TrainConfig, list[Path]]:
     return replace(config, **updates), inputs
 
 
-def _load_tests(data_dir: Path):
+def _load_tests(data_dir: Path, width: int, source: str):
     """({domain tag: test set}, test CSV paths).  Test rows are grouped by
     domain tag over all test_*.csv files in name order, domains in order of
-    first appearance; ids need only be unique within a domain."""
+    first appearance; ids need only be unique within a domain.  A file whose
+    rows have other than `width` features, the width of `source`, raises
+    ValueError naming the file and its domains."""
     test_paths = sorted(data_dir.glob("test_*.csv"))
-    parts = [ds for ds in map(load_csv, test_paths) if len(ds)]
+    loaded = [(path, load_csv(path)) for path in test_paths]
+    for path, ds in loaded:
+        if len(ds) and ds.features.shape[1] != width:
+            domains = ", ".join(map(repr, dict.fromkeys(ds.domains.tolist())))
+            raise ValueError(
+                f"{path}: domain {domains} has {ds.features.shape[1]} features, "
+                f"but {source} has {width}"
+            )
+    parts = [ds for _, ds in loaded if len(ds)]
     tests = {}
     if parts:
         ids, labels, domains, features = (
@@ -195,7 +205,7 @@ def cmd_train(args) -> int:
     if not train_path.exists():
         raise FileNotFoundError(f"no train.csv in {data_dir}")
     train_set = load_csv(train_path)
-    tests, test_paths = _load_tests(data_dir)
+    tests, test_paths = _load_tests(data_dir, train_set.features.shape[1], str(train_path))
     config, config_inputs = _resolve_train_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -239,7 +249,7 @@ def cmd_eval(args) -> int:
     ckpt_path = Path(args.checkpoint)
     model, _config, _epoch = load_checkpoint(ckpt_path)
     data_dir = Path(args.data)
-    tests, test_paths = _load_tests(data_dir)
+    tests, test_paths = _load_tests(data_dir, model.input_dim, "the checkpoint's encoder")
     if not tests:
         raise FileNotFoundError(f"no test_*.csv files in {data_dir}")
     started = _now()

@@ -147,6 +147,7 @@ class DomainTransform:
     bias_std: float = 0.0
 
     def __post_init__(self):
+        schema.check_numbers(self)
         if not self.name:
             raise ValueError("transform name must be non-empty")
         if self.name in RESERVED_DOMAIN_TAGS:
@@ -212,6 +213,7 @@ class BenchmarkSpec:
     nuisance_std: float = 0.0
 
     def __post_init__(self):
+        schema.check_numbers(self)
         if self.n_classes_seen < 1 or self.n_classes_total < self.n_classes_seen:
             raise ValueError(
                 f"need 1 <= n_classes_seen <= n_classes_total, got "
@@ -236,11 +238,9 @@ class BenchmarkSpec:
         if self.nuisance_std > 0 and self.signal_dim == 0:
             raise ValueError("nuisance_std requires a signal subspace (signal_dim >= 1)")
         rng.check_seed(self.seed)
-        transforms = tuple(self.domain_transforms)
-        names = [t.name for t in transforms]
+        names = [t.name for t in self.domain_transforms]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate transform names in {names}")
-        object.__setattr__(self, "domain_transforms", transforms)
 
     def to_dict(self) -> dict:
         return schema.to_dict(self)

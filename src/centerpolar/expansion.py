@@ -38,7 +38,7 @@ class ExpansionConfig:
     expansion_epochs: tuple[int, ...] = (1, 4, 7)  # epochs (1-based) that run a round
 
     def __post_init__(self):
-        schema.check_integers(self)
+        schema.check_numbers(self)
         if self.iterations_te < 1:
             raise ValueError(f"iterations_te must be >= 1, got {self.iterations_te}")
         if not self.step_size > 0:

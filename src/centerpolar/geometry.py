@@ -8,7 +8,7 @@ can sit inside a differentiable graph or be evaluated standalone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,69 +55,41 @@ def geodesic_distance(u, v) -> Tensor:
 
 @dataclass(frozen=True)
 class CentroidTable:
-    """Per-class mean vectors, frozen at construction.
+    """Per-class mean vectors: row i of `matrix` is the centroid of class
+    `classes[i]`, and `classes` ascends.  Both arrays are read-only."""
 
-    The centroids are stacked once, in ascending class order, into one
-    read-only matrix; `centroids` maps each class to its row.
-    """
-
-    centroids: dict[int, np.ndarray]
-    counts: dict[int, int]
-    _classes: np.ndarray = field(init=False, repr=False, compare=False)
-    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        classes = sorted(self.centroids)
-        matrix = np.stack([self.centroids[c] for c in classes])
-        matrix.flags.writeable = False
-        object.__setattr__(self, "_classes", np.array(classes))
-        object.__setattr__(self, "_matrix", matrix)
-        object.__setattr__(self, "centroids", dict(zip(classes, matrix)))
-
-    def vector(self, class_id: int) -> np.ndarray:
-        if class_id not in self.centroids:
-            raise KeyError(f"no centroid for class {class_id}")
-        return self.centroids[class_id]
+    classes: np.ndarray
+    matrix: np.ndarray
 
     def vectors(self, class_ids) -> np.ndarray:
         """The centroid of each class in `class_ids`, as rows."""
         wanted = np.asarray(class_ids)
-        rows = np.searchsorted(self._classes, wanted).clip(max=len(self._classes) - 1)
-        missing = self._classes[rows] != wanted
+        rows = np.searchsorted(self.classes, wanted).clip(max=len(self.classes) - 1)
+        missing = self.classes[rows] != wanted
         if missing.any():
             raise KeyError(f"no centroid for class {wanted[missing.argmax()]}")
-        return self._matrix[rows]
+        return self.matrix[rows]
 
 
-def compute_centroids(items) -> CentroidTable:
-    """Mean vector per class over `items` = iterable of (class_id, vector).
+def compute_centroids(labels, embeddings) -> CentroidTable:
+    """Mean row of `embeddings` (n, k) per class in `labels` (n,).
 
-    Summation runs in input order, so results are reproducible for a fixed
+    Other shapes raise ShapeError, and n = 0 raises ValueError.  Each class's
+    rows are added in input order, so results are reproducible for a fixed
     ordering and agree across reorderings up to float associativity.
     """
-    pairs = list(items)
-    if not pairs:
+    labels = np.asarray(labels)
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    if labels.ndim != 1 or embeddings.ndim != 2 or len(labels) != len(embeddings):
+        raise ShapeError(
+            f"compute_centroids: shapes {labels.shape} and {embeddings.shape} are not (n,) and (n, k)"
+        )
+    if not len(labels):
         raise ValueError("compute_centroids: empty input")
-    vectors = [np.asarray(vec, dtype=np.float64) for _, vec in pairs]
-    if len({vec.shape for vec in vectors}) != 1 or vectors[0].ndim != 1:
-        # name the first vector that is not 1-D or not of the first one's size
-        for (class_id, _), vec in zip(pairs, vectors):
-            if vec.ndim != 1:
-                raise ShapeError(f"compute_centroids: vector for class {class_id} is not 1-D")
-            if vec.shape != vectors[0].shape:
-                raise ShapeError(
-                    f"compute_centroids: mixed dims {len(vectors[0])} and {len(vec)}"
-                )
-    members: dict = {}
-    for (class_id, _), vec in zip(pairs, vectors):
-        members.setdefault(class_id, []).append(vec)
-    # each class's rows in input order, one class after another
-    rows = np.concatenate([vec for group in members.values() for vec in group])
-    rows = rows.reshape(len(pairs), len(vectors[0]))
-    counts = [len(group) for group in members.values()]
-    ends = np.cumsum(counts).tolist()
-    # accumulate adds row after row, also for one column, where a reduction
-    # would add pairwise
-    sums = [np.add.accumulate(rows[end - n : end], axis=0)[-1] for end, n in zip(ends, counts)]
-    centroids = dict(zip(members, np.stack(sums) / np.array(counts)[:, None]))
-    return CentroidTable(centroids=centroids, counts=dict(zip(members, counts)))
+    classes, counts = np.unique(labels, return_counts=True)
+    # each class's rows in input order, one class after another; accumulate
+    # adds row after row, also for one column, where a reduction would add pairwise
+    groups = np.split(embeddings[np.argsort(labels, kind="stable")], np.cumsum(counts)[:-1])
+    matrix = np.stack([np.add.accumulate(g, axis=0)[-1] for g in groups]) / counts[:, None]
+    classes.flags.writeable = matrix.flags.writeable = False
+    return CentroidTable(classes, matrix)

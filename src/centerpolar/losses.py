@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import schema
 from .geometry import CentroidTable, as_tensor, euclidean_distance, geodesic_distance
 from .tensor import Tensor, pair_distances, pair_index
 
@@ -36,6 +37,7 @@ class LossConfig:
     margin_neg: float = 1.0
 
     def __post_init__(self):
+        schema.check_numbers(self)
         if not self.margin_m > 0:
             raise ValueError(f"margin_m must be positive, got {self.margin_m}")
         if not self.lam >= 0:

@@ -8,8 +8,9 @@ key at any depth, a missing field without a default, or a value that does
 not match the field's annotation raises ValueError naming the dotted path
 of the key, and a nested dataclass's own ValueError is prefixed with its
 path.  `int` takes JSON integers only, `float` any JSON number (stored as
-a float), and neither takes a boolean.  `check_integers` holds the `int`
-fields to the same rule at construction.  `write_json` is the one JSON
+a float), and neither takes a boolean.  `check_numbers` holds the `int`
+fields to the same rule at construction, and the `float` fields to finite
+values, which JSON's `Infinity` and `NaN` are not.  `write_json` is the one JSON
 writer.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import numbers
 import types
 import typing
@@ -86,17 +88,13 @@ def write_json(obj, path) -> None:
 def _load(tp, value, path: str):
     if dataclasses.is_dataclass(tp):
         return from_dict(tp, value, path)
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin in (typing.Union, types.UnionType):
-        # only `X | None` occurs in the configs
-        if value is None:
-            return None
-        (tp,) = (a for a in args if a is not type(None))
-        return _load(tp, value, path)
-    if origin is tuple:
+    if _without_none(tp) is not tp:
+        return None if value is None else _load(_without_none(tp), value, path)
+    if typing.get_origin(tp) is tuple:
         if not isinstance(value, (list, tuple)):
             raise _mismatch(path, "an array", value)
-        return tuple(_load(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+        item = typing.get_args(tp)[0]
+        return tuple(_load(item, v, f"{path}[{i}]") for i, v in enumerate(value))
     if isinstance(value, bool):
         raise _mismatch(path, _WANTED[tp], value)
     if tp is float and isinstance(value, (int, float)):
@@ -106,20 +104,35 @@ def _load(tp, value, path: str):
     raise _mismatch(path, _WANTED[tp], value)
 
 
-def check_integers(obj) -> None:
-    """Store each `int` field of the frozen dataclass `obj`, and each item of
-    a `tuple[int, ...]` field, as an int.  A boolean or a non-integer (numpy
-    integers are integers) raises ValueError naming the field."""
+def check_numbers(obj) -> None:
+    """Store each `int` field of the frozen dataclass `obj` as an int and
+    hold each `float` field finite, without converting it; the items of a
+    `tuple[X, ...]` field (stored as a tuple) and a set `X | None` field are
+    checked as X.  A boolean or a non-integer int (numpy integers are
+    integers), or an infinite or NaN float, raises ValueError naming it."""
     hints = _hints(type(obj))
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
-        if hints[f.name] is int:
-            value = integer(value, f.name)
-        elif hints[f.name] == tuple[int, ...]:
-            value = tuple(integer(v, f"{f.name}[{i}]") for i, v in enumerate(value))
-        else:
-            continue
-        object.__setattr__(obj, f.name, value)
+        if value is not None:
+            object.__setattr__(obj, f.name, _checked(_without_none(hints[f.name]), value, _key(f)))
+
+
+def _checked(tp, value, path: str):
+    if typing.get_origin(tp) is tuple:
+        item = typing.get_args(tp)[0]
+        return tuple(_checked(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    if tp is int:
+        return integer(value, path)
+    if tp is float and isinstance(value, numbers.Real) and not math.isfinite(value):
+        raise ValueError(f"{path}: expected a finite number, got {value!r}")
+    return value
+
+
+def _without_none(tp):
+    # X for `X | None`, the only union in the configs; else tp itself
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        (tp,) = (a for a in typing.get_args(tp) if a is not type(None))
+    return tp
 
 
 def integer(value, path: str) -> int:

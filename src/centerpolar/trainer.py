@@ -54,7 +54,7 @@ class TrainConfig:
     expansion: ExpansionConfig = field(default_factory=ExpansionConfig)
 
     def __post_init__(self):
-        schema.check_integers(self)
+        schema.check_numbers(self)
         if self.total_epochs < 0:
             raise ValueError(f"total_epochs must be >= 0, got {self.total_epochs}")
         if self.batch_size < 2:
@@ -182,7 +182,7 @@ def train(
         centroids = None
         if expands or pulls_to_centroids:
             # centroids from the originals under the current encoder, frozen for the epoch
-            centroids = compute_centroids(zip(labels.tolist(), model.embed_many(features)))
+            centroids = compute_centroids(labels, model.embed_many(features))
         if expands:
             carry = expand_batch(
                 (ids, carry, labels),
@@ -286,8 +286,12 @@ def c4_equilibrium_probe(
     summed centripetal distances|| (unaveraged, so the column scales with
     the batch), and the norm of the full mean-loss gradient.  The total is
     grad_dom + (lambda / batch) * grad_sum by linearity.  The batch is the
-    (B, d) inputs `x` with their `class_ids`.
+    (B, d) inputs `x` with their `class_ids`.  `lambdas` must be non-empty,
+    finite and >= 0; it is checked before any gradient is taken.
     """
+    lams = [float(lam) for lam in lambdas]
+    if not lams or not all(np.isfinite(lam) and lam >= 0 for lam in lams):
+        raise ValueError(f"lambdas must be non-empty, finite and >= 0, got {lams}")
     # lambda = 0 makes loss_c4 exactly the contrastive term
     dom_config = replace(lconfig, lam=0.0)
     g_dom = _param_grad(model, lambda: loss_c4(x, class_ids, model, centroids, dom_config))
@@ -297,10 +301,7 @@ def c4_equilibrium_probe(
     )
     n = float(len(x))
     rows = []
-    for lam in lambdas:
-        lam = float(lam)
-        if lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {lam}")
+    for lam in lams:
         total = g_dom + (lam / n) * g_dis_sum
         rows.append(
             {
@@ -335,7 +336,7 @@ class Checkpoint:
     layers: tuple[LayerRecord, ...]
 
     def __post_init__(self):
-        schema.check_integers(self)
+        schema.check_numbers(self)
         if self.epoch < 0:
             raise ValueError(f"epoch: must be >= 0, got {self.epoch}")
         if self.seed != self.config.seed:

@@ -78,7 +78,7 @@ def oracle_c3e_mean(x, x_tildes, class_ids, model, centroids, margin: float) -> 
     tensors `x_tildes`."""
     terms = []
     for x_r, x_tilde, class_id in zip(x, x_tildes, class_ids):
-        mu = centroids.vector(class_id)
+        mu = centroids.vectors([class_id])[0]
         d_orig = _reference(x_r, mu, model)
         terms.append(oracle_c3e_objective(x_r, x_tilde, mu, d_orig, model, margin))
     return _mean_scalars(terms)
@@ -122,14 +122,14 @@ def oracle_loss_c4(x, class_ids, model, centroids, config) -> Tensor:
     embeds = [oracle_forward(model, x_r) for x_r in x]
     total = oracle_loss_dom(embeds, class_ids, config)
     if config.lam != 0.0:
-        dis = [oracle_geodesic(centroids.vector(cid), e) for e, cid in zip(embeds, class_ids)]
+        dis = [oracle_geodesic(centroids.vectors([cid])[0], e) for e, cid in zip(embeds, class_ids)]
         total = total + config.lam * _mean_scalars(dis)
     return total
 
 
 def oracle_expand_sample(x, class_id, model, centroids, iterations, step_size, margin, sample_id=0):
     x0 = np.array(x, dtype=np.float64).reshape(-1)
-    mu = centroids.vector(class_id)
+    mu = centroids.vectors([class_id])[0]
     d_orig = _reference(x0, mu, model)
     x_cur = x0.copy()
     for t in range(1, iterations + 1):

@@ -209,13 +209,13 @@ def test_criterion_1_gradient_correctness():
             if need_cos:
                 table = _batch_centroids(model, X, labels)
                 for i, e in enumerate(E):
-                    if not _away_from_cos_band(table.vector(labels[i]), e):
+                    if not _away_from_cos_band(table.vectors([labels[i]])[0], e):
                         return False
             return True
 
         def _batch_centroids(model, X, labels):
             E = model.embed_many(X)
-            return compute_centroids(zip(labels, E))
+            return compute_centroids(labels, E)
 
         # loss_dom w.r.t. encoder parameters
         for model, X, labels in _sample_until(
@@ -234,13 +234,13 @@ def test_criterion_1_gradient_correctness():
                 return False
             table = _batch_centroids(model, X, labels)
             return all(
-                _away_from_cos_band(table.vector(y), e) for e, y in zip(E, labels)
+                _away_from_cos_band(table.vectors([y])[0], e) for e, y in zip(E, labels)
             )
 
         for model, X, labels in _sample_until(
             np.random.default_rng(106), mk_batch, dis_ok
         ):
-            mu = _batch_centroids(model, X, labels).vector(labels[0])
+            mu = _batch_centroids(model, X, labels).vectors([labels[0]])[0]
 
             def f_dis(_t, model=model, x=X[0], mu=mu):
                 return loss_dis(model.forward(Tensor(x)), Tensor(mu))
@@ -355,7 +355,7 @@ def test_criterion_3_bounded_expansion():
             model = EncoderModel.build([8, 8], ["identity"], seed=seed)
             gen = np.random.default_rng(1000 + seed)
             anchors = gen.normal(size=(5, 8))
-            table = compute_centroids((0, a) for a in anchors)
+            table = compute_centroids(np.zeros(len(anchors), dtype=np.int64), anchors)
             x0 = gen.normal(size=8)
             rows = expansion_trajectory((x0, 0), model, table, econf, lconf)
             d0 = rows[0][2]
@@ -410,7 +410,7 @@ def test_criterion_4_equilibrium():
             assert delta < 1e-5, f"seed {seed} not converged: delta {delta:.2e}"
             model = report.model
             E = model.embed_many(ds.features)
-            table = compute_centroids(zip(ds.labels.tolist(), E))
+            table = compute_centroids(ds.labels, E)
             (row,) = c4_equilibrium_probe(
                 model, ds.features, ds.labels.tolist(), table, lconf, [lconf.lam]
             )

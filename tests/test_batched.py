@@ -116,7 +116,7 @@ def test_loss_c4_matches_per_sample_graphs(n, dims, lam):
     model = _model(gen, *dims)
     labels = _labels(gen, n)
     X = gen.normal(size=(n, dims[0]))
-    table = compute_centroids(zip(labels, model.embed_many(X)))
+    table = compute_centroids(labels, model.embed_many(X))
     cfg = LossConfig(lam=lam)
     params = model.parameters()
     _assert_same(
@@ -131,7 +131,7 @@ def test_c3e_objective_matches_per_sample_graphs(n):
     model = _model(gen)
     labels = _labels(gen, n)
     X = gen.normal(size=(n, 5))
-    table = compute_centroids(zip(labels, model.embed_many(X) + 0.3))
+    table = compute_centroids(labels, model.embed_many(X) + 0.3)
     stacked, rows = _leaves(X + 0.1 * gen.normal(size=(n, 5)))
     mu = table.vectors(labels)
     d_orig = c3e_reference(X, mu, model)
@@ -171,7 +171,7 @@ def test_expansion_matches_per_sample_descent(n):
     model = _model(gen)
     labels = _labels(gen, n)
     X = gen.normal(size=(n, 5))
-    table = compute_centroids(zip(labels, model.embed_many(X)))
+    table = compute_centroids(labels, model.embed_many(X))
     batch = (np.arange(10, 10 + n), X, labels)
     econf = ExpansionConfig(iterations_te=3, step_size=0.05)
     lconf = LossConfig(margin_m=0.5)
@@ -188,7 +188,7 @@ def test_expansion_blocks_give_rows_their_alone_bits():
     model = EncoderModel.default(4, embed_dim=3, hidden_dim=6, seed=3)
     labels = gen.integers(0, 3, size=300).tolist()
     X = gen.normal(size=(300, 4))
-    table = compute_centroids(zip(labels, model.embed_many(X)))
+    table = compute_centroids(labels, model.embed_many(X))
     econf = ExpansionConfig(iterations_te=2, step_size=0.05)
     together = expand_batch((np.arange(300), X, labels), model, table, econf, LossConfig())
     for i, row in enumerate(together):
@@ -200,7 +200,7 @@ def test_expansion_blocks_give_rows_their_alone_bits():
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_divergence_in_a_block_names_the_first_sample_alone():
     model = EncoderModel.default(2, embed_dim=2, hidden_dim=3, seed=0)
-    table = compute_centroids([(0, [1.0, 0.0])])
+    table = compute_centroids([0], [[1.0, 0.0]])
     batch = ([5, 42], np.array([[0.5, 0.5], [2.0, -1.0]]), [0, 0])
     econf = ExpansionConfig(iterations_te=10, step_size=1e155)
     with pytest.raises(ExpansionDivergedError) as alone:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import centerpolar
-from centerpolar import schema
+from centerpolar import cli, schema
 from centerpolar.cli import main
 from centerpolar.data import load_csv
 from centerpolar.encoder import EncoderModel
@@ -88,6 +88,13 @@ def checkpoint_without_layer_key(key):
     d = checkpoint_dict()
     del d["layers"][0][key]
     return d
+
+
+def write_wider_test_csv(data_dir):
+    # test_near.csv with one more feature column, as domain "wide"
+    header, *rows = (data_dir / "test_near.csv").read_text().splitlines()
+    rows = [row.replace(",near,", ",wide,") + ",0.5" for row in rows]
+    (data_dir / "test_wide.csv").write_text("\n".join([header + ",f4", *rows]) + "\n")
 
 
 @pytest.fixture
@@ -319,6 +326,27 @@ class TestTrain:
         assert rc == 2
         assert "momentum" in capsys.readouterr().err
 
+    def test_test_csv_width_checked_before_training(self, tmp_path, data_dir, capsys, monkeypatch):
+        # a width-5 test file next to the width-4 train.csv
+        write_wider_test_csv(data_dir)
+        monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("trained"))
+        out = tmp_path / "o"
+        rc = main(["train", "--data", str(data_dir), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{data_dir / 'test_wide.csv'}: domain 'wide' has 5 features" in err
+        assert f"but {data_dir / 'train.csv'} has 4" in err
+        assert not out.exists()
+
+    def test_non_finite_flag_is_exit_2(self, tmp_path, data_dir, capsys):
+        out = tmp_path / "o"
+        rc = main(["train", "--data", str(data_dir), "--out", str(out), "--lr-theta", "inf"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "lr_theta: expected a finite number, got inf" in err
+        assert "Warning" not in err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_divergence_exit_code(self, tmp_path, data_dir, capsys):
@@ -415,6 +443,16 @@ class TestEval:
         )
         assert main(argv[:-1] + [str(tmp_path / "plain.json"), "--data", str(data_dir)]) == 0
         assert out_path.read_text() == (tmp_path / "plain.json").read_text()
+
+    def test_test_csv_width_checked_against_the_checkpoint(self, tmp_path, data_dir, run_dir, capsys):
+        write_wider_test_csv(data_dir)
+        out_path = tmp_path / "r.json"
+        argv = ["eval", "--checkpoint", str(run_dir / "checkpoint.json"), "--out", str(out_path)]
+        assert main(argv + ["--data", str(data_dir)]) == 2
+        err = capsys.readouterr().err
+        assert f"{data_dir / 'test_wide.csv'}: domain 'wide' has 5 features" in err
+        assert "but the checkpoint's encoder has 4" in err
+        assert not out_path.exists()
 
     def test_missing_checkpoint(self, tmp_path, data_dir, capsys):
         rc = main(
@@ -668,6 +706,16 @@ def test_train_byte_identical_across_blas_threads(tmp_path):
             "eval",
             checkpoint_with_layer(bias=base64.b64encode(np.zeros(7).astype("<f8").tobytes()).decode()),
             "layers[0].bias",
+        ),
+        ("train", {"adam_eps": float("inf")}, "adam_eps: expected a finite number"),
+        ("train", {"loss": {"lambda": float("inf")}}, "loss: lambda: expected a finite number"),
+        ("train", {"expansion": {"step_size": float("nan")}}, "expansion: step_size: expected"),
+        ("gen-data", spec_dict(nuisance_std=float("nan")), "nuisance_std: expected a finite"),
+        ("gen-data", spec_dict(class_separation=float("inf")), "class_separation: expected"),
+        (
+            "gen-data",
+            spec_dict(domain_transforms=[{"name": "near", "rotation_angles": [float("inf")]}]),
+            "domain_transforms[0]: rotation_angles[0]: expected a finite number",
         ),
     ],
 )

@@ -183,6 +183,18 @@ class TestBenchmarkSpec:
         with pytest.raises(ValueError):
             small_spec(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("key", ["class_separation", "intra_std", "nuisance_std"])
+    def test_non_finite_floats_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key}: expected a finite number"):
+            small_spec(**{key: value})
+
+    def test_integer_fields_checked(self):
+        with pytest.raises(ValueError, match="^n_classes_total: expected an integer"):
+            small_spec(n_classes_total=4.0)
+        spec = small_spec(input_dim=np.int64(4))
+        assert type(spec.input_dim) is int
+
     def test_duplicate_transform_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             small_spec(
@@ -260,6 +272,11 @@ class TestBenchmarkSpec:
             (
                 lambda d: d["domain_transforms"][0].update(rotation_angles=[0.1, "x"]),
                 "domain_transforms[0].rotation_angles[1]",
+            ),
+            (lambda d: d.update(nuisance_std=math.nan), "nuisance_std: expected a finite"),
+            (
+                lambda d: d["domain_transforms"][0].update(rotation_angles=[math.inf]),
+                "domain_transforms[0]: rotation_angles[0]: expected a finite",
             ),
         ],
     )
@@ -347,6 +364,24 @@ class TestDomainTransform:
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError, match="scale"):
             DomainTransform(name="a", scale=0.0)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(scale=math.inf), "scale: expected a finite number"),
+            (dict(bias_std=math.nan), "bias_std: expected a finite number"),
+            (dict(rotation_angles=(0.5, -math.inf)), "rotation_angles[1]: expected a finite number"),
+            (dict(rotation_seed=1.5), "rotation_seed: expected an integer"),
+        ],
+        ids=["scale", "bias_std", "rotation_angles", "rotation_seed"],
+    )
+    def test_non_finite_floats_and_non_integers_rejected(self, change, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            DomainTransform(name="a", **change)
+
+    def test_set_optional_fields_are_stored_as_given(self):
+        t = DomainTransform(name="a", rotation_seed=np.int64(3), rotation_angles=[1, 0.5])
+        assert type(t.rotation_seed) is int and t.rotation_angles == (1.0, 0.5)
 
 
 class TestGenerateBenchmark:

@@ -71,7 +71,7 @@ def test_single_step_matches_analytic_gradient():
     #   g = W^T [ (mu_hat - c e_hat) / (pi sqrt(1-c^2) ||e||) + (e-mu)/||e-mu|| ]
     # for W=[[2,1],[0,1]], x0=[0.8,-0.3], mu=[0.5,0.4], margin 1, step 0.05
     model = linear_encoder([[2.0, 1.0], [0.0, 1.0]])
-    cents = compute_centroids([(0, [0.5, 0.4])])
+    cents = compute_centroids([0], [[0.5, 0.4]])
     out = expand_batch(
         one(7, np.array([0.8, -0.3]), 0),
         model,
@@ -86,7 +86,7 @@ def test_single_step_matches_analytic_gradient():
 
 def test_expanded_set_provenance():
     model = linear_encoder(np.eye(2))
-    cents = compute_centroids([(0, [1.0, 0.0]), (1, [0.0, 1.0])])
+    cents = compute_centroids([0, 1], [[1.0, 0.0], [0.0, 1.0]])
     ids, X, labels = [10, 11], np.array([[0.9, 0.1], [0.2, 1.1]]), [0, 1]
     cfg = ExpansionConfig(iterations_te=3)
     out = expand_batch((ids, X, labels), model, cents, cfg, LossConfig())
@@ -103,7 +103,7 @@ def test_expanded_set_provenance():
 def test_model_untouched_by_expansion():
     model = EncoderModel.build([3, 4, 2], ["tanh", "identity"], seed=2)
     before = model.checksum()
-    cents = compute_centroids([(0, [0.5, 0.5])])
+    cents = compute_centroids([0], [[0.5, 0.5]])
     expand_batch(
         one(0, np.array([0.1, 0.2, 0.3]), 0),
         model,
@@ -116,7 +116,7 @@ def test_model_untouched_by_expansion():
 
 def test_expansion_deterministic_bitwise():
     model = EncoderModel.build([3, 4, 2], ["tanh", "identity"], seed=4)
-    cents = compute_centroids([(0, [0.3, -0.4])])
+    cents = compute_centroids([0], [[0.3, -0.4]])
     batch = one(0, np.array([0.5, -0.2, 0.8]), 0)
     cfg = ExpansionConfig(iterations_te=8, step_size=5e-3)
     a = expand_batch(batch, model, cents, cfg, LossConfig())
@@ -126,7 +126,7 @@ def test_expansion_deterministic_bitwise():
 
 def test_samples_expand_independently():
     model = EncoderModel.build([2, 3, 2], ["tanh", "identity"], seed=6)
-    cents = compute_centroids([(0, [0.4, 0.1]), (1, [-0.3, 0.5])])
+    cents = compute_centroids([0, 1], [[0.4, 0.1], [-0.3, 0.5]])
     cfg = ExpansionConfig(iterations_te=4)
     b1 = one(0, np.array([0.7, 0.2]), 0)
     b2 = one(1, np.array([-0.1, 0.6]), 1)
@@ -157,7 +157,7 @@ def test_centrifugal_ascent_small_steps():
         perp -= (perp @ e0_hat) * e0_hat
         perp /= np.linalg.norm(perp)
         mu = 3.0 * np.linalg.norm(e0) * (np.cos(0.17) * e0_hat + np.sin(0.17) * perp)
-        cents = compute_centroids([(0, mu)])
+        cents = compute_centroids([0], [mu])
         rows = expansion_trajectory(
             (x, 0),
             model,
@@ -170,7 +170,7 @@ def test_centrifugal_ascent_small_steps():
 
 def test_semantic_tether_linear_in_step_size():
     model = EncoderModel.build([3, 4, 2], ["tanh", "identity"], seed=9)
-    cents = compute_centroids([(0, [0.6, -0.2])])
+    cents = compute_centroids([0], [[0.6, -0.2]])
     x0 = np.array([0.4, 0.1, -0.5])
 
     def drift(step):
@@ -189,7 +189,7 @@ def test_semantic_tether_linear_in_step_size():
 
 def test_trajectory_length_and_initial_row():
     model = linear_encoder(np.eye(2))
-    cents = compute_centroids([(0, [1.0, 0.0])])
+    cents = compute_centroids([0], [[1.0, 0.0]])
     x0 = np.array([0.8, 0.4])
     cfg = ExpansionConfig(iterations_te=6, step_size=1e-2)
     rows = expansion_trajectory((x0, 0), model, cents, cfg, LossConfig(margin_m=1.0))
@@ -203,7 +203,7 @@ def test_trajectory_length_and_initial_row():
 
 def test_trajectory_zero_iterations_single_row():
     model = linear_encoder(np.eye(2))
-    cents = compute_centroids([(0, [1.0, 0.0])])
+    cents = compute_centroids([0], [[1.0, 0.0]])
     rows = expansion_trajectory(
         (np.array([0.5, 0.5]), 0),
         model,
@@ -219,7 +219,7 @@ def test_trajectory_zero_iterations_single_row():
 @pytest.mark.parametrize("iterations", [2.7, True, -1])
 def test_trajectory_rejects_iterations_that_are_not_a_count(iterations):
     model = linear_encoder(np.eye(2))
-    cents = compute_centroids([(0, [1.0, 0.0])])
+    cents = compute_centroids([0], [[1.0, 0.0]])
     with pytest.raises(ValueError, match="iterations"):
         expansion_trajectory(
             (np.array([0.5, 0.5]), 0), model, cents, ExpansionConfig(), LossConfig(),
@@ -229,7 +229,7 @@ def test_trajectory_rejects_iterations_that_are_not_a_count(iterations):
 
 def test_trajectory_accepts_a_numpy_integer():
     model = linear_encoder(np.eye(2))
-    cents = compute_centroids([(0, [1.0, 0.0])])
+    cents = compute_centroids([0], [[1.0, 0.0]])
     rows = expansion_trajectory(
         (np.array([0.5, 0.5]), 0), model, cents, ExpansionConfig(), LossConfig(),
         iterations=np.int64(3),
@@ -239,13 +239,13 @@ def test_trajectory_accepts_a_numpy_integer():
 
 def test_trajectory_consistent_with_expand_batch():
     model = EncoderModel.build([2, 3, 2], ["tanh", "identity"], seed=12)
-    cents = compute_centroids([(0, [0.5, 0.3])])
+    cents = compute_centroids([0], [[0.5, 0.3]])
     x0 = np.array([0.2, -0.7])
     cfg = ExpansionConfig(iterations_te=5, step_size=1e-2)
     rows = expansion_trajectory((x0, 0), model, cents, cfg, LossConfig())
     out = expand_batch(one(0, x0, 0), model, cents, cfg, LossConfig())
     e = model.forward(Tensor(out[0]), frozen=True)
-    d_final = geodesic_distance(Tensor(cents.vector(0)), e).item()
+    d_final = geodesic_distance(Tensor(cents.vectors([0])[0]), e).item()
     assert rows[-1][1] == pytest.approx(d_final, abs=1e-15)
 
 
@@ -253,7 +253,7 @@ def test_trajectory_consistent_with_expand_batch():
 def test_divergence_names_sample_and_iteration():
     # an absurd step size launches the iterate out of the representable range
     model = linear_encoder(np.eye(2))
-    cents = compute_centroids([(0, [1.0, 0.0])])
+    cents = compute_centroids([0], [[1.0, 0.0]])
     with pytest.raises(ExpansionDivergedError) as exc:
         expand_batch(
             one(42, np.array([0.5, 0.5]), 0),
@@ -276,7 +276,7 @@ def test_divergence_names_sample_and_iteration():
 )
 def test_mismatched_columns_rejected(batch, shape):
     model = linear_encoder(np.eye(2))
-    cents = compute_centroids([(0, [1.0, 0.0])])
+    cents = compute_centroids([0], [[1.0, 0.0]])
     with pytest.raises(ValueError, match=re.escape(f"ids but inputs of shape {shape}")):
         expand_batch(batch, model, cents, ExpansionConfig(), LossConfig())
 
@@ -286,13 +286,13 @@ def test_one_step_is_a_gradient_step_on_c3e_objective(seed):
     # expansion descends exactly the objective that c3e_objective evaluates
     gen = np.random.default_rng(seed)
     model = EncoderModel.default(4, embed_dim=3, hidden_dim=5, seed=seed)
-    cents = compute_centroids([(0, gen.normal(size=3)), (1, gen.normal(size=3))])
+    cents = compute_centroids([0, 1], [gen.normal(size=3), gen.normal(size=3)])
     econf = ExpansionConfig(iterations_te=1, step_size=0.05)
     lconf = LossConfig(margin_m=0.5)
     for sid in range(10):
         x, c = gen.normal(size=4), sid % 2
         (out,) = expand_batch(one(sid, x, c), model, cents, econf, lconf)
-        mu = cents.vector(c)
+        mu = cents.vectors([c])[0]
         with record():
             xt = Tensor(x, requires_grad=True)
             d_orig = c3e_reference(x, mu, model)

@@ -130,92 +130,97 @@ def test_euclidean_values():
 
 
 def test_centroid_midpoint():
-    table = compute_centroids([(0, [0.0, 0.0]), (0, [2.0, 2.0])])
-    assert table.vector(0).tolist() == [1.0, 1.0]
+    table = compute_centroids([0, 0], [[0.0, 0.0], [2.0, 2.0]])
+    assert table.vectors([0]).tolist() == [[1.0, 1.0]]
 
 
 def test_centroid_single_sample_class():
-    table = compute_centroids([(3, [4.0, -1.0])])
-    assert table.vector(3).tolist() == [4.0, -1.0]
-    assert table.counts[3] == 1
+    table = compute_centroids([3], [[4.0, -1.0]])
+    assert table.classes.tolist() == [3]
+    assert table.matrix.tolist() == [[4.0, -1.0]]
 
 
 def test_centroid_two_classes():
-    table = compute_centroids(
-        [(0, [1.0, 0.0]), (0, [0.0, 1.0]), (1, [5.0, 5.0])]
-    )
-    assert table.vector(0).tolist() == [0.5, 0.5]
-    assert table.vector(1).tolist() == [5.0, 5.0]
-    assert table.counts == {0: 2, 1: 1}
+    table = compute_centroids([1, 0, 0], [[5.0, 5.0], [1.0, 0.0], [0.0, 1.0]])
+    assert table.classes.tolist() == [0, 1]
+    assert table.matrix.tolist() == [[0.5, 0.5], [5.0, 5.0]]
     with pytest.raises(KeyError, match="class 2"):
-        table.vector(2)
+        table.vectors([2])
 
 
 def test_centroid_permutation_stable():
     gen = np.random.default_rng(2)
-    items = [(int(i % 3), gen.normal(size=4)) for i in range(12)]
-    base = compute_centroids(items)
-    perm = compute_centroids([items[i] for i in gen.permutation(12)])
-    assert base.counts == perm.counts == {0: 4, 1: 4, 2: 4}
-    for c in base.counts:
-        assert np.abs(base.vector(c) - perm.vector(c)).max() < 1e-12
+    labels, X = np.arange(12) % 3, gen.normal(size=(12, 4))
+    base = compute_centroids(labels, X)
+    order = gen.permutation(12)
+    perm = compute_centroids(labels[order], X[order])
+    assert base.classes.tolist() == perm.classes.tolist() == [0, 1, 2]
+    assert np.abs(base.matrix - perm.matrix).max() < 1e-12
 
 
-def loop_centroids(items):
-    # the reference: each class's running sum, one vector at a time
+def loop_centroids(labels, X):
+    # the reference: each class's running sum, one row at a time
     sums, counts = {}, {}
-    for class_id, vec in items:
-        vec = np.asarray(vec, dtype=np.float64)
+    for class_id, vec in zip(labels.tolist(), X):
         sums[class_id] = sums[class_id] + vec if class_id in sums else vec.copy()
         counts[class_id] = counts.get(class_id, 0) + 1
-    return {c: sums[c] / counts[c] for c in sums}, counts
+    return {c: sums[c] / counts[c] for c in sums}
 
 
 @pytest.mark.parametrize("dim", [1, 32])
 def test_centroid_sums_match_the_loop_bitwise(dim):
-    # 1-column rows are where a pairwise reduction would differ
+    # 1-column rows are where a pairwise reduction would differ; the labels
+    # are shuffled, so each class's rows are spread over the input
     gen = np.random.default_rng(dim)
     labels = gen.permutation(np.repeat(np.arange(5), [16, 17, 23, 40, 31]))
     X = gen.normal(size=(len(labels), dim)) * 10.0 ** gen.integers(-8, 9, size=(len(labels), 1))
-    table = compute_centroids(zip(labels.tolist(), X))
-    expected, counts = loop_centroids(zip(labels.tolist(), X))
-    assert table.counts == counts
+    table = compute_centroids(labels, X)
+    expected = loop_centroids(labels, X)
+    assert table.classes.tolist() == sorted(expected)
     for c, vec in expected.items():
-        assert table.vector(c).tobytes() == vec.tobytes()
+        assert table.vectors([c])[0].tobytes() == vec.tobytes()
 
 
 def test_centroid_dim_mismatch():
-    with pytest.raises(ShapeError):
-        compute_centroids([(0, [1.0, 2.0]), (0, [1.0, 2.0, 3.0])])
+    # a label count that differs from the row count, either way
+    with pytest.raises(ShapeError, match=r"shapes \(2,\) and \(3, 2\)"):
+        compute_centroids([0, 0], [[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(ShapeError, match=r"shapes \(3,\) and \(2, 2\)"):
+        compute_centroids([0, 0, 1], [[1.0, 2.0], [3.0, 4.0]])
 
 
-def test_centroid_first_bad_vector_named():
-    with pytest.raises(ShapeError, match="vector for class 4 is not 1-D"):
-        compute_centroids([(0, [1.0, 2.0]), (4, [[1.0, 2.0]]), (1, [1.0])])
-    with pytest.raises(ShapeError, match="mixed dims 2 and 1"):
-        compute_centroids([(0, [1.0, 2.0]), (4, [1.0]), (1, [[1.0, 2.0]])])
-    with pytest.raises(ShapeError, match="vector for class 3 is not 1-D"):
-        compute_centroids([(3, 1.0), (4, 2.0)])
+@pytest.mark.parametrize(
+    "labels, embeddings",
+    [
+        ([0, 1], [1.0, 2.0]),
+        ([[0], [1]], [[1.0], [2.0]]),
+        ([0, 1], [[[1.0]], [[2.0]]]),
+        (0, [[1.0]]),
+    ],
+    ids=["embeddings-1d", "labels-2d", "embeddings-3d", "labels-0d"],
+)
+def test_centroid_shapes_are_n_and_n_by_k(labels, embeddings):
+    with pytest.raises(ShapeError, match=r"are not \(n,\) and \(n, k\)"):
+        compute_centroids(labels, embeddings)
 
 
 def test_centroid_empty_rejected():
-    with pytest.raises(ValueError):
-        compute_centroids([])
+    with pytest.raises(ValueError, match="empty input"):
+        compute_centroids(np.zeros(0, dtype=np.int64), np.zeros((0, 3)))
 
 
 def test_centroid_lookup_unknown_class():
-    table = compute_centroids([(0, [1.0, 1.0])])
-    with pytest.raises(KeyError):
-        table.vector(7)
+    table = compute_centroids([0], [[1.0, 1.0]])
+    with pytest.raises(KeyError, match="no centroid for class 7"):
+        table.vectors([7])
 
 
 def test_centroid_vectors_are_rows_in_the_order_asked():
-    table = compute_centroids([(5, [1.0, 2.0]), (0, [3.0, 4.0]), (2, [5.0, 6.0])])
+    table = compute_centroids([5, 0, 2], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     got = table.vectors([2, 5, 5, 0])
     assert got.tolist() == [[5.0, 6.0], [1.0, 2.0], [1.0, 2.0], [3.0, 4.0]]
-    assert np.array_equal(got, np.stack([table.vector(c) for c in [2, 5, 5, 0]]))
     got[0, 0] = 9.0  # the rows are the caller's copy
-    assert table.vector(2).tolist() == [5.0, 6.0]
+    assert table.vectors([2]).tolist() == [[5.0, 6.0]]
     # a class between, past or before the stored ones is named
     for ids, missing in (([0, 3, 9], 3), ([9], 9), ([-1, 0], -1)):
         with pytest.raises(KeyError, match=f"no centroid for class {missing}"):
@@ -223,9 +228,12 @@ def test_centroid_vectors_are_rows_in_the_order_asked():
 
 
 def test_centroid_table_is_frozen():
-    table = compute_centroids([(0, [1.0, 1.0]), (1, [2.0, 0.0])])
+    table = compute_centroids([0, 1], [[1.0, 1.0], [2.0, 0.0]])
+    assert [f.name for f in dataclasses.fields(table)] == ["classes", "matrix"]
     with pytest.raises(dataclasses.FrozenInstanceError):
-        table.counts = {}
+        table.matrix = np.zeros((2, 2))
     with pytest.raises(ValueError, match="read-only"):
-        table.vector(0)[0] = 5.0
+        table.matrix[0, 0] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        table.classes[0] = 5
     assert table.vectors([0, 1]).tolist() == [[1.0, 1.0], [2.0, 0.0]]

@@ -84,14 +84,14 @@ def c3e_mean(x, x_tilde, class_ids, model, cents, margin=1.0):
 
 def test_c3e_objective_identity_case_equals_margin():
     model = identity_encoder()
-    cents = compute_centroids([(0, [2.0, 0.0])])  # parallel to the embedding
+    cents = compute_centroids([0], [[2.0, 0.0]])  # parallel to the embedding
     x = np.array([[1.0, 0.0]])
     assert c3e_mean(x, Tensor(x), [0], model, cents).item() == 1.0
 
 
 def test_c3e_objective_two_element_mean():
     model = identity_encoder()
-    cents = compute_centroids([(0, [1.0, 0.0])])
+    cents = compute_centroids([0], [[1.0, 0.0]])
     x = np.array([[1.0, 0.0], [1.0, 0.0]])
     # rows: term 1.0, and -0.25 + 1 + 2 = 2.75
     x_tilde = Tensor([[1.0, 0.0], [1.0, 1.0]])
@@ -100,7 +100,7 @@ def test_c3e_objective_two_element_mean():
 
 def test_c3e_objective_gradient_reaches_x_tilde_only():
     model = identity_encoder()
-    cents = compute_centroids([(0, [1.0, 0.5])])
+    cents = compute_centroids([0], [[1.0, 0.5]])
     x = np.array([[0.3, 0.8]])
     before = model.checksum()
     with record():
@@ -186,7 +186,7 @@ def test_loss_c4_lambda_zero_is_loss_dom_exactly():
     gen = np.random.default_rng(6)
     X = gen.normal(size=(6, 3))
     labels = [i % 2 for i in range(6)]
-    cents = compute_centroids(zip(labels, X))
+    cents = compute_centroids(labels, X)
     cfg = LossConfig(lam=0.0)
     combined = loss_c4(X, labels, model, cents, cfg).item()
     plain = loss_dom(model.forward(X), labels, cfg).item()
@@ -196,7 +196,7 @@ def test_loss_c4_lambda_zero_is_loss_dom_exactly():
 def test_loss_c4_all_at_centroid_single_class():
     model = identity_encoder()
     x = np.array([1.0, 1.0])
-    cents = compute_centroids([(0, x)])
+    cents = compute_centroids([0], [x])
     out = loss_c4(np.stack([x, x]), [0, 0], model, cents, LossConfig(lam=0.5))
     assert out.item() == 0.0
 
@@ -206,7 +206,7 @@ def test_loss_c4_four_sample_hand_value():
     # (negative hinges all inactive), centripetal term = 0.25 everywhere
     model = identity_encoder()
     X = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-    cents = compute_centroids([(0, [1.0, 1.0]), (1, [-1.0, -1.0])])
+    cents = compute_centroids([0, 1], [[1.0, 1.0], [-1.0, -1.0]])
     out = loss_c4(X, [0, 0, 1, 1], model, cents, LossConfig(lam=0.8))
     assert out.item() == pytest.approx(math.sqrt(2.0) + 0.2, abs=1e-12)
 
@@ -214,7 +214,7 @@ def test_loss_c4_four_sample_hand_value():
 def test_loss_c4_batch_too_small():
     with pytest.raises(ValueError):
         loss_c4(np.array([[1.0, 0.0]]), [0], identity_encoder(),
-                compute_centroids([(0, [1.0, 0.0])]), LossConfig())
+                compute_centroids([0], [[1.0, 0.0]]), LossConfig())
 
 
 def test_loss_c4_gradient_reaches_parameters():
@@ -222,7 +222,7 @@ def test_loss_c4_gradient_reaches_parameters():
     gen = np.random.default_rng(2)
     X = gen.normal(size=(4, 3))
     labels = [i % 2 for i in range(4)]
-    cents = compute_centroids(zip(labels, model.forward(X).numpy()))
+    cents = compute_centroids(labels, model.forward(X).numpy())
     with record():
         out = loss_c4(X, labels, model, cents, LossConfig())
         backward(out)
@@ -235,7 +235,7 @@ def test_loss_c4_grad_check_through_one_weight():
     gen = np.random.default_rng(3)
     X = gen.normal(size=(4, 2))
     labels = [i % 2 for i in range(4)]
-    cents = compute_centroids([(0, [1.0, 0.3]), (1, [-0.8, -0.5])])
+    cents = compute_centroids([0, 1], [[1.0, 0.3], [-0.8, -0.5]])
 
     def f(w):
         model = EncoderModel(
@@ -259,7 +259,7 @@ def test_tape_entries_per_graph_pinned():
     model = EncoderModel.default(4, 3, 5, seed=0)
     x = np.random.default_rng(0).normal(size=(8, 4))
     labels = [0, 0, 1, 1, 0, 1, 0, 1]
-    cents = compute_centroids(zip(labels, model.embed_many(x)))
+    cents = compute_centroids(labels, model.embed_many(x))
     assert _tape_size(lambda: loss_c4(x, labels, model, cents, LossConfig(lam=0.0))) == 15
     assert _tape_size(lambda: loss_c4(x, labels, model, cents, LossConfig(lam=0.75))) == 23
     assert _tape_size(lambda: loss_dom(model.forward(x), labels, LossConfig())) == 15

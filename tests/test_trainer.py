@@ -179,6 +179,23 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="|".join(kwargs)):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize(
+        "build, key",
+        [
+            (lambda v: TrainConfig(adam_eps=v), "adam_eps"),
+            (lambda v: TrainConfig(lr_theta=v), "lr_theta"),
+            (lambda v: TrainConfig(adam_beta1=v), "adam_beta1"),
+            (lambda v: LossConfig(lam=v), "lambda"),
+            (lambda v: LossConfig(margin_neg=v), "margin_neg"),
+            (lambda v: ExpansionConfig(step_size=v), "step_size"),
+        ],
+        ids=["adam_eps", "lr_theta", "adam_beta1", "lambda", "margin_neg", "step_size"],
+    )
+    def test_non_finite_floats_rejected(self, build, key, value):
+        with pytest.raises(ValueError, match=f"^{key}: expected a finite number"):
+            build(value)
+
     def test_integer_fields_store_numpy_integers_as_int(self):
         cfg = TrainConfig(total_epochs=np.int64(3), batch_size=np.int32(8), seed=np.uint64(5))
         assert (cfg.total_epochs, cfg.batch_size, cfg.seed) == (3, 8, 5)
@@ -237,6 +254,9 @@ class TestTrainConfig:
             ({"loss": None}, "loss"),
             ({"expansion": {"expansion_epochs": 1}}, "expansion.expansion_epochs"),
             ({"expansion": {"expansion_epochs": [1, 2.5]}}, "expansion.expansion_epochs[1]"),
+            ({"adam_eps": math.inf}, "adam_eps: expected a finite number"),
+            ({"loss": {"lambda": math.inf}}, "loss: lambda: expected a finite number"),
+            ({"expansion": {"step_size": math.nan}}, "expansion: step_size: expected a finite"),
         ],
     )
     def test_from_dict_rejects_bad_values_by_key(self, d, key):
@@ -403,9 +423,9 @@ class TestTrainLoop:
 
         calls = []
 
-        def counted(items):
+        def counted(labels, embeddings):
             calls.append(1)
-            return compute_centroids(items)
+            return compute_centroids(labels, embeddings)
 
         monkeypatch.setattr(trainer, "compute_centroids", counted)
         train_set, _tests = generate_benchmark(default_benchmark_spec(seed=0))
@@ -577,7 +597,7 @@ class TestEquilibriumProbe:
         ds = toy_dataset(n_per_class=4)
         model = EncoderModel.default(input_dim=2, embed_dim=4, hidden_dim=8, seed=0)
         E = model.embed_many(ds.features)
-        centroids = compute_centroids(zip(ds.labels.tolist(), E))
+        centroids = compute_centroids(ds.labels, E)
         return model, ds.features, ds.labels.tolist(), centroids
 
     def test_lambda_zero_row(self):
@@ -614,6 +634,29 @@ class TestEquilibriumProbe:
         model, x, class_ids, centroids = self._setup()
         with pytest.raises(ValueError, match="lambda"):
             c4_equilibrium_probe(model, x, class_ids, centroids, LossConfig(), [-0.1])
+
+    @pytest.mark.parametrize(
+        "lambdas",
+        [[-0.1], [0.5, math.nan], [math.inf], [0.5, -math.inf], []],
+        ids=["negative", "nan", "inf", "-inf", "empty"],
+    )
+    def test_bad_lambdas_rejected_before_any_gradient(self, monkeypatch, lambdas):
+        from centerpolar import trainer
+
+        calls = []
+        real = trainer._param_grad
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(trainer, "_param_grad", counted)
+        model, x, class_ids, centroids = self._setup()
+        with pytest.raises(ValueError, match="lambdas must be non-empty, finite and >= 0"):
+            c4_equilibrium_probe(model, x, class_ids, centroids, LossConfig(), lambdas)
+        assert calls == []
+        c4_equilibrium_probe(model, x, class_ids, centroids, LossConfig(), [0.0, 0.5])
+        assert len(calls) == 2  # one pass per term, whatever the number of lambdas
 
 
 class TestCheckpoints:
