@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: gen-data, train, eval, export-embeddings.  Every run writes a
-manifest recording the command line, resolved configuration, seed, input
-hashes, and artifact paths.  Exit codes: 0 success, 1 runtime or numeric
-failure, 2 usage or parse failure.
+manifest recording the arguments `main` parsed, resolved configuration,
+seed, input hashes, and artifact paths.  Exit codes: 0 success, 1 runtime
+or numeric failure, 2 usage or parse failure, or an output directory that
+is an existing file.
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ _ABLATION_ALIASES = {"c4": "c4_only", "c3e": "c3e_only"}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser().parse_args(argv)
+    args.argv = ["centerpolar", *argv]
     try:
         return args.func(args)
     except (
@@ -64,6 +66,7 @@ def main(argv=None) -> int:
         CsvFormatError,
         json.JSONDecodeError,
         FileNotFoundError,
+        FileExistsError,
         IsADirectoryError,
         NotADirectoryError,
         ValueError,
@@ -132,7 +135,7 @@ def cmd_gen_data(args) -> int:
         artifacts[f"test_{name}"] = str(path)
     _write_manifest(
         out_dir / "manifest.json",
-        command="gen-data",
+        args,
         resolved_config=spec.to_dict(),
         seed=spec.seed,
         artifacts=artifacts,
@@ -207,6 +210,8 @@ def cmd_train(args) -> int:
     train_set = load_csv(train_path)
     tests, test_paths = _load_tests(data_dir, train_set.features.shape[1], str(train_path))
     config, config_inputs = _resolve_train_config(args)
+    if args.dump_trajectories:
+        Path(args.dump_trajectories).mkdir(parents=True, exist_ok=True)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = _now()
@@ -218,9 +223,7 @@ def cmd_train(args) -> int:
     schema.write_json(report.to_dict(), report_path)
     artifacts = {"checkpoint": str(checkpoint_path), "report": str(report_path)}
     if sink is not None:
-        dump_dir = Path(args.dump_trajectories)
-        dump_dir.mkdir(parents=True, exist_ok=True)
-        traj_path = dump_dir / "trajectories.csv"
+        traj_path = Path(args.dump_trajectories) / "trajectories.csv"
         with open(traj_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["sample_id", "iter", "d_geo", "d_euclid", "loss"])
@@ -229,7 +232,7 @@ def cmd_train(args) -> int:
         artifacts["trajectories"] = str(traj_path)
     _write_manifest(
         out_dir / "manifest.json",
-        command="train",
+        args,
         resolved_config=config.to_dict(),
         seed=config.seed,
         artifacts=artifacts,
@@ -252,14 +255,14 @@ def cmd_eval(args) -> int:
     tests, test_paths = _load_tests(data_dir, model.input_dim, "the checkpoint's encoder")
     if not tests:
         raise FileNotFoundError(f"no test_*.csv files in {data_dir}")
-    started = _now()
-    report = evaluate(model, tests, metric=args.metric)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
+    started = _now()
+    report = evaluate(model, tests, metric=args.metric)
     schema.write_json(report.to_dict(), out_path)
     _write_manifest(
         Path(str(out_path) + ".manifest.json"),
-        command="eval",
+        args,
         resolved_config={"metric": args.metric},
         seed=None,
         artifacts={"report": str(out_path)},
@@ -283,7 +286,7 @@ def cmd_export_embeddings(args) -> int:
     _write_rows(out_path, header, ds, E)
     _write_manifest(
         Path(str(out_path) + ".manifest.json"),
-        command="export-embeddings",
+        args,
         resolved_config={"embed_dim": model.embed_dim},
         seed=None,
         artifacts={"embeddings": str(out_path)},
@@ -308,7 +311,7 @@ def _sha256(path: Path) -> str:
 
 def _write_manifest(
     path: Path,
-    command: str,
+    args,
     resolved_config,
     seed,
     artifacts: dict,
@@ -317,8 +320,8 @@ def _write_manifest(
     extra: dict | None = None,
 ) -> None:
     manifest = {
-        "command": command,
-        "argv": sys.argv,
+        "command": args.command,
+        "argv": args.argv,
         "resolved_config": resolved_config,
         "seed": seed,
         "artifacts": artifacts,

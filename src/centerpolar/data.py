@@ -154,10 +154,6 @@ class DomainTransform:
             raise ValueError(f"transform name {self.name!r} is reserved")
         if not self.scale > 0:
             raise ValueError(f"transform {self.name}: scale must be positive")
-        if self.rotation_angles is not None:
-            object.__setattr__(
-                self, "rotation_angles", tuple(float(a) for a in self.rotation_angles)
-            )
         if self.bias_std < 0:
             raise ValueError(f"transform {self.name}: bias_std must be >= 0")
 

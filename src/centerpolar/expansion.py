@@ -4,7 +4,8 @@ Each sample is perturbed in input space by plain gradient descent on the
 expansion objective: pushed away from its class centroid on the embedding
 sphere while the semantic terms bound the drift.  The encoder is frozen
 throughout; only the inputs move.  Samples are independent, so a block of
-them descends together in one graph per step.
+them descends together in one graph per step; a block where a row diverges
+reruns row by row, so the error names the first sample to diverge.
 """
 
 from __future__ import annotations
@@ -67,7 +68,9 @@ def expand_batch(
     initial one, sample by sample.
 
     Rows are expanded together, one graph per iteration and block of
-    `_BLOCK_ROWS` rows; each row gets the bits it gets expanded alone.
+    `_BLOCK_ROWS` rows; each row gets the bits it gets expanded alone.  A
+    block where a row diverges reruns row by row, in order: the error names
+    the first sample to diverge, and the sink holds only the samples before it.
     """
     ids, x, class_ids = batch
     x = np.asarray(x, dtype=np.float64)
@@ -80,91 +83,26 @@ def expand_batch(
     if n == 0:
         return np.empty((0, model.input_dim))
     ids, class_ids = [int(i) for i in ids], [int(c) for c in class_ids]
-    return np.concatenate(
-        [
-            _expand_block(
-                ids[s : s + _BLOCK_ROWS],
-                x[s : s + _BLOCK_ROWS],
-                class_ids[s : s + _BLOCK_ROWS],
-                model,
-                centroids,
-                econfig.iterations_te,
-                econfig.step_size,
-                lconfig,
-                trajectory_sink,
-            )
-            for s in range(0, n, _BLOCK_ROWS)
-        ]
-    )
+
+    def descend(a: int, b: int) -> np.ndarray:
+        return _descend(
+            ids[a:b], x[a:b], class_ids[a:b], model, centroids, econfig, lconfig, trajectory_sink
+        )
+
+    out = []
+    for s in range(0, n, _BLOCK_ROWS):
+        e = min(s + _BLOCK_ROWS, n)
+        try:
+            out.append(descend(s, e))
+        except ExpansionDivergedError:
+            if e - s == 1:
+                raise
+            # some row ran away: expand the rows alone, in order
+            out.extend(descend(r, r + 1) for r in range(s, e))
+    return np.concatenate(out)
 
 
-def expansion_trajectory(
-    sample,
-    model,
-    centroids: CentroidTable,
-    econfig: ExpansionConfig,
-    lconfig: LossConfig,
-    iterations: int | None = None,
-    sample_id: int = 0,
-) -> list:
-    """Diagnostic run for one (x, class_id) sample.
-
-    Returns iterations+1 rows (iteration, d_geo, d_euclid, loss), row 0
-    describing the unperturbed input.  `iterations` overrides the config
-    (0 is allowed here and yields the single initial row); anything but a
-    nonnegative integer raises ValueError.
-    """
-    x, class_id = sample
-    n_iter = econfig.iterations_te
-    if iterations is not None:
-        n_iter = schema.integer(iterations, "iterations")
-    if n_iter < 0:
-        raise ValueError(f"iterations must be >= 0, got {n_iter}")
-    sink: list = []
-    _expand_block(
-        [sample_id],
-        np.array(x, dtype=np.float64).reshape(1, -1),
-        [int(class_id)],
-        model,
-        centroids,
-        n_iter,
-        econfig.step_size,
-        lconfig,
-        sink,
-    )
-    return [(it, dg, de, lv) for (_sid, it, dg, de, lv) in sink]
-
-
-def _expand_block(
-    ids: list,
-    x0: np.ndarray,
-    class_ids: list,
-    model,
-    centroids: CentroidTable,
-    iterations: int,
-    step_size: float,
-    lconfig: LossConfig,
-    sink: list | None,
-) -> np.ndarray:
-    try:
-        return _descend(ids, x0, class_ids, model, centroids, iterations, step_size, lconfig, sink)
-    except ExpansionDivergedError:
-        if len(ids) == 1:
-            raise
-    # some row ran away: expand the rows alone, in order, so that the error
-    # names the first sample to diverge, as expanding each alone would
-    return np.concatenate(
-        [
-            _expand_block(
-                ids[r : r + 1], x0[r : r + 1], class_ids[r : r + 1], model, centroids,
-                iterations, step_size, lconfig, sink,
-            )
-            for r in range(len(ids))
-        ]
-    )
-
-
-def _descend(ids, x0, class_ids, model, centroids, iterations, step_size, lconfig, sink):
+def _descend(ids, x0, class_ids, model, centroids, econfig, lconfig, sink):
     mu = centroids.vectors(class_ids)
     d_orig = c3e_reference(x0, mu, model)
 
@@ -179,7 +117,7 @@ def _descend(ids, x0, class_ids, model, centroids, iterations, step_size, lconfi
 
     x_cur = x0.copy()
     trajectory = [] if sink is None else [_diagnose(x_cur, mu, model, objective)]
-    for t in range(1, iterations + 1):
+    for t in range(1, econfig.iterations_te + 1):
         try:
             with record():
                 xt = Tensor(x_cur, requires_grad=True)
@@ -191,7 +129,7 @@ def _descend(ids, x0, class_ids, model, centroids, iterations, step_size, lconfi
         if not np.isfinite(g).all():
             raise diverged(t, "non-finite gradient")
         with np.errstate(over="ignore", invalid="ignore"):
-            x_cur = x_cur - step_size * g
+            x_cur = x_cur - econfig.step_size * g
         if not np.isfinite(x_cur).all():
             raise diverged(t, "non-finite iterate")
         if sink is not None:

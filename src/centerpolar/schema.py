@@ -8,10 +8,10 @@ key at any depth, a missing field without a default, or a value that does
 not match the field's annotation raises ValueError naming the dotted path
 of the key, and a nested dataclass's own ValueError is prefixed with its
 path.  `int` takes JSON integers only, `float` any JSON number (stored as
-a float), and neither takes a boolean.  `check_numbers` holds the `int`
-fields to the same rule at construction, and the `float` fields to finite
-values, which JSON's `Infinity` and `NaN` are not.  `write_json` is the one JSON
-writer.
+a float), and neither takes a boolean.  `check_numbers` holds the fields
+to the same rules at construction, and the `float` fields to finite values,
+which JSON's `Infinity` and `NaN` are not, so a config writes the same JSON
+however it was built.  `write_json` is the one JSON writer.
 """
 
 from __future__ import annotations
@@ -106,15 +106,16 @@ def _load(tp, value, path: str):
 
 def check_numbers(obj) -> None:
     """Store each `int` field of the frozen dataclass `obj` as an int and
-    hold each `float` field finite, without converting it; the items of a
-    `tuple[X, ...]` field (stored as a tuple) and a set `X | None` field are
-    checked as X.  A boolean or a non-integer int (numpy integers are
-    integers), or an infinite or NaN float, raises ValueError naming it."""
+    each `float` field as a finite float; the items of a `tuple[X, ...]`
+    field (stored as a tuple) and a set `X | None` field are checked as X.
+    A boolean, a non-integer int (numpy integers are integers), a value that
+    is not a real number where a float is wanted, or an infinite or NaN
+    float raises ValueError naming it."""
     hints = _hints(type(obj))
     for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if value is not None:
-            object.__setattr__(obj, f.name, _checked(_without_none(hints[f.name]), value, _key(f)))
+        value, tp = getattr(obj, f.name), hints[f.name]
+        if value is not None or _without_none(tp) is tp:
+            object.__setattr__(obj, f.name, _checked(_without_none(tp), value, _key(f)))
 
 
 def _checked(tp, value, path: str):
@@ -123,8 +124,12 @@ def _checked(tp, value, path: str):
         return tuple(_checked(item, v, f"{path}[{i}]") for i, v in enumerate(value))
     if tp is int:
         return integer(value, path)
-    if tp is float and isinstance(value, numbers.Real) and not math.isfinite(value):
-        raise ValueError(f"{path}: expected a finite number, got {value!r}")
+    if tp is float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise _mismatch(path, "a number", value)
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: expected a finite number, got {value!r}")
+        return float(value)
     return value
 
 

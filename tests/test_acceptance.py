@@ -17,7 +17,7 @@ from centerpolar.cli import main
 from centerpolar.data import DataSet
 from centerpolar.encoder import EncoderModel, Layer
 from centerpolar.evaluation import evaluate, map_at_r, r_precision, recall_at_k
-from centerpolar.expansion import ExpansionConfig, expansion_trajectory
+from centerpolar.expansion import ExpansionConfig, expand_batch
 from centerpolar.experiments import (
     benchmark_train_config,
     default_benchmark_spec,
@@ -357,9 +357,10 @@ def test_criterion_3_bounded_expansion():
             anchors = gen.normal(size=(5, 8))
             table = compute_centroids(np.zeros(len(anchors), dtype=np.int64), anchors)
             x0 = gen.normal(size=8)
-            rows = expansion_trajectory((x0, 0), model, table, econf, lconf)
-            d0 = rows[0][2]
-            growth = max(r[2] for r in rows) - d0
+            rows = []
+            expand_batch(([0], [x0], [0]), model, table, econf, lconf, trajectory_sink=rows)
+            d0 = rows[0][3]
+            growth = max(r[3] for r in rows) - d0
             worst = max(worst, growth)
         assert worst <= 1.1 * lconf.margin_m
 

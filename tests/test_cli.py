@@ -620,6 +620,50 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "d" / "train.csv").exists()
     assert "train: 10 samples" in proc.stdout
+    manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+    assert manifest["argv"] == [
+        "centerpolar", "gen-data", "--spec", str(spec_path), "--out", str(tmp_path / "d")
+    ]
+
+
+def test_manifest_records_the_arguments_main_parsed(tmp_path, data_dir):
+    # not the host process's sys.argv
+    out = tmp_path / "run"
+    argv = ["train", "--data", str(data_dir), "--out", str(out), "--seed", "3"]
+    assert main(argv) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["argv"] == ["centerpolar", *argv]
+    assert manifest["command"] == "train"
+
+
+@pytest.mark.parametrize(
+    "command", ["gen-data", "train", "train-dump", "eval", "export-embeddings"]
+)
+def test_output_path_through_an_existing_file_is_exit_2(
+    tmp_path, data_dir, run_dir, capsys, command
+):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    spec_path = tmp_path / "spec.json"  # written by the data_dir fixture
+    ckpt = str(run_dir / "checkpoint.json")
+    out = tmp_path / "fresh"
+    argv = {
+        "gen-data": ["gen-data", "--spec", str(spec_path), "--out", str(blocker)],
+        "train": ["train", "--data", str(data_dir), "--out", str(blocker)],
+        "train-dump": ["train", "--data", str(data_dir), "--out", str(out)]
+        + ["--dump-trajectories", str(blocker)],
+        "eval": ["eval", "--checkpoint", ckpt, "--data", str(data_dir)]
+        + ["--out", str(blocker / "report.json")],
+        "export-embeddings": ["export-embeddings", "--checkpoint", ckpt]
+        + ["--data", str(data_dir / "test_near.csv"), "--out", str(blocker / "e.csv")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(blocker) in err
+    # the trajectory directory is made before training, so nothing is written
+    assert not out.exists() or not any(out.iterdir())
 
 
 def child_env(**overrides):

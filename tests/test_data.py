@@ -20,7 +20,7 @@ from centerpolar.data import (
     save_csv,
 )
 from centerpolar import data as data_module
-from centerpolar import rng
+from centerpolar import rng, schema
 from centerpolar.experiments import default_benchmark_spec
 from csv_oracle import oracle_write_csv
 from schema_paths import object_paths
@@ -378,6 +378,25 @@ class TestDomainTransform:
     def test_non_finite_floats_and_non_integers_rejected(self, change, message):
         with pytest.raises(ValueError, match="^" + re.escape(message)):
             DomainTransform(name="a", **change)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(scale=True), "scale: expected a number, got boolean True"),
+            (dict(bias_std="0.5"), "bias_std: expected a number, got string '0.5'"),
+            (dict(rotation_angles=(0.5, True)), "rotation_angles[1]: expected a number"),
+        ],
+        ids=["scale", "bias_std", "rotation_angles"],
+    )
+    def test_float_fields_reject_booleans_and_non_numbers(self, change, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            DomainTransform(name="a", **change)
+
+    def test_float_fields_are_written_as_floats(self):
+        t = DomainTransform(name="a", scale=2, rotation_angles=(1, np.float64(0.5)))
+        d = schema.to_dict(t)
+        assert (d["scale"], d["rotation_angles"]) == (2.0, [1.0, 0.5])
+        assert type(d["scale"]) is float and {type(a) for a in d["rotation_angles"]} == {float}
 
     def test_set_optional_fields_are_stored_as_given(self):
         t = DomainTransform(name="a", rotation_seed=np.int64(3), rotation_angles=[1, 0.5])

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from centerpolar.encoder import EncoderModel, Layer
-from centerpolar.expansion import (
-    ExpansionConfig,
-    ExpansionDivergedError,
-    expand_batch,
-    expansion_trajectory,
-)
+from centerpolar.expansion import ExpansionConfig, ExpansionDivergedError, expand_batch
 from centerpolar.geometry import compute_centroids, geodesic_distance
 from centerpolar.losses import LossConfig, c3e_objective, c3e_reference
 from centerpolar.tensor import Tensor, backward, record
@@ -158,14 +153,16 @@ def test_centrifugal_ascent_small_steps():
         perp /= np.linalg.norm(perp)
         mu = 3.0 * np.linalg.norm(e0) * (np.cos(0.17) * e0_hat + np.sin(0.17) * perp)
         cents = compute_centroids([0], [mu])
-        rows = expansion_trajectory(
-            (x, 0),
+        sink = []
+        expand_batch(
+            one(0, x, 0),
             model,
             cents,
             ExpansionConfig(iterations_te=10, step_size=1e-3),
             LossConfig(),
+            trajectory_sink=sink,
         )
-        assert rows[-1][1] >= rows[0][1] - 1e-6
+        assert sink[-1][2] >= sink[0][2] - 1e-6
 
 
 def test_semantic_tether_linear_in_step_size():
@@ -192,49 +189,14 @@ def test_trajectory_length_and_initial_row():
     cents = compute_centroids([0], [[1.0, 0.0]])
     x0 = np.array([0.8, 0.4])
     cfg = ExpansionConfig(iterations_te=6, step_size=1e-2)
-    rows = expansion_trajectory((x0, 0), model, cents, cfg, LossConfig(margin_m=1.0))
+    rows = []
+    expand_batch(one(5, x0, 0), model, cents, cfg, LossConfig(margin_m=1.0), trajectory_sink=rows)
     assert len(rows) == 7
-    assert [r[0] for r in rows] == list(range(7))
-    it0, d_geo0, d_euc0, loss0 = rows[0]
+    assert [r[:2] for r in rows] == [(5, t) for t in range(7)]
+    _sid, it0, d_geo0, d_euc0, loss0 = rows[0]
     # before any update: sem term 0, hinge argument exactly the margin
     assert loss0 == pytest.approx(-d_geo0 + 1.0, abs=1e-12)
     assert d_euc0 == pytest.approx(np.linalg.norm([0.8, 0.4] - np.array([1.0, 0.0])), abs=1e-12)
-
-
-def test_trajectory_zero_iterations_single_row():
-    model = linear_encoder(np.eye(2))
-    cents = compute_centroids([0], [[1.0, 0.0]])
-    rows = expansion_trajectory(
-        (np.array([0.5, 0.5]), 0),
-        model,
-        cents,
-        ExpansionConfig(iterations_te=5),
-        LossConfig(),
-        iterations=0,
-    )
-    assert len(rows) == 1
-    assert rows[0][0] == 0
-
-
-@pytest.mark.parametrize("iterations", [2.7, True, -1])
-def test_trajectory_rejects_iterations_that_are_not_a_count(iterations):
-    model = linear_encoder(np.eye(2))
-    cents = compute_centroids([0], [[1.0, 0.0]])
-    with pytest.raises(ValueError, match="iterations"):
-        expansion_trajectory(
-            (np.array([0.5, 0.5]), 0), model, cents, ExpansionConfig(), LossConfig(),
-            iterations=iterations,
-        )
-
-
-def test_trajectory_accepts_a_numpy_integer():
-    model = linear_encoder(np.eye(2))
-    cents = compute_centroids([0], [[1.0, 0.0]])
-    rows = expansion_trajectory(
-        (np.array([0.5, 0.5]), 0), model, cents, ExpansionConfig(), LossConfig(),
-        iterations=np.int64(3),
-    )
-    assert [r[0] for r in rows] == [0, 1, 2, 3]
 
 
 def test_trajectory_consistent_with_expand_batch():
@@ -242,11 +204,29 @@ def test_trajectory_consistent_with_expand_batch():
     cents = compute_centroids([0], [[0.5, 0.3]])
     x0 = np.array([0.2, -0.7])
     cfg = ExpansionConfig(iterations_te=5, step_size=1e-2)
-    rows = expansion_trajectory((x0, 0), model, cents, cfg, LossConfig())
-    out = expand_batch(one(0, x0, 0), model, cents, cfg, LossConfig())
+    rows = []
+    out = expand_batch(one(0, x0, 0), model, cents, cfg, LossConfig(), trajectory_sink=rows)
     e = model.forward(Tensor(out[0]), frozen=True)
     d_final = geodesic_distance(Tensor(cents.vectors([0])[0]), e).item()
-    assert rows[-1][1] == pytest.approx(d_final, abs=1e-15)
+    assert rows[-1][2] == pytest.approx(d_final, abs=1e-15)
+
+
+def test_trajectories_of_blocks_are_the_rows_alone_in_order():
+    # 300 rows span three blocks; each row's sink rows are those it gets alone
+    gen = np.random.default_rng(3)
+    model = EncoderModel.build([3, 4, 2], ["tanh", "identity"], seed=3)
+    cents = compute_centroids([0, 1], [[0.6, -0.2], [-0.3, 0.5]])
+    ids, X, labels = list(range(100, 400)), gen.normal(size=(300, 3)), [i % 2 for i in range(300)]
+    cfg = ExpansionConfig(iterations_te=2, step_size=1e-2)
+    together = []
+    expand_batch((ids, X, labels), model, cents, cfg, LossConfig(), trajectory_sink=together)
+    alone = []
+    for r in range(300):
+        expand_batch(
+            one(ids[r], X[r], labels[r]), model, cents, cfg, LossConfig(), trajectory_sink=alone
+        )
+    assert len(together) == 300 * 3
+    assert together == alone
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -264,6 +244,26 @@ def test_divergence_names_sample_and_iteration():
         )
     msg = str(exc.value)
     assert "42" in msg and "iteration" in msg
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_divergence_in_a_block_names_the_diverged_sample():
+    # sample 7 sits on its centroid, so its gradient is 0 and it never moves;
+    # sample 42 diverges, and only sample 7's trajectory reaches the sink
+    model = linear_encoder(np.eye(2))
+    cents = compute_centroids([0], [[1.0, 0.0]])
+    batch = [7, 42], [[1.0, 0.0], [0.5, 0.5]], [0, 0]
+    sink = []
+    with pytest.raises(ExpansionDivergedError, match="sample 42, iteration"):
+        expand_batch(
+            batch,
+            model,
+            cents,
+            ExpansionConfig(iterations_te=10, step_size=1e155),
+            LossConfig(),
+            trajectory_sink=sink,
+        )
+    assert [r[:2] for r in sink] == [(7, t) for t in range(11)]
 
 
 @pytest.mark.parametrize(

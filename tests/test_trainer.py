@@ -196,6 +196,29 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"^{key}: expected a finite number"):
             build(value)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: TrainConfig(lr_theta=True), "lr_theta: expected a number, got boolean True"),
+            (lambda: TrainConfig(lr_theta="0.1"), "lr_theta: expected a number, got string '0.1'"),
+            (lambda: TrainConfig(adam_eps=None), "adam_eps: expected a number, got null None"),
+            (lambda: LossConfig(lam=False), "lambda: expected a number, got boolean False"),
+            (lambda: ExpansionConfig(step_size=[0.1]), "step_size: expected a number, got array"),
+        ],
+        ids=["lr_theta-bool", "lr_theta-str", "adam_eps-none", "lambda-bool", "step_size-list"],
+    )
+    def test_float_fields_reject_booleans_and_non_numbers(self, build, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            build()
+
+    def test_float_fields_store_floats_whatever_number_they_get(self):
+        cfg = TrainConfig(lr_theta=1, adam_beta1=np.float32(0.5), loss=LossConfig(lam=2))
+        assert type(cfg.lr_theta) is float and type(cfg.loss.lam) is float
+        assert type(cfg.adam_beta1) is float and cfg.adam_beta1 == 0.5
+        # the JSON a config writes does not depend on how it was built
+        from_json = TrainConfig.from_dict({"lr_theta": 1, "adam_beta1": 0.5, "loss": {"lambda": 2}})
+        assert json.dumps(cfg.to_dict()) == json.dumps(from_json.to_dict())
+
     def test_integer_fields_store_numpy_integers_as_int(self):
         cfg = TrainConfig(total_epochs=np.int64(3), batch_size=np.int32(8), seed=np.uint64(5))
         assert (cfg.total_epochs, cfg.batch_size, cfg.seed) == (3, 8, 5)
