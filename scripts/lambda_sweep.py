@@ -29,12 +29,13 @@ def main() -> None:
         parser.error(f"--seeds must be >= 1, got {args.seeds}")
 
     epochs = {} if args.epochs is None else {"total_epochs": args.epochs}
-    try:  # the grid's config rules, checked before any cell runs
+    lambdas = {} if args.lambdas is None else {"lambdas": tuple(args.lambdas)}
+    try:  # the grid's config rules and cells, checked before any cell runs
         for lam in args.lambdas or [DEFAULT_LAMBDA]:
             benchmark_train_config(0, "full", lam, **epochs)
+        run_lambda_sweep((), **lambdas)  # no seeds: checks the cells, trains nothing
     except ValueError as e:
         parser.error(str(e))
-    lambdas = {} if args.lambdas is None else {"lambdas": tuple(args.lambdas)}
     curve = run_lambda_sweep(range(args.seeds), **lambdas, **epochs)
 
     for lam, scores in curve.items():

@@ -3,8 +3,8 @@
 Subcommands: gen-data, train, eval, export-embeddings.  Every run writes a
 manifest recording the arguments `main` parsed, resolved configuration,
 seed, input hashes, and artifact paths.  Exit codes: 0 success, 1 runtime
-or numeric failure, 2 usage or parse failure, or an output directory that
-is an existing file.
+or numeric failure, 2 usage or parse failure, an output directory that
+is an existing file, or an `--out` file that is an existing directory.
 """
 
 from __future__ import annotations
@@ -255,8 +255,7 @@ def cmd_eval(args) -> int:
     tests, test_paths = _load_tests(data_dir, model.input_dim, "the checkpoint's encoder")
     if not tests:
         raise FileNotFoundError(f"no test_*.csv files in {data_dir}")
-    out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path = _output_file(args.out)
     started = _now()
     report = evaluate(model, tests, metric=args.metric)
     schema.write_json(report.to_dict(), out_path)
@@ -279,8 +278,7 @@ def cmd_export_embeddings(args) -> int:
     data_path = Path(args.data)
     ds = load_csv(data_path)
     started = _now()
-    out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path = _output_file(args.out)
     header = ("id", "label", "domain", *(f"e{i}" for i in range(model.embed_dim)))
     E = model.embed_many(ds.features) if len(ds) else np.zeros((0, model.embed_dim))
     _write_rows(out_path, header, ds, E)
@@ -295,6 +293,15 @@ def cmd_export_embeddings(args) -> int:
     )
     print(f"wrote {len(ds)} embeddings to {out_path}")
     return 0
+
+
+def _output_file(out: str) -> Path:
+    """`out` with its folder made; an existing directory is IsADirectoryError."""
+    path = Path(out)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if path.is_dir():
+        raise IsADirectoryError(f"--out {path} is a directory")
+    return path
 
 
 def _now() -> str:

@@ -18,7 +18,7 @@ import json
 import math
 import numbers
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -140,22 +140,18 @@ class DomainTransform:
     """
 
     name: str
-    scale: float = 1.0
+    scale: float = field(default=1.0, metadata={"above": 0})
     rotation_seed: int | None = None
     rotation_angles: tuple[float, ...] | None = None
     bias_seed: int | None = None
-    bias_std: float = 0.0
+    bias_std: float = field(default=0.0, metadata={"min": 0})
 
     def __post_init__(self):
-        schema.check_numbers(self)
+        schema.check_fields(self)
         if not self.name:
             raise ValueError("transform name must be non-empty")
         if self.name in RESERVED_DOMAIN_TAGS:
             raise ValueError(f"transform name {self.name!r} is reserved")
-        if not self.scale > 0:
-            raise ValueError(f"transform {self.name}: scale must be positive")
-        if self.bias_std < 0:
-            raise ValueError(f"transform {self.name}: bias_std must be >= 0")
 
     def rotation_matrix(self, dim: int) -> np.ndarray:
         if self.rotation_angles is not None:
@@ -196,44 +192,31 @@ class DomainTransform:
 @dataclass(frozen=True)
 class BenchmarkSpec:
     n_classes_total: int
-    n_classes_seen: int
-    samples_per_class: int
-    input_dim: int
-    class_separation: float
-    intra_std: float
+    n_classes_seen: int = field(metadata={"min": 1})
+    samples_per_class: int = field(metadata={"min": 2})
+    input_dim: int = field(metadata={"min": 2})
+    class_separation: float = field(metadata={"above": 0})
+    intra_std: float = field(metadata={"min": 0})
     domain_transforms: tuple[DomainTransform, ...]
-    seed: int
+    seed: int = field(metadata=rng.SEED_RULES)
     # optional signal/nuisance split: prototypes confined to the first
     # signal_dim coordinates, class-independent noise on the rest
-    signal_dim: int = 0
-    nuisance_std: float = 0.0
+    signal_dim: int = field(default=0, metadata={"min": 0})
+    nuisance_std: float = field(default=0.0, metadata={"min": 0})
 
     def __post_init__(self):
-        schema.check_numbers(self)
-        if self.n_classes_seen < 1 or self.n_classes_total < self.n_classes_seen:
+        schema.check_fields(self)
+        if self.n_classes_total < self.n_classes_seen:
             raise ValueError(
-                f"need 1 <= n_classes_seen <= n_classes_total, got "
+                f"need n_classes_seen <= n_classes_total, got "
                 f"{self.n_classes_seen}, {self.n_classes_total}"
             )
         if self.domain_transforms and self.n_classes_total == self.n_classes_seen:
             raise ValueError("test domains need at least one unseen class")
-        if self.samples_per_class < 2:
-            raise ValueError("samples_per_class must be >= 2")
-        if self.input_dim < 2:
-            raise ValueError("input_dim must be >= 2")
-        if not self.class_separation > 0:
-            raise ValueError("class_separation must be positive")
-        if self.intra_std < 0:
-            raise ValueError("intra_std must be >= 0")
-        if self.signal_dim < 0 or self.signal_dim > self.input_dim:
-            raise ValueError(
-                f"need 0 <= signal_dim <= input_dim, got {self.signal_dim}"
-            )
-        if self.nuisance_std < 0:
-            raise ValueError("nuisance_std must be >= 0")
+        if self.signal_dim > self.input_dim:
+            raise ValueError(f"need signal_dim <= input_dim, got {self.signal_dim}")
         if self.nuisance_std > 0 and self.signal_dim == 0:
             raise ValueError("nuisance_std requires a signal subspace (signal_dim >= 1)")
-        rng.check_seed(self.seed)
         names = [t.name for t in self.domain_transforms]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate transform names in {names}")

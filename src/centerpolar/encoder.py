@@ -5,11 +5,11 @@ from __future__ import annotations
 import base64
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rng
+from . import rng, schema
 from .tensor import ShapeError, Tensor
 
 ACTIVATIONS = ("tanh", "relu", "identity")
@@ -19,10 +19,13 @@ ACTIVATIONS = ("tanh", "relu", "identity")
 class LayerRecord:
     """One layer in a checkpoint: parameters as base64 float64 bytes."""
 
-    activation: str
-    weight_shape: tuple[int, ...]
+    activation: str = field(metadata={"one_of": ACTIVATIONS})
+    weight_shape: tuple[int, ...] = field(metadata={"min": 1})
     weight: str
     bias: str
+
+    def __post_init__(self):
+        schema.check_fields(self)
 
 
 @dataclass
@@ -169,23 +172,16 @@ class EncoderModel:
 
     @classmethod
     def from_records(cls, records: tuple[LayerRecord, ...]) -> "EncoderModel":
-        """Inverse of `records`.  A weight shape that is not two dims >= 1,
-        bytes that do not fill it, a bias that is not one value per weight
-        row, an unknown activation or a non-finite parameter raises
-        ValueError naming the key's path, such as `layers[0].bias`."""
+        """Inverse of `records` (each record checks its own activation and
+        dims >= 1).  A weight shape that is not two dims, bytes that do not fill
+        it, a bias that is not one value per weight row or a non-finite
+        parameter raises ValueError naming the key's path, as `layers[0].bias`."""
         layers = []
         for i, rec in enumerate(records):
             path = f"layers[{i}]"
-            if rec.activation not in ACTIVATIONS:
-                raise ValueError(
-                    f"{path}.activation: unknown activation {rec.activation!r}, "
-                    f"expected one of {ACTIVATIONS}"
-                )
             shape = rec.weight_shape
-            if len(shape) != 2 or min(shape) < 1:
-                raise ValueError(
-                    f"{path}.weight_shape: expected two dims >= 1, got {list(shape)}"
-                )
+            if len(shape) != 2:
+                raise ValueError(f"{path}.weight_shape: expected two dims, got {list(shape)}")
             w = _decode_array(rec.weight, f"{path}.weight")
             if w.size != shape[0] * shape[1]:
                 raise ValueError(

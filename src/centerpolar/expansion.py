@@ -10,7 +10,7 @@ reruns row by row, so the error names the first sample to diverge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,20 +34,14 @@ class ExpansionDivergedError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ExpansionConfig:
-    iterations_te: int = 10  # gradient steps per expansion round
-    step_size: float = 1e-2  # input-space SGD step
-    expansion_epochs: tuple[int, ...] = (1, 4, 7)  # epochs (1-based) that run a round
+    iterations_te: int = field(default=10, metadata={"min": 1})  # gradient steps per round
+    step_size: float = field(default=1e-2, metadata={"above": 0})  # input-space SGD step
+    # epochs (1-based) that run a round
+    expansion_epochs: tuple[int, ...] = field(default=(1, 4, 7), metadata={"min": 1})
 
     def __post_init__(self):
-        schema.check_numbers(self)
-        if self.iterations_te < 1:
-            raise ValueError(f"iterations_te must be >= 1, got {self.iterations_te}")
-        if not self.step_size > 0:
-            raise ValueError(f"step_size must be positive, got {self.step_size}")
-        epochs = tuple(sorted(set(self.expansion_epochs)))
-        if any(e < 1 for e in epochs):
-            raise ValueError(f"expansion epochs must be >= 1, got {epochs}")
-        object.__setattr__(self, "expansion_epochs", epochs)
+        schema.check_fields(self)
+        object.__setattr__(self, "expansion_epochs", tuple(sorted(set(self.expansion_epochs))))
 
 
 def expand_batch(

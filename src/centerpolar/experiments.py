@@ -128,9 +128,14 @@ def run_lambda_sweep(
 
 def _run_grid(cells, seeds, samples_per_class: int, config_of) -> dict:
     """{cell: [MAP@R per seed]}, running each cell's seeds in turn with the
-    config `config_of(cell, seed)`."""
-    results: dict = {cell: [] for cell in cells}
+    config `config_of(cell, seed)`.  A repeated cell (`0.0` and `-0.0` are
+    one) raises ValueError before any cell runs."""
+    results: dict = {}
     for cell in cells:
+        if cell in results:
+            raise ValueError(f"grid cell {cell!r} is repeated")
+        results[cell] = []
+    for cell in results:
         for seed in seeds:
             spec = default_benchmark_spec(seed=seed, samples_per_class=samples_per_class)
             results[cell].append(run_benchmark(spec, config_of(cell, seed))["map_at_r"])

@@ -31,20 +31,16 @@ from .tensor import Tensor, pair_distances, pair_index
 
 @dataclass(frozen=True)
 class LossConfig:
-    margin_m: float = 1.0  # expansion drift margin
-    lam: float = field(default=0.75, metadata={"key": "lambda"})  # centripetal weight
-    margin_pos: float = 0.0
+    margin_m: float = field(default=1.0, metadata={"above": 0})  # expansion drift margin
+    lam: float = field(default=0.75, metadata={"key": "lambda", "min": 0})  # centripetal weight
+    margin_pos: float = field(default=0.0, metadata={"min": 0})
     margin_neg: float = 1.0
 
     def __post_init__(self):
-        schema.check_numbers(self)
-        if not self.margin_m > 0:
-            raise ValueError(f"margin_m must be positive, got {self.margin_m}")
-        if not self.lam >= 0:
-            raise ValueError(f"lambda must be nonnegative, got {self.lam}")
-        if not 0 <= self.margin_pos < self.margin_neg:
+        schema.check_fields(self)
+        if not self.margin_pos < self.margin_neg:
             raise ValueError(
-                f"need 0 <= margin_pos < margin_neg, got {self.margin_pos}, {self.margin_neg}"
+                f"need margin_pos < margin_neg, got {self.margin_pos}, {self.margin_neg}"
             )
 
 

@@ -29,6 +29,8 @@ STREAM_MODEL_INIT = 1000
 STREAM_BATCH_ORDER = 1001
 
 MAX_SEED = 2**64 - 1
+# the rules of a seed field of a config dataclass (see `schema.check_fields`)
+SEED_RULES = {"min": 0, "below": MAX_SEED + 1}
 
 
 def check_seed(seed: int) -> int:

@@ -6,12 +6,17 @@ and dicts as objects with string keys.  `from_dict` is its strict inverse
 for the specs, configs and checkpoints, which hold no dicts: an unknown
 key at any depth, a missing field without a default, or a value that does
 not match the field's annotation raises ValueError naming the dotted path
-of the key, and a nested dataclass's own ValueError is prefixed with its
-path.  `int` takes JSON integers only, `float` any JSON number (stored as
-a float), and neither takes a boolean.  `check_numbers` holds the fields
-to the same rules at construction, and the `float` fields to finite values,
-which JSON's `Infinity` and `NaN` are not, so a config writes the same JSON
-however it was built.  `write_json` is the one JSON writer.
+of the key.  `int` takes JSON integers only, `float` any JSON number
+(stored as a float), and neither takes a boolean.  `check_fields` holds
+the fields to the same types at construction, the `float` fields to
+finite values (not JSON's `Infinity` and `NaN`, nor an integer too large
+for a float), and each field to the rules in its metadata: `min` (>=),
+`above` (>), `below` (<) and `one_of`, which hold for each item of a
+`tuple[X, ...]` field, named `key[i]`.  Each such error is a FieldError
+that starts with the field's dotted path at any depth, as
+`domain_transforms[0].scale: must be > 0, got 0.0`; `from_dict` prefixes
+an error of a rule relating two fields with the object's path, as
+`loss: need …`.  `write_json` is the one JSON writer.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import functools
 import json
 import math
 import numbers
+import operator
 import types
 import typing
 
@@ -34,6 +40,18 @@ _JSON_TYPES = {
     type(None): "null",
 }
 _WANTED = {int: "an integer", float: "a number", str: "a string"}
+# metadata key: (holds(value, bound), how the message states the rule)
+_RULES = {
+    "min": (operator.ge, ">="),
+    "above": (operator.gt, ">"),
+    "below": (operator.lt, "<"),
+    "one_of": (lambda value, choices: value in choices, "one of"),
+}
+
+
+class FieldError(ValueError):
+    """A field's value breaks its type, finiteness or rule; the message
+    starts with the field's dotted path."""
 
 
 def _key(f: dataclasses.Field) -> str:
@@ -75,6 +93,8 @@ def from_dict(cls, d, path: str = ""):
     except ValueError as e:
         if not path:
             raise
+        if isinstance(e, FieldError):
+            raise FieldError(f"{path}.{e}") from e
         raise ValueError(f"{path}: {e}") from e
 
 
@@ -98,39 +118,52 @@ def _load(tp, value, path: str):
     if isinstance(value, bool):
         raise _mismatch(path, _WANTED[tp], value)
     if tp is float and isinstance(value, (int, float)):
-        return float(value)
+        return _finite(value, path)
     if isinstance(value, tp):
         return value
     raise _mismatch(path, _WANTED[tp], value)
 
 
-def check_numbers(obj) -> None:
+def check_fields(obj) -> None:
     """Store each `int` field of the frozen dataclass `obj` as an int and
-    each `float` field as a finite float; the items of a `tuple[X, ...]`
-    field (stored as a tuple) and a set `X | None` field are checked as X.
-    A boolean, a non-integer int (numpy integers are integers), a value that
-    is not a real number where a float is wanted, or an infinite or NaN
-    float raises ValueError naming it."""
+    each `float` field as a finite float, and hold each field to its rules;
+    the items of a `tuple[X, ...]` field (stored as a tuple) and a set
+    `X | None` field are checked as X.  A boolean, a non-integer int (numpy
+    integers are integers), a non-real value where a float is wanted, a
+    float that is not finite or a broken rule raises FieldError naming it."""
     hints = _hints(type(obj))
     for f in dataclasses.fields(obj):
         value, tp = getattr(obj, f.name), hints[f.name]
         if value is not None or _without_none(tp) is tp:
-            object.__setattr__(obj, f.name, _checked(_without_none(tp), value, _key(f)))
+            object.__setattr__(obj, f.name, _checked(_without_none(tp), value, _key(f), f.metadata))
 
 
-def _checked(tp, value, path: str):
+def _checked(tp, value, path: str, rules):
     if typing.get_origin(tp) is tuple:
         item = typing.get_args(tp)[0]
-        return tuple(_checked(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+        return tuple(_checked(item, v, f"{path}[{i}]", rules) for i, v in enumerate(value))
     if tp is int:
-        return integer(value, path)
-    if tp is float:
+        value = integer(value, path)
+    elif tp is float:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise _mismatch(path, "a number", value)
-        if not math.isfinite(value):
-            raise ValueError(f"{path}: expected a finite number, got {value!r}")
-        return float(value)
+        value = _finite(value, path)
+    for rule, bound in rules.items():
+        if rule in _RULES and not _RULES[rule][0](value, bound):
+            raise FieldError(f"{path}: must be {_RULES[rule][1]} {bound}, got {value!r}")
     return value
+
+
+def _finite(value, path: str) -> float:
+    try:
+        number = float(value)
+    except OverflowError:
+        raise FieldError(
+            f"{path}: expected a finite number, got an integer too large for a float"
+        ) from None
+    if not math.isfinite(number):
+        raise FieldError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
 def _without_none(tp):
@@ -157,6 +190,6 @@ def _join(path: str, key) -> str:
     return f"{path}.{key}" if path else str(key)
 
 
-def _mismatch(path: str, wanted: str, value) -> ValueError:
+def _mismatch(path: str, wanted: str, value) -> FieldError:
     got = _JSON_TYPES.get(type(value), type(value).__name__)
-    return ValueError(f"{path}: expected {wanted}, got {got} {value!r}")
+    return FieldError(f"{path}: expected {wanted}, got {got} {value!r}")

@@ -39,40 +39,23 @@ class CheckpointError(ValueError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    total_epochs: int = 10
-    batch_size: int = 32
-    lr_theta: float = 1e-3  # desk-scale default; set the flag for other regimes
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    seed: int = 0
-    ablation: str = "full"
-    embed_dim: int = 32
-    hidden_dim: int = 64
-    eval_every: int = 2
+    total_epochs: int = field(default=10, metadata={"min": 0})
+    batch_size: int = field(default=32, metadata={"min": 2})
+    # desk-scale default; set the flag for other regimes
+    lr_theta: float = field(default=1e-3, metadata={"above": 0})
+    adam_beta1: float = field(default=0.9, metadata={"min": 0, "below": 1})
+    adam_beta2: float = field(default=0.999, metadata={"min": 0, "below": 1})
+    adam_eps: float = field(default=1e-8, metadata={"above": 0})
+    seed: int = field(default=0, metadata=rng.SEED_RULES)
+    ablation: str = field(default="full", metadata={"one_of": ABLATIONS})
+    embed_dim: int = field(default=32, metadata={"min": 1})
+    hidden_dim: int = field(default=64, metadata={"min": 1})
+    eval_every: int = field(default=2, metadata={"min": 1})
     loss: LossConfig = field(default_factory=LossConfig)
     expansion: ExpansionConfig = field(default_factory=ExpansionConfig)
 
     def __post_init__(self):
-        schema.check_numbers(self)
-        if self.total_epochs < 0:
-            raise ValueError(f"total_epochs must be >= 0, got {self.total_epochs}")
-        if self.batch_size < 2:
-            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
-        if not self.lr_theta > 0:
-            raise ValueError(f"lr_theta must be positive, got {self.lr_theta}")
-        for name, b in (("adam_beta1", self.adam_beta1), ("adam_beta2", self.adam_beta2)):
-            if not 0 <= b < 1:
-                raise ValueError(f"{name} must be in [0, 1), got {b}")
-        if not self.adam_eps > 0:
-            raise ValueError(f"adam_eps must be positive, got {self.adam_eps}")
-        if self.ablation not in ABLATIONS:
-            raise ValueError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
-        if self.embed_dim < 1 or self.hidden_dim < 1:
-            raise ValueError("embed_dim and hidden_dim must be >= 1")
-        if self.eval_every < 1:
-            raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
-        rng.check_seed(self.seed)
+        schema.check_fields(self)
 
     def to_dict(self) -> dict:
         return schema.to_dict(self)
@@ -331,14 +314,12 @@ class Checkpoint:
     """What `checkpoint.json` holds; `schema` derives its JSON form and reading."""
 
     config: TrainConfig
-    epoch: int
+    epoch: int = field(metadata={"min": 0})
     seed: int
     layers: tuple[LayerRecord, ...]
 
     def __post_init__(self):
-        schema.check_numbers(self)
-        if self.epoch < 0:
-            raise ValueError(f"epoch: must be >= 0, got {self.epoch}")
+        schema.check_fields(self)
         if self.seed != self.config.seed:
             raise ValueError(f"seed: {self.seed} differs from config.seed {self.config.seed}")
 

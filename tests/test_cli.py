@@ -666,6 +666,27 @@ def test_output_path_through_an_existing_file_is_exit_2(
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["eval", "export-embeddings"])
+def test_output_file_that_is_an_existing_directory_is_exit_2(
+    tmp_path, data_dir, run_dir, capsys, monkeypatch, command
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before --out was checked")
+
+    monkeypatch.setattr(cli, "evaluate", no_work)
+    monkeypatch.setattr(EncoderModel, "embed_many", no_work)
+    out = tmp_path / "taken"
+    out.mkdir()
+    ckpt = str(run_dir / "checkpoint.json")
+    data = str(data_dir if command == "eval" else data_dir / "test_near.csv")
+    capsys.readouterr()
+    assert main([command, "--checkpoint", ckpt, "--data", data, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"--out {out} is a directory" in err
+    assert list(out.iterdir()) == []
+
+
 def child_env(**overrides):
     # the child imports the same package as this process, installed or not
     src = str(Path(centerpolar.__file__).parents[1])
@@ -752,15 +773,16 @@ def test_train_byte_identical_across_blas_threads(tmp_path):
             "layers[0].bias",
         ),
         ("train", {"adam_eps": float("inf")}, "adam_eps: expected a finite number"),
-        ("train", {"loss": {"lambda": float("inf")}}, "loss: lambda: expected a finite number"),
-        ("train", {"expansion": {"step_size": float("nan")}}, "expansion: step_size: expected"),
+        ("train", {"loss": {"lambda": float("inf")}}, "loss.lambda: expected a finite number"),
+        ("train", {"expansion": {"step_size": float("nan")}}, "expansion.step_size: expected"),
         ("gen-data", spec_dict(nuisance_std=float("nan")), "nuisance_std: expected a finite"),
         ("gen-data", spec_dict(class_separation=float("inf")), "class_separation: expected"),
         (
             "gen-data",
             spec_dict(domain_transforms=[{"name": "near", "rotation_angles": [float("inf")]}]),
-            "domain_transforms[0]: rotation_angles[0]: expected a finite number",
+            "domain_transforms[0].rotation_angles[0]: expected a finite number",
         ),
+        ("train", {"lr_theta": 10**400}, "lr_theta: expected a finite number"),
     ],
 )
 def test_malformed_input_file_is_exit_2(tmp_path, data_dir, capsys, command, content, key):

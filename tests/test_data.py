@@ -276,7 +276,7 @@ class TestBenchmarkSpec:
             (lambda d: d.update(nuisance_std=math.nan), "nuisance_std: expected a finite"),
             (
                 lambda d: d["domain_transforms"][0].update(rotation_angles=[math.inf]),
-                "domain_transforms[0]: rotation_angles[0]: expected a finite",
+                "domain_transforms[0].rotation_angles[0]: expected a finite",
             ),
         ],
     )

@@ -8,6 +8,9 @@ from pathlib import Path
 import pytest
 from test_cli import child_env
 
+from centerpolar import experiments
+from centerpolar.experiments import run_ablation_grid, run_lambda_sweep
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -61,3 +64,29 @@ def test_script_rejects_an_invalid_config_flag_before_the_grid(name, args, value
     assert proc.returncode == 2
     assert f"got {value}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("lambdas", [["0.5", "0.5"], ["0", "0.25", "-0"]])
+def test_lambda_sweep_rejects_a_repeated_lambda_before_the_grid(lambdas):
+    proc = run_script("lambda_sweep.py", "--seeds", "1", "--epochs", "1", "--lambdas", *lambdas)
+    assert proc.returncode == 2
+    assert f"grid cell {float(lambdas[-1])!r} is repeated" in proc.stderr
+    assert "lambda=" not in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "grid, kwargs",
+    [
+        (run_lambda_sweep, {"lambdas": (0.5, 0.5)}),
+        (run_lambda_sweep, {"lambdas": (0.0, 0.25, -0.0)}),
+        (run_ablation_grid, {"ablations": ("full", "baseline", "full")}),
+    ],
+)
+def test_repeated_grid_cell_rejected_before_any_cell_trains(monkeypatch, grid, kwargs):
+    def no_run(*args):
+        raise AssertionError("a cell ran before the grid was checked")
+
+    monkeypatch.setattr(experiments, "run_benchmark", no_run)
+    with pytest.raises(ValueError, match="is repeated"):
+        grid(range(1), **kwargs)

@@ -278,13 +278,20 @@ class TestTrainConfig:
             ({"expansion": {"expansion_epochs": 1}}, "expansion.expansion_epochs"),
             ({"expansion": {"expansion_epochs": [1, 2.5]}}, "expansion.expansion_epochs[1]"),
             ({"adam_eps": math.inf}, "adam_eps: expected a finite number"),
-            ({"loss": {"lambda": math.inf}}, "loss: lambda: expected a finite number"),
-            ({"expansion": {"step_size": math.nan}}, "expansion: step_size: expected a finite"),
+            ({"loss": {"lambda": math.inf}}, "loss.lambda: expected a finite number"),
+            ({"expansion": {"step_size": math.nan}}, "expansion.step_size: expected a finite"),
         ],
     )
     def test_from_dict_rejects_bad_values_by_key(self, d, key):
         with pytest.raises(ValueError, match=re.escape(key)):
             TrainConfig.from_dict(d)
+
+    def test_integer_too_large_for_a_float_names_the_field(self):
+        message = "^lr_theta: expected a finite number, got an integer too large for a float$"
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(lr_theta=10**400)
+        with pytest.raises(ValueError, match=message):
+            TrainConfig.from_dict(json.loads('{"lr_theta": 1' + "0" * 400 + "}"))
 
     def test_from_dict_stores_json_integers_as_floats(self):
         cfg = TrainConfig.from_dict({"lr_theta": 1, "loss": {"lambda": 2}})
