@@ -32,13 +32,11 @@ from .data import (
     _write_rows,
 )
 from .evaluation import METRICS, evaluate
-from .expansion import ExpansionDivergedError
 from .geometry import DegenerateVectorError
 from .trainer import (
     ABLATIONS,
     CheckpointError,
     TrainConfig,
-    TrainingDivergedError,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -51,14 +49,11 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser().parse_args(argv)
     args.argv = ["centerpolar", *argv]
+    # exit 1 covers the divergence errors, which are ArithmeticErrors, and
+    # must come first: DegenerateVectorError is also a ValueError
     try:
         return args.func(args)
-    except (
-        TrainingDivergedError,
-        ExpansionDivergedError,
-        DegenerateVectorError,
-        GenerationError,
-    ) as e:
+    except (ArithmeticError, DegenerateVectorError, GenerationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (
@@ -74,9 +69,6 @@ def main(argv=None) -> int:
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ArithmeticError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -141,9 +141,9 @@ class DomainTransform:
 
     name: str
     scale: float = field(default=1.0, metadata={"above": 0})
-    rotation_seed: int | None = None
+    rotation_seed: int | None = field(default=None, metadata=rng.SEED_RULES)
     rotation_angles: tuple[float, ...] | None = None
-    bias_seed: int | None = None
+    bias_seed: int | None = field(default=None, metadata=rng.SEED_RULES)
     bias_std: float = field(default=0.0, metadata={"min": 0})
 
     def __post_init__(self):
@@ -220,6 +220,13 @@ class BenchmarkSpec:
         names = [t.name for t in self.domain_transforms]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate transform names in {names}")
+        for k, t in enumerate(self.domain_transforms):
+            planes = len(t.rotation_angles or ())
+            if 2 * planes > self.input_dim:
+                raise ValueError(
+                    f"domain_transforms[{k}].rotation_angles: {planes} plane angles "
+                    f"need input_dim >= {2 * planes}, got {self.input_dim}"
+                )
 
     def to_dict(self) -> dict:
         return schema.to_dict(self)

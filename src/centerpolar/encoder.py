@@ -34,31 +34,33 @@ class Layer:
     bias: Tensor  # (out_dim,)
     activation: str
 
-    def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(
-                f"unknown activation {self.activation!r}, expected one of {ACTIVATIONS}"
-            )
-        if len(self.weight.shape) != 2 or len(self.bias.shape) != 1:
-            raise ShapeError(
-                f"layer expects 2-D weight and 1-D bias, got {self.weight.shape} and {self.bias.shape}"
-            )
-        if self.weight.shape[0] != self.bias.shape[0]:
-            raise ShapeError(
-                f"weight rows {self.weight.shape[0]} != bias length {self.bias.shape[0]}"
-            )
-
 
 class EncoderModel:
-    """Dense MLP mapping input vectors to embedding vectors."""
+    """Dense MLP mapping input vectors to embedding vectors.
+
+    Holds at least one layer; each `layers[i]` has an activation in
+    ACTIVATIONS, a 2-D weight taking the previous layer's outputs and one
+    bias value per weight row, else ValueError (ShapeError) names it."""
 
     def __init__(self, layers: list[Layer]):
         if not layers:
-            raise ValueError("encoder needs at least one layer")
-        for a, b in zip(layers, layers[1:]):
-            if a.weight.shape[0] != b.weight.shape[1]:
+            raise ValueError("layers: encoder needs at least one layer")
+        for i, layer in enumerate(layers):
+            path, shape, bias = f"layers[{i}]", layer.weight.shape, layer.bias.shape
+            if layer.activation not in ACTIVATIONS:
+                raise ValueError(
+                    f"{path}.activation: unknown activation {layer.activation!r}, "
+                    f"expected one of {ACTIVATIONS}"
+                )
+            if len(shape) != 2:
+                raise ShapeError(f"{path}.weight: expected two dims, got shape {shape}")
+            if bias != (shape[0],):
+                got = f"{bias[0]} values" if len(bias) == 1 else f"shape {bias}"
+                raise ShapeError(f"{path}.bias: {got}, weight has {shape[0]} rows")
+            if i and shape[1] != layers[i - 1].weight.shape[0]:
                 raise ShapeError(
-                    f"layer dims do not chain: {a.weight.shape} -> {b.weight.shape}"
+                    f"{path}.weight: {shape[1]} inputs, layers[{i - 1}] has "
+                    f"{layers[i - 1].weight.shape[0]} outputs"
                 )
         self.layers = layers
 
@@ -172,10 +174,10 @@ class EncoderModel:
 
     @classmethod
     def from_records(cls, records: tuple[LayerRecord, ...]) -> "EncoderModel":
-        """Inverse of `records` (each record checks its own activation and
-        dims >= 1).  A weight shape that is not two dims, bytes that do not fill
-        it, a bias that is not one value per weight row or a non-finite
-        parameter raises ValueError naming the key's path, as `layers[0].bias`."""
+        """Inverse of `records`; each record checks its own activation and
+        dims >= 1, and the model the layer contract.  A weight shape that is
+        not two dims, bytes that do not fill it or a non-finite parameter
+        raises ValueError naming the key's path, as `layers[0].weight`."""
         layers = []
         for i, rec in enumerate(records):
             path = f"layers[{i}]"
@@ -187,13 +189,10 @@ class EncoderModel:
                 raise ValueError(
                     f"{path}.weight: {w.size} values do not fill weight_shape {list(shape)}"
                 )
-            b = _decode_array(rec.bias, f"{path}.bias")
-            if b.size != shape[0]:
-                raise ValueError(f"{path}.bias: {b.size} values, weight has {shape[0]} rows")
             layers.append(
                 Layer(
                     weight=Tensor(w.reshape(shape), requires_grad=True),
-                    bias=Tensor(b, requires_grad=True),
+                    bias=Tensor(_decode_array(rec.bias, f"{path}.bias"), requires_grad=True),
                     activation=rec.activation,
                 )
             )

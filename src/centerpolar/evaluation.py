@@ -116,7 +116,7 @@ def evaluate(model, tests: dict, recall_ks=(1, 2), metric: str = "euclidean") ->
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     if not tests:
         raise ValueError("evaluate: no test sets given")
-    ks = [schema.integer(k, "evaluate: recall_ks") for k in recall_ks]
+    ks = [schema.check_value(int, k, "evaluate: recall_ks", {}) for k in recall_ks]
     if not ks or min(ks) < 1:
         raise ValueError(f"evaluate: recall_ks must be non-empty, each k >= 1, got {recall_ks!r}")
     recall_ks = tuple(sorted(set(ks)))

@@ -103,12 +103,11 @@ def run_ablation_grid(
     seeds,
     ablations=ABLATIONS,
     lam: float = DEFAULT_LAMBDA,
-    samples_per_class: int = 200,
     total_epochs: int = 2,
 ) -> dict:
     """MAP@R per ablation per seed on the default benchmark."""
     return _run_grid(
-        ablations, seeds, samples_per_class,
+        ablations, seeds,
         lambda ablation, seed: benchmark_train_config(seed, ablation, lam, total_epochs),
     )
 
@@ -116,17 +115,16 @@ def run_ablation_grid(
 def run_lambda_sweep(
     seeds,
     lambdas=(0.0, 0.25, 0.5, 0.75, 1.0),
-    samples_per_class: int = 200,
     total_epochs: int = 2,
 ) -> dict:
     """MAP@R of the full method per lambda per seed on the default benchmark."""
     return _run_grid(
-        [float(lam) for lam in lambdas], seeds, samples_per_class,
+        [float(lam) for lam in lambdas], seeds,
         lambda lam, seed: benchmark_train_config(seed, "full", lam, total_epochs),
     )
 
 
-def _run_grid(cells, seeds, samples_per_class: int, config_of) -> dict:
+def _run_grid(cells, seeds, config_of) -> dict:
     """{cell: [MAP@R per seed]}, running each cell's seeds in turn with the
     config `config_of(cell, seed)`.  A repeated cell (`0.0` and `-0.0` are
     one) raises ValueError before any cell runs."""
@@ -137,6 +135,6 @@ def _run_grid(cells, seeds, samples_per_class: int, config_of) -> dict:
         results[cell] = []
     for cell in results:
         for seed in seeds:
-            spec = default_benchmark_spec(seed=seed, samples_per_class=samples_per_class)
+            spec = default_benchmark_spec(seed=seed)
             results[cell].append(run_benchmark(spec, config_of(cell, seed))["map_at_r"])
     return results

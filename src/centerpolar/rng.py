@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import schema
+
 # benchmark generation
 STREAM_PROTOTYPES = 0
 STREAM_TRAIN_NOISE = 1
@@ -28,20 +30,16 @@ STREAM_TRANSFORM_BIAS = 201
 STREAM_MODEL_INIT = 1000
 STREAM_BATCH_ORDER = 1001
 
-MAX_SEED = 2**64 - 1
-# the rules of a seed field of a config dataclass (see `schema.check_fields`)
-SEED_RULES = {"min": 0, "below": MAX_SEED + 1}
-
-
-def check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValueError(f"seed must be an integer, got {type(seed).__name__}")
-    if not 0 <= seed <= MAX_SEED:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    return int(seed)
+# the rules of a seed: a field of a config dataclass (see `schema.check_fields`)
+# and each half of a stream's key
+SEED_RULES = {"min": 0, "below": 2**64}
 
 
 def stream(seed: int, stream_id: int) -> np.random.Generator:
-    """Independent generator for (seed, stream_id)."""
-    key = np.array([check_seed(seed), check_seed(stream_id)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Independent generator for (seed, stream_id); each must be an integer
+    in [0, 2**64), else FieldError names which one is bad."""
+    key = [
+        schema.check_value(int, value, name, SEED_RULES)
+        for name, value in (("seed", seed), ("stream_id", stream_id))
+    ]
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))

@@ -3,17 +3,18 @@
 `to_dict` writes every init field under its key (`metadata["key"]` when
 set, else the field name), nested dataclasses as objects, tuples as lists
 and dicts as objects with string keys.  `from_dict` is its strict inverse
-for the specs, configs and checkpoints, which hold no dicts: an unknown
-key at any depth, a missing field without a default, or a value that does
-not match the field's annotation raises ValueError naming the dotted path
-of the key.  `int` takes JSON integers only, `float` any JSON number
-(stored as a float), and neither takes a boolean.  `check_fields` holds
-the fields to the same types at construction, the `float` fields to
-finite values (not JSON's `Infinity` and `NaN`, nor an integer too large
-for a float), and each field to the rules in its metadata: `min` (>=),
-`above` (>), `below` (<) and `one_of`, which hold for each item of a
-`tuple[X, ...]` field, named `key[i]`.  Each such error is a FieldError
-that starts with the field's dotted path at any depth, as
+for the specs, configs and checkpoints, which hold no dicts.  It builds:
+it maps keys to fields, objects to nested dataclasses and arrays to
+tuples, and an unknown key at any depth or a missing field without a
+default raises ValueError naming the key's dotted path.  `check_fields`
+checks, whether a dataclass is built from JSON or from Python: an `int`
+field holds integers, a `float` field finite reals stored as floats
+(neither a boolean), a `str` field strings, a `tuple[X, ...]` field a
+list, tuple or 1-D numpy array of X stored as a tuple, and a dataclass
+field an instance of its class; and each field holds the rules in its
+metadata, `min` (>=), `above` (>), `below` (<) and `one_of`, for each
+item of a tuple, named `key[i]`.  Each such error is a FieldError that
+starts with the field's dotted path at any depth, as
 `domain_transforms[0].scale: must be > 0, got 0.0`; `from_dict` prefixes
 an error of a rule relating two fields with the object's path, as
 `loss: need …`.  `write_json` is the one JSON writer.
@@ -30,6 +31,8 @@ import operator
 import types
 import typing
 
+import numpy as np
+
 _JSON_TYPES = {
     dict: "object",
     list: "array",
@@ -39,7 +42,12 @@ _JSON_TYPES = {
     float: "number",
     type(None): "null",
 }
-_WANTED = {int: "an integer", float: "a number", str: "a string"}
+# a scalar field's type: (what its values must be, how a mismatch names it)
+_SCALARS = {
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a number"),
+    str: (str, "a string"),
+}
 # metadata key: (holds(value, bound), how the message states the rule)
 _RULES = {
     "min": (operator.ge, ">="),
@@ -106,48 +114,46 @@ def write_json(obj, path) -> None:
 
 
 def _load(tp, value, path: str):
+    # structure only: each dataclass checks its values when it is built
+    tp = _without_none(tp)
     if dataclasses.is_dataclass(tp):
         return from_dict(tp, value, path)
-    if _without_none(tp) is not tp:
-        return None if value is None else _load(_without_none(tp), value, path)
-    if typing.get_origin(tp) is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise _mismatch(path, "an array", value)
+    if typing.get_origin(tp) is tuple and isinstance(value, list):
         item = typing.get_args(tp)[0]
         return tuple(_load(item, v, f"{path}[{i}]") for i, v in enumerate(value))
-    if isinstance(value, bool):
-        raise _mismatch(path, _WANTED[tp], value)
-    if tp is float and isinstance(value, (int, float)):
-        return _finite(value, path)
-    if isinstance(value, tp):
-        return value
-    raise _mismatch(path, _WANTED[tp], value)
+    return value
 
 
 def check_fields(obj) -> None:
-    """Store each `int` field of the frozen dataclass `obj` as an int and
-    each `float` field as a finite float, and hold each field to its rules;
-    the items of a `tuple[X, ...]` field (stored as a tuple) and a set
-    `X | None` field are checked as X.  A boolean, a non-integer int (numpy
-    integers are integers), a non-real value where a float is wanted, a
-    float that is not finite or a broken rule raises FieldError naming it."""
+    """Hold each field of the frozen dataclass `obj` to its annotation and
+    rules with `check_value`, and store the checked value; a `None` in an
+    `X | None` field is left as it is."""
     hints = _hints(type(obj))
     for f in dataclasses.fields(obj):
         value, tp = getattr(obj, f.name), hints[f.name]
         if value is not None or _without_none(tp) is tp:
-            object.__setattr__(obj, f.name, _checked(_without_none(tp), value, _key(f), f.metadata))
+            value = check_value(_without_none(tp), value, _key(f), f.metadata)
+            object.__setattr__(obj, f.name, value)
 
 
-def _checked(tp, value, path: str, rules):
+def check_value(tp, value, path: str, rules):
+    """`value` as a field of type `tp` stores it (see the module docstring),
+    held to `rules`; a mismatch, a float that is not finite or a broken
+    rule raises FieldError naming `path`, or `path[i]` for a tuple's item."""
     if typing.get_origin(tp) is tuple:
+        array = isinstance(value, np.ndarray) and value.ndim == 1
+        if not (array or isinstance(value, (list, tuple))):
+            raise _mismatch(path, "an array", value)
         item = typing.get_args(tp)[0]
-        return tuple(_checked(item, v, f"{path}[{i}]", rules) for i, v in enumerate(value))
-    if tp is int:
-        value = integer(value, path)
-    elif tp is float:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise _mismatch(path, "a number", value)
-        value = _finite(value, path)
+        return tuple(check_value(item, v, f"{path}[{i}]", rules) for i, v in enumerate(value))
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(value, tp):
+            raise _mismatch(path, f"a {tp.__name__}", value)
+        return value
+    kind, wanted = _SCALARS[tp]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise _mismatch(path, wanted, value)
+    value = _finite(value, path) if tp is float else tp(value)
     for rule, bound in rules.items():
         if rule in _RULES and not _RULES[rule][0](value, bound):
             raise FieldError(f"{path}: must be {_RULES[rule][1]} {bound}, got {value!r}")
@@ -171,12 +177,6 @@ def _without_none(tp):
     if typing.get_origin(tp) in (typing.Union, types.UnionType):
         (tp,) = (a for a in typing.get_args(tp) if a is not type(None))
     return tp
-
-
-def integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise _mismatch(path, "an integer", value)
-    return int(value)
 
 
 @functools.cache

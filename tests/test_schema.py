@@ -10,6 +10,7 @@ import json
 import re
 import typing
 
+import numpy as np
 import pytest
 from test_cli import checkpoint_dict, spec_dict, train_config_dict
 
@@ -54,8 +55,6 @@ RULES = ("min", "above", "below", "one_of")
 UNRULED = {
     "BenchmarkSpec.n_classes_total",
     "LossConfig.margin_neg",
-    "DomainTransform.rotation_seed",
-    "DomainTransform.bias_seed",
     "DomainTransform.rotation_angles",
     "Checkpoint.seed",
 }
@@ -153,3 +152,71 @@ def test_a_rule_that_relates_two_fields_keeps_the_object_path():
     with pytest.raises(ValueError, match=r"^loss: need margin_pos < margin_neg") as info:
         TrainConfig.from_dict(d)
     assert not isinstance(info.value, schema.FieldError)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DomainTransform(name=5), "name: expected a string, got integer 5"),
+        (
+            lambda: LayerRecord("tanh", (2, 2), 3, "x"),
+            "weight: expected a string, got integer 3",
+        ),
+        (lambda: ExpansionConfig(expansion_epochs=5), "expansion_epochs: expected an array"),
+        (
+            lambda: DomainTransform(name="tilt", rotation_angles=np.zeros((1, 2))),
+            "rotation_angles: expected an array",
+        ),
+        (
+            lambda: TrainConfig(loss={"lambda": 1.0}),
+            "loss: expected a LossConfig, got object {'lambda': 1.0}",
+        ),
+        (lambda: TrainConfig(loss=None), "loss: expected a LossConfig, got null None"),
+        (
+            lambda: dataclasses.replace(
+                BenchmarkSpec.from_dict(spec_dict()), domain_transforms=({},)
+            ),
+            "domain_transforms[0]: expected a DomainTransform, got object {}",
+        ),
+    ],
+)
+def test_a_value_built_in_python_is_checked_as_one_read_from_json(build, message):
+    with pytest.raises(schema.FieldError) as info:
+        build()
+    assert str(info.value).startswith(message)
+
+
+def test_numpy_angles_are_stored_as_a_tuple_of_floats():
+    transform = DomainTransform(name="tilt", rotation_angles=np.array([0.5, -1.0]))
+    assert transform.rotation_angles == (0.5, -1.0)
+    assert [type(a) for a in transform.rotation_angles] == [float, float]
+
+
+def test_a_nested_error_is_reported_before_its_parents_scalars():
+    with pytest.raises(schema.FieldError, match=r"^loss\.lambda: must be >= 0, got -1\.0"):
+        TrainConfig.from_dict({"lr_theta": "x", "loss": {"lambda": -1}})
+
+
+@pytest.mark.parametrize(
+    "transform, message",
+    [
+        (
+            {"name": "near", "rotation_seed": -1},
+            "domain_transforms[0].rotation_seed: must be >= 0",
+        ),
+        # never drawn from, as bias_std is 0, but still not a seed
+        ({"name": "near", "bias_seed": -1}, "domain_transforms[0].bias_seed: must be >= 0"),
+        (
+            {"name": "near", "rotation_angles": [0.1] * 3},
+            "domain_transforms[0].rotation_angles: 3 plane angles need input_dim >= 6, got 4",
+        ),
+    ],
+)
+def test_a_bad_transform_fails_gen_data_before_any_output(tmp_path, capsys, transform, message):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec_dict(domain_transforms=[transform])))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["gen-data", "--spec", str(spec_path), "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from centerpolar import rng, schema
 from centerpolar.data import DataSet, generate_benchmark
 from centerpolar.encoder import EncoderModel, Layer
 from centerpolar.expansion import ExpansionConfig
@@ -377,12 +378,69 @@ class TestEncoderForward:
         with pytest.raises(ShapeError, match="input shape"):
             model.forward(Tensor(np.zeros(5)))
 
+    @pytest.mark.parametrize(
+        "shapes, activation, message",
+        [
+            (
+                [((3, 2), 3), ((2, 3), 2)],
+                "sigmoid",
+                r"layers\[1\]\.activation: unknown activation 'sigmoid'",
+            ),
+            (
+                [((3, 2), 3), ((2, 3), 1)],
+                "tanh",
+                r"layers\[1\]\.bias: 1 values, weight has 2 rows",
+            ),
+            (
+                [((3, 2), 3), ((2, 4), 2)],
+                "tanh",
+                r"layers\[1\]\.weight: 4 inputs, layers\[0\] has 3",
+            ),
+            ([((3, 2, 1), 3)], "tanh", r"layers\[0\]\.weight: expected two dims"),
+        ],
+    )
+    def test_layer_contract_names_the_layer(self, shapes, activation, message):
+        layers = [
+            Layer(weight=Tensor(np.zeros(w)), bias=Tensor(np.zeros(b)), activation="tanh")
+            for w, b in shapes
+        ]
+        layers[-1].activation = activation
+        with pytest.raises(ValueError, match=message):
+            EncoderModel(layers)
+
+    def test_an_empty_layer_stack_is_named(self):
+        with pytest.raises(ValueError, match="^layers: encoder needs at least one layer"):
+            EncoderModel([])
+
     def test_build_is_seed_deterministic(self):
         a = EncoderModel.default(input_dim=3, seed=7)
         b = EncoderModel.default(input_dim=3, seed=7)
         c = EncoderModel.default(input_dim=3, seed=8)
         assert a.checksum() == b.checksum()
         assert a.checksum() != c.checksum()
+
+
+@pytest.mark.parametrize(
+    "seed, stream_id, message",
+    [
+        (-1, 0, "seed: must be >= 0, got -1"),
+        (0, 2**64, "stream_id: must be < 18446744073709551616"),
+        (True, 0, "seed: expected an integer, got boolean True"),
+    ],
+)
+def test_stream_names_the_bad_half_of_its_key(seed, stream_id, message):
+    with pytest.raises(schema.FieldError) as info:
+        rng.stream(seed, stream_id)
+    assert str(info.value).startswith(message)
+
+
+def test_stream_keys_reach_the_ends_of_the_seed_range():
+    def draws(seed, stream_id):
+        return rng.stream(seed, stream_id).integers(0, 2**63, size=2)
+
+    top = draws(2**64 - 1, 2**64 - 1)
+    assert np.array_equal(top, draws(np.uint64(2**64 - 1), 2**64 - 1))
+    assert not np.array_equal(top, draws(0, 2**64 - 1))
 
 
 class TestTrainLoop:
