@@ -8,8 +8,8 @@ curve rises monotonically over [0, 1]; longer schedules bend it over.
 
 import argparse
 
-from centerpolar import schema
-from centerpolar.experiments import DEFAULT_LAMBDA, benchmark_train_config, run_lambda_sweep
+from centerpolar.cli import output_file
+from centerpolar.experiments import report_grid, run_lambda_sweep
 
 
 def main() -> None:
@@ -30,20 +30,13 @@ def main() -> None:
 
     epochs = {} if args.epochs is None else {"total_epochs": args.epochs}
     lambdas = {} if args.lambdas is None else {"lambdas": tuple(args.lambdas)}
-    try:  # the grid's config rules and cells, checked before any cell runs
-        for lam in args.lambdas or [DEFAULT_LAMBDA]:
-            benchmark_train_config(0, "full", lam, **epochs)
-        run_lambda_sweep((), **lambdas)  # no seeds: checks the cells, trains nothing
-    except ValueError as e:
+    try:  # --out and every cell are checked before the first cell runs
+        if args.out:
+            output_file(args.out)
+        curve = run_lambda_sweep(range(args.seeds), **lambdas, **epochs)
+    except (OSError, ValueError) as e:
         parser.error(str(e))
-    curve = run_lambda_sweep(range(args.seeds), **lambdas, **epochs)
-
-    for lam, scores in curve.items():
-        mean = sum(scores) / len(scores)
-        print(f"lambda={lam:<5g} mean={mean:.4f}  " + " ".join(f"{s:.4f}" for s in scores))
-    if args.out:
-        schema.write_json({str(k): v for k, v in curve.items()}, args.out)
-        print(f"wrote {args.out}")
+    report_grid(curve, "lambda={:<5g}", args.out)
 
 
 if __name__ == "__main__":

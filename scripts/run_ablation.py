@@ -8,8 +8,8 @@ release-check configuration.
 
 import argparse
 
-from centerpolar import schema
-from centerpolar.experiments import benchmark_train_config, run_ablation_grid
+from centerpolar.cli import output_file
+from centerpolar.experiments import report_grid, run_ablation_grid
 
 
 def main() -> None:
@@ -22,23 +22,15 @@ def main() -> None:
     if args.seeds < 1:
         parser.error(f"--seeds must be >= 1, got {args.seeds}")
 
-    kwargs = {}
-    if args.lam is not None:
-        kwargs["lam"] = args.lam
-    if args.epochs is not None:
-        kwargs["total_epochs"] = args.epochs
-    try:  # the grid's config rules, checked before any cell runs
-        benchmark_train_config(0, "full", **kwargs)
-    except ValueError as e:
+    flags = {"lam": args.lam, "total_epochs": args.epochs}
+    kwargs = {name: value for name, value in flags.items() if value is not None}
+    try:  # --out and every cell are checked before the first cell runs
+        if args.out:
+            output_file(args.out)
+        results = run_ablation_grid(range(args.seeds), **kwargs)
+    except (OSError, ValueError) as e:
         parser.error(str(e))
-    results = run_ablation_grid(range(args.seeds), **kwargs)
-
-    for ablation, scores in results.items():
-        mean = sum(scores) / len(scores)
-        print(f"{ablation:9s} mean={mean:.4f}  " + " ".join(f"{s:.4f}" for s in scores))
-    if args.out:
-        schema.write_json(results, args.out)
-        print(f"wrote {args.out}")
+    report_grid(results, "{:9s}", args.out)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ import numpy as np
 from . import schema
 from .data import (
     BenchmarkSpec,
-    CsvFormatError,
     DataSet,
     GenerationError,
     generate_benchmark,
@@ -35,7 +34,6 @@ from .evaluation import METRICS, evaluate
 from .geometry import DegenerateVectorError
 from .trainer import (
     ABLATIONS,
-    CheckpointError,
     TrainConfig,
     load_checkpoint,
     save_checkpoint,
@@ -57,9 +55,6 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (
-        CheckpointError,
-        CsvFormatError,
-        json.JSONDecodeError,
         FileNotFoundError,
         FileExistsError,
         IsADirectoryError,
@@ -169,17 +164,11 @@ def _load_tests(data_dir: Path, width: int, source: str):
     """({domain tag: test set}, test CSV paths).  Test rows are grouped by
     domain tag over all test_*.csv files in name order, domains in order of
     first appearance; ids need only be unique within a domain.  A file whose
-    rows have other than `width` features, the width of `source`, raises
-    ValueError naming the file and its domains."""
+    rows are not `width` wide (see `_check_width`) raises ValueError."""
     test_paths = sorted(data_dir.glob("test_*.csv"))
     loaded = [(path, load_csv(path)) for path in test_paths]
     for path, ds in loaded:
-        if len(ds) and ds.features.shape[1] != width:
-            domains = ", ".join(map(repr, dict.fromkeys(ds.domains.tolist())))
-            raise ValueError(
-                f"{path}: domain {domains} has {ds.features.shape[1]} features, "
-                f"but {source} has {width}"
-            )
+        _check_width(path, ds, width, source)
     parts = [ds for _, ds in loaded if len(ds)]
     tests = {}
     if parts:
@@ -192,6 +181,18 @@ def _load_tests(data_dir: Path, width: int, source: str):
             rows = domains == name
             tests[name] = DataSet(ids[rows], labels[rows], domains[rows], features[rows])
     return tests, test_paths
+
+
+def _check_width(path: Path, ds: DataSet, width: int, source: str) -> None:
+    """ValueError naming the file and its domains unless the rows of `ds`,
+    read from `path`, have `width` features, the width of `source`; an
+    empty file passes."""
+    if len(ds) and ds.features.shape[1] != width:
+        domains = ", ".join(map(repr, dict.fromkeys(ds.domains.tolist())))
+        raise ValueError(
+            f"{path}: domain {domains} has {ds.features.shape[1]} features, "
+            f"but {source} has {width}"
+        )
 
 
 def cmd_train(args) -> int:
@@ -247,7 +248,7 @@ def cmd_eval(args) -> int:
     tests, test_paths = _load_tests(data_dir, model.input_dim, "the checkpoint's encoder")
     if not tests:
         raise FileNotFoundError(f"no test_*.csv files in {data_dir}")
-    out_path = _output_file(args.out)
+    out_path = output_file(args.out)
     started = _now()
     report = evaluate(model, tests, metric=args.metric)
     schema.write_json(report.to_dict(), out_path)
@@ -269,8 +270,9 @@ def cmd_export_embeddings(args) -> int:
     model, _config, _epoch = load_checkpoint(ckpt_path)
     data_path = Path(args.data)
     ds = load_csv(data_path)
+    _check_width(data_path, ds, model.input_dim, "the checkpoint's encoder")
     started = _now()
-    out_path = _output_file(args.out)
+    out_path = output_file(args.out)
     header = ("id", "label", "domain", *(f"e{i}" for i in range(model.embed_dim)))
     E = model.embed_many(ds.features) if len(ds) else np.zeros((0, model.embed_dim))
     _write_rows(out_path, header, ds, E)
@@ -287,7 +289,7 @@ def cmd_export_embeddings(args) -> int:
     return 0
 
 
-def _output_file(out: str) -> Path:
+def output_file(out: str) -> Path:
     """`out` with its folder made; an existing directory is IsADirectoryError."""
     path = Path(out)
     path.parent.mkdir(parents=True, exist_ok=True)

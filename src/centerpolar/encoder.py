@@ -39,8 +39,9 @@ class EncoderModel:
     """Dense MLP mapping input vectors to embedding vectors.
 
     Holds at least one layer; each `layers[i]` has an activation in
-    ACTIVATIONS, a 2-D weight taking the previous layer's outputs and one
-    bias value per weight row, else ValueError (ShapeError) names it."""
+    ACTIVATIONS, a 2-D weight with no dimension of size 0 taking the
+    previous layer's outputs and one bias value per weight row, else
+    ValueError (ShapeError) names it."""
 
     def __init__(self, layers: list[Layer]):
         if not layers:
@@ -54,6 +55,8 @@ class EncoderModel:
                 )
             if len(shape) != 2:
                 raise ShapeError(f"{path}.weight: expected two dims, got shape {shape}")
+            if 0 in shape:
+                raise ShapeError(f"{path}.weight: each dim must be >= 1, got shape {shape}")
             if bias != (shape[0],):
                 got = f"{bias[0]} values" if len(bias) == 1 else f"shape {bias}"
                 raise ShapeError(f"{path}.bias: {got}, weight has {shape[0]} rows")

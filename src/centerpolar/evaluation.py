@@ -32,6 +32,7 @@ from .data import DataSet
 from .geometry import EPS_PROJECTION, DegenerateVectorError
 
 METRICS = ("euclidean", "geodesic")
+RECALL_KS = (1, 2)
 _BLOCK_ENTRIES = 1 << 16  # query-by-gallery distances held at once
 
 
@@ -110,16 +111,15 @@ def map_at_r(relevant, R):
     return np.cumsum(precision, axis=1)[np.arange(len(R)), R - 1] / R
 
 
-def evaluate(model, tests: dict, recall_ks=(1, 2), metric: str = "euclidean") -> RetrievalReport:
+def evaluate(
+    model, tests: dict, recall_ks=RECALL_KS, metric: str = "euclidean"
+) -> RetrievalReport:
     """Leave-one-out retrieval over each test domain, averaged across domains."""
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     if not tests:
         raise ValueError("evaluate: no test sets given")
-    ks = [schema.check_value(int, k, "evaluate: recall_ks", {}) for k in recall_ks]
-    if not ks or min(ks) < 1:
-        raise ValueError(f"evaluate: recall_ks must be non-empty, each k >= 1, got {recall_ks!r}")
-    recall_ks = tuple(sorted(set(ks)))
+    recall_ks = check_domains(tests, recall_ks)
     domains = {name: _evaluate_domain(model, ds, recall_ks, metric) for name, ds in tests.items()}
     avg = DomainMetrics(
         recall_at={
@@ -133,14 +133,26 @@ def evaluate(model, tests: dict, recall_ks=(1, 2), metric: str = "euclidean") ->
     return RetrievalReport(domains=domains, average=avg, query_count=avg.queries, metric=metric)
 
 
+def check_domains(tests: dict, recall_ks=RECALL_KS) -> tuple:
+    """`recall_ks` sorted and without repeats, once every domain of `tests`
+    can be scored with them: ValueError unless the ks are non-empty and
+    each >= 1, and each domain has at least 2 samples and a gallery (the
+    domain less the query) of at least the largest k."""
+    ks = tuple(sorted({schema.check_value(int, k, "evaluate: recall_ks", {}) for k in recall_ks}))
+    if not ks or ks[0] < 1:
+        raise ValueError(f"evaluate: recall_ks must be non-empty, each k >= 1, got {recall_ks!r}")
+    for name, ds in tests.items():
+        if len(ds) < 2:
+            raise ValueError(f"evaluate: domain {name!r} needs at least 2 samples, got {len(ds)}")
+        if ks[-1] > len(ds) - 1:
+            raise ValueError(
+                f"evaluate: domain {name!r}: recall k={ks[-1]} exceeds gallery size {len(ds) - 1}"
+            )
+    return ks
+
+
 def _evaluate_domain(model, ds: DataSet, recall_ks, metric: str) -> DomainMetrics:
     n = len(ds)
-    if n < 2:
-        raise ValueError(f"evaluate: domain needs at least 2 samples, got {n}")
-    if max(recall_ks) > n - 1:
-        raise ValueError(
-            f"evaluate: recall k={max(recall_ks)} exceeds gallery size {n - 1}"
-        )
     E = model.embed_many(ds.features)
     ids, labels = ds.ids, ds.labels
     if metric == "geodesic":

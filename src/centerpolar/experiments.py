@@ -9,6 +9,7 @@ unseen domains.
 
 from __future__ import annotations
 
+from . import schema
 from .data import BenchmarkSpec, DomainTransform, generate_benchmark
 from .evaluation import evaluate
 from .expansion import ExpansionConfig
@@ -124,17 +125,28 @@ def run_lambda_sweep(
     )
 
 
+def report_grid(results: dict, label: str, out) -> None:
+    """Print a `<label> mean=…  scores` line per cell, `label.format(cell)`
+    heading it, and, given `out`, write {str(cell): scores} there as JSON."""
+    for cell, scores in results.items():
+        mean = sum(scores) / len(scores)
+        print(f"{label.format(cell)} mean={mean:.4f}  " + " ".join(f"{s:.4f}" for s in scores))
+    if out:
+        schema.write_json({str(cell): scores for cell, scores in results.items()}, out)
+        print(f"wrote {out}")
+
+
 def _run_grid(cells, seeds, config_of) -> dict:
     """{cell: [MAP@R per seed]}, running each cell's seeds in turn with the
-    config `config_of(cell, seed)`.  A repeated cell (`0.0` and `-0.0` are
-    one) raises ValueError before any cell runs."""
-    results: dict = {}
+    config `config_of(cell, seed)`.  Every config is built, and a repeated
+    cell (`0.0` and `-0.0` are one) raises ValueError, before any cell runs."""
+    seeds = list(seeds)  # every cell runs them all, even from a one-pass iterator
+    runs: dict = {}
     for cell in cells:
-        if cell in results:
+        if cell in runs:
             raise ValueError(f"grid cell {cell!r} is repeated")
-        results[cell] = []
-    for cell in results:
-        for seed in seeds:
-            spec = default_benchmark_spec(seed=seed)
-            results[cell].append(run_benchmark(spec, config_of(cell, seed))["map_at_r"])
-    return results
+        runs[cell] = [(default_benchmark_spec(seed=seed), config_of(cell, seed)) for seed in seeds]
+    return {
+        cell: [run_benchmark(spec, config)["map_at_r"] for spec, config in pairs]
+        for cell, pairs in runs.items()
+    }

@@ -20,7 +20,7 @@ import numpy as np
 from . import rng, schema
 from .data import DataSet
 from .encoder import EncoderModel, LayerRecord
-from .evaluation import RetrievalReport, evaluate
+from .evaluation import RetrievalReport, check_domains, evaluate
 from .expansion import ExpansionConfig, expand_batch
 from .geometry import CentroidTable, compute_centroids
 from .losses import LossConfig, loss_c4, loss_dis, loss_dom
@@ -143,6 +143,8 @@ def train(
     if (sizes < 2).any():
         class_id, count = classes[sizes < 2][0], sizes[sizes < 2][0]
         raise ValueError(f"train: class {class_id} has {count} sample(s), need >= 2 for pairs")
+    if tests:  # the snapshots' domains, checked before the first epoch
+        check_domains(tests)
     model = EncoderModel.default(
         features.shape[1], config.embed_dim, config.hidden_dim, config.seed
     )

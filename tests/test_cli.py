@@ -338,6 +338,37 @@ class TestTrain:
         assert f"but {data_dir / 'train.csv'} has 4" in err
         assert not out.exists()
 
+    def test_unscorable_test_domain_is_exit_2_before_training(
+        self, tmp_path, data_dir, capsys, monkeypatch
+    ):
+        from centerpolar import trainer
+
+        near = data_dir / "test_near.csv"
+        near.write_text("\n".join(near.read_text().splitlines()[:3]) + "\n")
+        monkeypatch.setattr(trainer, "_class_balanced_batches", lambda *a: pytest.fail("trained"))
+        out = tmp_path / "o"
+        rc = main(["train", "--data", str(data_dir), "--out", str(out)])
+        assert rc == 2
+        assert "domain 'near': recall k=2 exceeds gallery size 1" in capsys.readouterr().err
+        assert not (out / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize("ablation", ["full", "baseline"])
+    def test_feature_less_train_csv_is_exit_2_before_training(
+        self, tmp_path, capsys, monkeypatch, ablation
+    ):
+        from centerpolar import trainer
+
+        data = tmp_path / "featureless"
+        data.mkdir()
+        (data / "train.csv").write_text("id,label,domain\n0,0,a\n1,0,a\n2,1,a\n3,1,a\n")
+        monkeypatch.setattr(trainer, "_class_balanced_batches", lambda *a: pytest.fail("trained"))
+        out = tmp_path / "o"
+        rc = main(["train", "--data", str(data), "--out", str(out), "--ablation", ablation])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "layers[0].weight: each dim must be >= 1, got shape (64, 0)" in err
+        assert not (out / "checkpoint.json").exists()
+
     def test_non_finite_flag_is_exit_2(self, tmp_path, data_dir, capsys):
         out = tmp_path / "o"
         rc = main(["train", "--data", str(data_dir), "--out", str(out), "--lr-theta", "inf"])
@@ -597,6 +628,18 @@ class TestExportEmbeddings:
         assert rc == 2
         err = capsys.readouterr().err
         assert "3" in err and "4" in err
+
+    def test_width_checked_before_any_output(self, tmp_path, run_dir, capsys, monkeypatch):
+        src = tmp_path / "narrow.csv"
+        src.write_text("id,label,domain,f0,f1,f2\n0,0,a,1.0,2.0,3.0\n")
+        monkeypatch.setattr(EncoderModel, "embed_many", lambda *a: pytest.fail("embedded"))
+        out = tmp_path / "fresh" / "emb.csv"
+        argv = ["export-embeddings", "--checkpoint", str(run_dir / "checkpoint.json")]
+        rc = main(argv + ["--data", str(src), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{src}: domain 'a' has 3 features, but the checkpoint's encoder has 4" in err
+        assert not out.parent.exists()
 
 
 def test_module_entry_point(tmp_path):

@@ -364,6 +364,25 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="exceeds gallery"):
             evaluate(identity_model(1), {"d": ds}, recall_ks=(3,))
 
+    @pytest.mark.parametrize(
+        "tiny, message",
+        [
+            ([0.0], "domain 'tiny' needs at least 2 samples, got 1"),
+            ([0.0, 1.0], "domain 'tiny': recall k=2 exceeds gallery size 1"),
+        ],
+    )
+    def test_every_domain_checked_before_any_is_embedded(self, monkeypatch, tiny, message):
+        def no_embedding(*args):
+            raise AssertionError("a domain was embedded before every domain was checked")
+
+        monkeypatch.setattr(EncoderModel, "embed_many", no_embedding)
+        tests = {
+            "ok": line_dataset([0.0, 1.0, 2.0], [0, 0, 1]),
+            "tiny": line_dataset(tiny, [0] * len(tiny)),
+        }
+        with pytest.raises(ValueError, match=message):
+            evaluate(identity_model(1), tests)
+
 
 class TestReportShapes:
     def _report(self):

@@ -397,6 +397,12 @@ class TestEncoderForward:
                 r"layers\[1\]\.weight: 4 inputs, layers\[0\] has 3",
             ),
             ([((3, 2, 1), 3)], "tanh", r"layers\[0\]\.weight: expected two dims"),
+            (
+                [((3, 0), 3)],
+                "tanh",
+                r"layers\[0\]\.weight: each dim must be >= 1, got shape \(3, 0\)",
+            ),
+            ([((3, 2), 3), ((0, 3), 0)], "tanh", r"layers\[1\]\.weight: each dim must be >= 1"),
         ],
     )
     def test_layer_contract_names_the_layer(self, shapes, activation, message):
@@ -575,6 +581,26 @@ class TestTrainLoop:
         ds = DataSet([0], [0], ["source"], np.zeros((1, 2)))
         with pytest.raises(ValueError, match="at least 2"):
             train(ds, small_config())
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (1, "domain 'tiny' needs at least 2 samples, got 1"),
+            (2, "domain 'tiny': recall k=2 exceeds gallery size 1"),
+        ],
+    )
+    def test_unscorable_test_domain_rejected_before_the_first_epoch(
+        self, monkeypatch, rows, message
+    ):
+        from centerpolar import trainer
+
+        holdout = toy_dataset(seed=3)
+        tiny = DataSet(
+            holdout.ids[:rows], holdout.labels[:rows], ["tiny"] * rows, holdout.features[:rows]
+        )
+        monkeypatch.setattr(trainer, "_class_balanced_batches", lambda *a: pytest.fail("trained"))
+        with pytest.raises(ValueError, match=message):
+            train(toy_dataset(), small_config(), tests={"holdout": holdout, "tiny": tiny})
 
     def test_snapshot_schedule(self):
         ds = toy_dataset()
