@@ -30,7 +30,7 @@ from .data import (
     save_csv,
     _write_rows,
 )
-from .evaluation import METRICS, evaluate
+from .evaluation import METRICS, check_domains, evaluate
 from .geometry import DegenerateVectorError
 from .trainer import (
     ABLATIONS,
@@ -203,20 +203,21 @@ def cmd_train(args) -> int:
     train_set = load_csv(train_path)
     tests, test_paths = _load_tests(data_dir, train_set.features.shape[1], str(train_path))
     config, config_inputs = _resolve_train_config(args)
+    out_dir = output_dir(args.out, "--out")
     if args.dump_trajectories:
-        Path(args.dump_trajectories).mkdir(parents=True, exist_ok=True)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+        traj_dir = output_dir(args.dump_trajectories, "--dump-trajectories")
     started = _now()
     sink = [] if args.dump_trajectories else None
     report = train(train_set, config, tests=tests or None, trajectory_sink=sink)
+    out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = out_dir / "checkpoint.json"
     save_checkpoint(checkpoint_path, report.model, config, config.total_epochs)
     report_path = out_dir / "report.json"
     schema.write_json(report.to_dict(), report_path)
     artifacts = {"checkpoint": str(checkpoint_path), "report": str(report_path)}
     if sink is not None:
-        traj_path = Path(args.dump_trajectories) / "trajectories.csv"
+        traj_dir.mkdir(parents=True, exist_ok=True)
+        traj_path = traj_dir / "trajectories.csv"
         with open(traj_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["sample_id", "iter", "d_geo", "d_euclid", "loss"])
@@ -248,6 +249,7 @@ def cmd_eval(args) -> int:
     tests, test_paths = _load_tests(data_dir, model.input_dim, "the checkpoint's encoder")
     if not tests:
         raise FileNotFoundError(f"no test_*.csv files in {data_dir}")
+    check_domains(tests)
     out_path = output_file(args.out)
     started = _now()
     report = evaluate(model, tests, metric=args.metric)
@@ -287,6 +289,20 @@ def cmd_export_embeddings(args) -> int:
     )
     print(f"wrote {len(ds)} embeddings to {out_path}")
     return 0
+
+
+def output_dir(out: str, flag: str) -> Path:
+    """`out` as a directory that a run makes once its work is done; a file
+    in its place or above it raises FileExistsError or NotADirectoryError
+    now, before the work."""
+    path = Path(out)
+    for p in (path, *path.parents):
+        if p.is_dir():
+            break
+        if p.exists():
+            error = FileExistsError if p == path else NotADirectoryError
+            raise error(f"{flag} {path}: {p} is a file, not a directory")
+    return path
 
 
 def output_file(out: str) -> Path:

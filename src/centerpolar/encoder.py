@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng, schema
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, dense
 
 ACTIVATIONS = ("tanh", "relu", "identity")
 
@@ -128,11 +128,7 @@ class EncoderModel:
         for layer in self.layers:
             w = layer.weight.detach() if frozen else layer.weight
             b = layer.bias.detach() if frozen else layer.bias
-            h = w.matvec(h) + b
-            if layer.activation == "tanh":
-                h = h.tanh()
-            elif layer.activation == "relu":
-                h = h.relu()
+            h = dense(w, h, b, layer.activation)
         return h
 
     def embed_many(self, X: np.ndarray) -> np.ndarray:

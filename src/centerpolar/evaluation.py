@@ -175,11 +175,12 @@ def _evaluate_domain(model, ds: DataSet, recall_ks, metric: str) -> DomainMetric
     recalls = {k: np.empty(n) for k in recall_ks}
     rp, mp = np.empty(n), np.empty(n)
     rows = max(1, _BLOCK_ENTRIES // n)
+    keys = np.empty((min(rows, n), n))  # every block's keys, in one buffer
     for start in range(0, n, rows):
         block = slice(start, start + rows)
         # the deepest rank a metric reads, plus one for the query's own column
         width = max(int(R[block].max()), recall_ks[-1]) + 1
-        order = _first_columns(E[block], gallery, gallery_sq, metric, width)
+        order = _first_columns(E[block], gallery, gallery_sq, metric, width, keys)
         # leave each query out by its own column, else by the last one kept
         own = order == own_column[block, None]
         own[:, -1] |= ~own.any(axis=1)
@@ -211,7 +212,7 @@ def _distances(Q: np.ndarray, gallery_t: np.ndarray, metric: str) -> np.ndarray:
     return np.sqrt(D)
 
 
-def _first_columns(Q, gallery_t, gallery_sq, metric: str, width: int) -> np.ndarray:
+def _first_columns(Q, gallery_t, gallery_sq, metric: str, width: int, out) -> np.ndarray:
     """The first `width` columns of each row of a stable argsort of
     `_distances(Q, gallery_t, metric)`: by distance, then by column.
 
@@ -221,6 +222,7 @@ def _first_columns(Q, gallery_t, gallery_sq, metric: str, width: int) -> np.ndar
     exceed the row's slack (`_euclidean_slack`, 0 for "geodesic"); then the
     key order is the distance order and no column past the cut can enter
     it.  Other rows are ranked again from `_distances` with a stable sort.
+    The "euclidean" key is written into the first len(Q) rows of `out`.
     """
     n = gallery_t.shape[1]
     if metric == "geodesic":
@@ -228,7 +230,7 @@ def _first_columns(Q, gallery_t, gallery_sq, metric: str, width: int) -> np.ndar
         slack = np.zeros(len(Q))
     else:
         q_sq = np.einsum("ij,ij->i", Q, Q)
-        key = Q @ gallery_t
+        key = np.matmul(Q, gallery_t, out=out[: len(Q)])
         key *= -2.0
         key += gallery_sq
         key += q_sq[:, None]

@@ -12,7 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor
+from .tensor import (
+    Fold,
+    ShapeError,
+    Tensor,
+    _acos,
+    _acos_grad,
+    _norm_grad,
+    _record,
+    _reduce_to,
+    _row_norm,
+    _rowdot,
+)
 
 EPS_PROJECTION = 1e-12  # vectors at or below this norm have no direction
 
@@ -30,12 +41,16 @@ def project_to_sphere(v) -> Tensor:
     carry a direction."""
     v = as_tensor(v)
     n = v.l2_norm()
-    short = n.data <= EPS_PROJECTION
+    _check_direction(n.data)
+    return v / n
+
+
+def _check_direction(norm: np.ndarray) -> None:
+    short = norm <= EPS_PROJECTION
     if short.any():
         raise DegenerateVectorError(
-            f"cannot project vector with norm {n.data[short][0]:.3e} (<= {EPS_PROJECTION})"
+            f"cannot project vector with norm {norm[short][0]:.3e} (<= {EPS_PROJECTION})"
         )
-    return v / n
 
 
 def euclidean_distance(u, v) -> Tensor:
@@ -46,11 +61,47 @@ def euclidean_distance(u, v) -> Tensor:
 def geodesic_distance(u, v) -> Tensor:
     """Arc distance between the directions of u and v, scaled to [0, 1].
 
-    0 for parallel, 1/2 for orthogonal, 1 for antipodal vectors.
+    0 for parallel, 1/2 for orthogonal, 1 for antipodal vectors.  One
+    recorded op with the values, gradients and errors of the chain
+    `project_to_sphere(u).dot(project_to_sphere(v)).acos() / pi`, bit for
+    bit: each input takes its two contributions, through the projection
+    and through the norm, as one `Fold`, v's before u's, in the order the
+    reversed chain adds them.
     """
     u, v = as_tensor(u), as_tensor(v)
-    c = project_to_sphere(u).dot(project_to_sphere(v))
-    return c.acos() / math.pi
+    U, V = u.data, v.data
+    nu = _row_norm(U)
+    _check_direction(nu)
+    pu = U / nu
+    nv = _row_norm(V)
+    _check_direction(nv)
+    pv = V / nv
+    if pu.shape != pv.shape:
+        raise ShapeError(f"dot: shapes {pu.shape} and {pv.shape} must be equal 1-D or 2-D")
+    c = _rowdot(pu, pv)
+    angle, mask = _acos(c)
+
+    def vjp(g, needs):
+        gc = _acos_grad(g / _PI, c, mask)
+        return (
+            _projection_fold(gc * pu, V, nv) if needs[0] else None,
+            _projection_fold(gc * pv, U, nu) if needs[1] else None,
+        )
+
+    return _record(Tensor._wrap(angle / _PI), (v, u), vjp, "geodesic_distance")
+
+
+_PI = np.array(math.pi)  # the chain divides by a constant tensor of pi
+
+
+def _projection_fold(g: np.ndarray, rows: np.ndarray, norm: np.ndarray) -> Fold:
+    # the gradients that `rows / norm` with `norm = rows.l2_norm()` passes
+    # to `rows`, in the reversed chain's order: the quotient's, then the norm's
+    fold = Fold.empty(2, rows.shape, loop=True)
+    np.divide(g, norm, out=fold.parts[0])
+    gnorm = _reduce_to(-g * rows / (norm * norm), norm.shape)
+    fold.parts[1] = _norm_grad(gnorm, norm, rows)
+    return fold
 
 
 @dataclass(frozen=True)

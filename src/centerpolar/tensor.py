@@ -19,8 +19,9 @@ Rows.  The leading axis of a 2-D tensor is the sample: a (B, k) tensor is
 a batch of B rows, and every op gives each row exactly the bits it gives
 that row alone as a 1-D (k,) tensor, gradients included, so one graph
 over a batch replaces B per-sample graphs.  `matvec` applies a matrix to
-every row; `dot`, `l2_norm` and `sum(axis=-1)` reduce each row to one
-value and keep it as a column (B, 1); `mean` averages over the leading
+every row, and `dense` is a whole layer, matrix, bias and activation;
+`dot`, `l2_norm` and `sum(axis=-1)` reduce each row to one value and
+keep it as a column (B, 1); `mean` averages over the leading
 axis, adding rows left to right; `take` selects rows and
 `pair_distances` measures every pair of them.  `len` is the row count.
 
@@ -35,15 +36,35 @@ graphs, recorded one row after another, would sum them.  An input that is
 shared by all rows takes the per-row contributions one at a time, from the
 last row to the first.  A row of `pair_distances` takes one contribution
 per partner, in descending partner index.  Such an op hands `backward` an
-ordered `Fold` of contributions for that one input, a (parts, *shape)
-array; a single pre-summed array would round differently.  `backward`
-stacks the input's running gradient on top of the parts and adds the stack
-down its leading axis with one `np.add.reduce`.  Along the slow axis of a
-C-contiguous array numpy adds part after part, left to right, as a loop of
-`acc + part` does (pairwise summation, which regroups the terms, runs only
-along the contiguous axis; see the Notes of `numpy.sum`).  When each part
-holds one element the leading axis is that contiguous axis, so `backward`
-adds those parts in a loop.
+ordered `Fold` of contributions for that one input; a single pre-summed
+array would round differently.  A `Fold` comes in two forms:
+
+- A slot `Fold` is a (1 + parts, *shape) array whose first part is a free
+  slot.  `backward` writes the input's running gradient into it and adds
+  the array down its leading axis with one `np.add.reduce`.  Along the
+  slow axis of a C-contiguous array numpy adds part after part, left to
+  right, onto its +0.0 identity, as a loop of `acc + part` from
+  `acc = 0.0` does (pairwise summation, which regroups the terms, runs
+  only along the contiguous axis; see the Notes of `numpy.sum`).  When
+  each part holds one element the leading axis is that contiguous axis,
+  so `backward` adds those parts in a loop, from the first part.  A
+  `Fold` that stands for a chain of ops asks for that loop too: it keeps
+  the chain's -0.0 where every part is -0.0, which the identity would
+  turn into +0.0.
+- A factor `Fold` carries two row factors instead, the gradient rows
+  (B, m) and the input rows (B, n), last row first; part r is the outer
+  product of their rows r, the weight gradient of `matvec` and `dense`.
+  When the input has no running gradient yet and a part holds more than
+  one element, `backward` sums the parts with one
+  `np.einsum("ri,rj->ij")`, without building them: with the output's
+  contiguous axis innermost and the row axis outside it, einsum adds row
+  after row onto an output it has zeroed, which rounds as the reduction
+  does.  Otherwise (a running gradient, or one element per part, where
+  einsum reduces inside its inner loop and rounds differently) `backward`
+  builds the parts as a slot `Fold`.  Like `np.tanh`, `np.arccos` and the
+  BLAS products, einsum's loop is a kernel whose bits a CPU dispatch
+  could change (ROADMAP item 10); in numpy's X86_V2-baseline wheel it
+  multiplies, then adds, with no fused multiply-add.
 """
 
 from __future__ import annotations
@@ -83,14 +104,29 @@ class Tape:
 
 
 class Fold:
-    """Gradient contributions of one op to one input: a (parts, *input
-    shape) array whose parts `backward` adds to the input's running
-    gradient, first part first."""
+    """Gradient contributions of one op to one input, which `backward` adds
+    to the input's running gradient in order, first part first: either a
+    slot `stack` (1 + parts, *shape) whose parts follow a free first slot,
+    or the factor `rows` (B, m) and (B, n), last row first, whose row r
+    gives the outer product that is part r (see the module docstring).
+    With `loop`, a slot `Fold` is added in a loop, as the chain of ops it
+    stands for added its parts."""
 
-    __slots__ = ("parts",)
+    __slots__ = ("stack", "rows", "loop")
 
-    def __init__(self, parts):
-        self.parts = parts
+    def __init__(self, stack=None, rows=None, loop=False):
+        self.stack = stack
+        self.rows = rows
+        self.loop = loop
+
+    @classmethod
+    def empty(cls, parts: int, shape: tuple, loop: bool = False) -> "Fold":
+        """A slot `Fold` of `parts` parts of `shape`, for the caller to fill."""
+        return cls(np.empty((parts + 1, *shape)), loop=loop)
+
+    @property
+    def parts(self) -> np.ndarray:
+        return self.stack[1:]
 
 
 _ACTIVE: ContextVar[Tape | None] = ContextVar("centerpolar_active_tape", default=None)
@@ -145,7 +181,9 @@ def _reduce_to(g: np.ndarray, shape: tuple):
         return g.sum()
     if len(shape) == g.ndim:
         return g.sum(axis=-1, keepdims=True)  # a column: one sum per row
-    return Fold(g[::-1])  # a shared row: per-row contributions, last row first
+    fold = Fold.empty(len(g), g.shape[1:])  # a shared row: per-row contributions,
+    fold.parts[...] = g[::-1]  # last row first
+    return fold
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -154,6 +192,13 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim == 1:
         return a @ b
     return (a[:, None, :] @ b[:, :, None])[:, 0]
+
+
+def _row_norm(A: np.ndarray) -> np.ndarray:
+    # each row's Euclidean norm, as `l2_norm` computes it
+    if A.ndim not in (1, 2):
+        raise ShapeError(f"l2_norm: shape {A.shape} is not 1-D or 2-D")
+    return np.sqrt(_rowdot(A, A))
 
 
 def _norm_grad(g, norm, rows: np.ndarray) -> np.ndarray:
@@ -268,7 +313,7 @@ class Tensor:
         def vjp(g, needs):
             gw = gx = None
             if needs[0]:  # outer products; for rows one per row, last row first
-                gw = np.outer(g, X) if X.ndim == 1 else Fold(g[::-1, :, None] * X[::-1, None, :])
+                gw = np.outer(g, X) if X.ndim == 1 else Fold(rows=(g[::-1], X[::-1]))
             if needs[1]:
                 gx = (W.T @ g[..., None])[..., 0]
             return gw, gx
@@ -317,9 +362,7 @@ class Tensor:
     def l2_norm(self) -> "Tensor":
         """Row-wise Euclidean norm: (k,) -> (), (B, k) -> (B, 1)."""
         A = self.data
-        if A.ndim not in (1, 2):
-            raise ShapeError(f"l2_norm: shape {A.shape} is not 1-D or 2-D")
-        norm = np.sqrt(_rowdot(A, A))
+        norm = _row_norm(A)
 
         def vjp(g, _):
             return (_norm_grad(g, norm, A),)
@@ -373,23 +416,67 @@ class Tensor:
 
     def acos(self) -> "Tensor":
         ad = self.data
-        if not np.isfinite(ad).all():
-            raise DomainError("acos: input contains non-finite values")
-        # flat cap: inputs within EPS_ACOS of an endpoint snap to the exact
-        # endpoint value and carry zero gradient, so near-collinear cosines
-        # produced by unit-vector round-off land on 0 / pi exactly
-        snapped = np.where(
-            ad >= 1.0 - EPS_ACOS, 1.0, np.where(ad <= -1.0 + EPS_ACOS, -1.0, ad)
-        )
-        out = Tensor._wrap(np.arccos(snapped))
-        mask = np.abs(ad) < 1.0 - EPS_ACOS
+        angle, mask = _acos(ad)
 
         def vjp(g, _):
-            ga = np.zeros_like(ad)
-            np.divide(-g, np.sqrt(np.where(mask, 1.0 - ad * ad, 1.0)), out=ga, where=mask)
-            return (ga,)
+            return (_acos_grad(g, ad, mask),)
 
-        return _record(out, (self,), vjp, "acos")
+        return _record(Tensor._wrap(angle), (self,), vjp, "acos")
+
+
+def _acos(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """arccos of `c` and the mask of the inputs with a gradient."""
+    if not np.isfinite(c).all():
+        raise DomainError("acos: input contains non-finite values")
+    # flat cap: inputs within EPS_ACOS of an endpoint snap to the exact
+    # endpoint value and carry zero gradient, so near-collinear cosines
+    # produced by unit-vector round-off land on 0 / pi exactly
+    snapped = np.where(c >= 1.0 - EPS_ACOS, 1.0, np.where(c <= -1.0 + EPS_ACOS, -1.0, c))
+    return np.arccos(snapped), np.abs(c) < 1.0 - EPS_ACOS
+
+
+def _acos_grad(g, c: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    gc = np.zeros_like(c)
+    np.divide(-g, np.sqrt(np.where(mask, 1.0 - c * c, 1.0)), out=gc, where=mask)
+    return gc
+
+
+def dense(weight: Tensor, x: Tensor, bias: Tensor, activation: str) -> Tensor:
+    """One dense layer as one op: `weight.matvec(x) + bias`, then
+    "tanh", "relu" or "identity", with the values and gradients of that
+    chain of ops, bit for bit.  `bias` holds one value per weight row."""
+    W, X, b = weight.data, x.data, bias.data
+    if W.ndim != 2 or X.ndim not in (1, 2) or X.shape[-1] != W.shape[1] or b.shape != W.shape[:1]:
+        raise ShapeError(
+            f"dense: shapes {W.shape}, {X.shape} and {b.shape} do not give a matrix, "
+            "rows and one bias per matrix row"
+        )
+    z = (W @ X[..., None])[..., 0]  # as `matvec`: one gemv per row
+    z += b
+    if activation == "tanh":
+        y = np.tanh(z)
+    elif activation == "relu":
+        y = np.where(z > 0.0, z, 0.0)
+    elif activation == "identity":
+        y = z
+    else:
+        raise ValueError(f"dense: unknown activation {activation!r}")
+
+    def vjp(g, needs):
+        if activation == "tanh":
+            g = g * (1.0 - y * y)
+        elif activation == "relu":
+            g = g * (z > 0.0)  # subgradient at 0 is 0
+        gw = gx = gb = None
+        if needs[0]:
+            gw = np.outer(g, X) if X.ndim == 1 else Fold(rows=(g[::-1], X[::-1]))
+        if needs[1]:
+            gx = (W.T @ g[..., None])[..., 0]
+        if needs[2]:
+            gb = _reduce_to(g, b.shape)
+        return gw, gx, gb
+
+    return _record(Tensor._wrap(y), (weight, x, bias), vjp, "dense")
 
 
 # index arrays depend on the row count alone; a training run meets a few
@@ -438,7 +525,10 @@ def pair_distances(rows: Tensor) -> Tensor:
         # as the first operand of e_i - e_j a row takes +c, as the second
         # -c; step s adds every row's s-th partner
         pair, sign = _partner_order(n)
-        return (Fold(contrib[pair] * sign[:, :, None]),)
+        fold = Fold.empty(n - 1, E.shape)
+        parts = np.take(contrib, pair, axis=0, out=fold.parts)
+        parts *= sign[:, :, None]
+        return (fold,)
 
     return _record(Tensor._wrap(norm[:, 0]), (rows,), vjp, "pair_distances")
 
@@ -479,14 +569,9 @@ def backward(out: Tensor) -> None:
                 continue
             acc = grads.get(id(t))
             if type(ig) is not Fold:
-                acc = ig if acc is None else acc + ig
-            elif math.prod(ig.parts.shape[1:]) > 1:
-                parts = ig.parts if acc is None else np.concatenate((acc[None], ig.parts))
-                acc = np.add.reduce(np.ascontiguousarray(parts), axis=0)
-            else:  # one element per part: reduce would sum them pairwise
-                for part in ig.parts:
-                    acc = part if acc is None else acc + part
-            grads[id(t)] = acc
+                grads[id(t)] = ig if acc is None else acc + ig
+            else:
+                grads[id(t)] = _add_fold(acc, ig)
         for t in inputs:
             if t.requires_grad:
                 holders[id(t)] = t
@@ -494,6 +579,28 @@ def backward(out: Tensor) -> None:
         new = grads.get(id(t))
         if new is not None:
             t.grad = np.array(new)  # a copy, and an array for a 0-d input too
+
+
+def _add_fold(acc: np.ndarray | None, fold: Fold) -> np.ndarray:
+    """`acc` plus the parts of `fold`, first part first; None for `acc` is
+    an input with no gradient yet."""
+    if fold.rows is not None:
+        a, b = (np.ascontiguousarray(f) for f in fold.rows)
+        if acc is None and a.shape[1] * b.shape[1] > 1:
+            return np.einsum("ri,rj->ij", a, b)
+        fold = Fold.empty(len(a), (a.shape[1], b.shape[1]))
+        np.multiply(a[:, :, None], b[:, None, :], out=fold.parts)
+    if acc is None:
+        stack = fold.parts
+    else:
+        stack = fold.stack
+        stack[0] = acc
+    if stack[0].size > 1 and not fold.loop:
+        return np.add.reduce(stack, axis=0)
+    total = stack[0]  # parts of one element, which reduce would sum pairwise, or a chain's
+    for part in stack[1:]:
+        total = total + part
+    return total
 
 
 def grad_check(f, x: Tensor, h: float = 1e-5) -> float:

@@ -352,6 +352,19 @@ class TestTrain:
         assert "domain 'near': recall k=2 exceeds gallery size 1" in capsys.readouterr().err
         assert not (out / "checkpoint.json").exists()
 
+    def test_rejected_run_makes_no_output_folders(self, tmp_path, data_dir, capsys):
+        # a class of one sample: train rejects the data after the flags are read
+        header, *rows = (data_dir / "train.csv").read_text().splitlines()
+        label = rows[0].split(",")[1]
+        rows = [rows[0]] + [r for r in rows[1:] if r.split(",")[1] != label]
+        (data_dir / "train.csv").write_text("\n".join([header, *rows]) + "\n")
+        out, traj = tmp_path / "srun", tmp_path / "traj"
+        argv = ["train", "--data", str(data_dir), "--out", str(out)]
+        rc = main(argv + ["--dump-trajectories", str(traj)])
+        assert rc == 2
+        assert f"train: class {label} has 1 sample(s)" in capsys.readouterr().err
+        assert not out.exists() and not traj.exists()
+
     @pytest.mark.parametrize("ablation", ["full", "baseline"])
     def test_feature_less_train_csv_is_exit_2_before_training(
         self, tmp_path, capsys, monkeypatch, ablation
@@ -412,6 +425,16 @@ class TestEval:
         assert set(manifest) == MANIFEST_KEYS
         assert manifest["command"] == "eval"
         assert "average" in capsys.readouterr().out
+
+    def test_unscorable_domain_makes_no_output_folder(self, tmp_path, data_dir, run_dir, capsys):
+        header, row = (data_dir / "test_near.csv").read_text().splitlines()[:2]
+        (data_dir / "test_shift.csv").write_text(f"{header}\n{row.replace(',near,', ',shift,')}\n")
+        out = tmp_path / "erun" / "sub" / "report.json"
+        ckpt = str(run_dir / "checkpoint.json")
+        rc = main(["eval", "--checkpoint", ckpt, "--data", str(data_dir), "--out", str(out)])
+        assert rc == 2
+        assert "domain 'shift' needs at least 2 samples, got 1" in capsys.readouterr().err
+        assert not (tmp_path / "erun").exists()
 
     def test_geodesic_metric_flag(self, tmp_path, data_dir, run_dir):
         out_path = tmp_path / "geo.json"
@@ -705,7 +728,7 @@ def test_output_path_through_an_existing_file_is_exit_2(
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert str(blocker) in err
-    # the trajectory directory is made before training, so nothing is written
+    # both directories are checked before training, so nothing is written
     assert not out.exists() or not any(out.iterdir())
 
 

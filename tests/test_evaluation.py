@@ -220,7 +220,8 @@ class TestAgainstOracle:
             if len(X) <= 30:  # and every query's whole ranking, on the small domains
                 by_id = np.argsort(ids, kind="stable")
                 G = X[by_id].T.copy()
-                order = _first_columns(X, G, np.einsum("ij,ij->j", G, G), "euclidean", len(X))
+                G_sq, keys = np.einsum("ij,ij->j", G, G), np.empty((len(X), len(X)))
+                order = _first_columns(X, G, G_sq, "euclidean", len(X), keys)
                 for q in range(len(X)):
                     rest = [i for i in range(len(X)) if i != q]
                     got = [int(ids[by_id[c]]) for c in order[q] if by_id[c] != q]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from centerpolar.geometry import (
     geodesic_distance,
     project_to_sphere,
 )
-from centerpolar.tensor import ShapeError, Tensor, backward, record
+from centerpolar.tensor import DomainError, ShapeError, Tensor, backward, record
+from scalar_oracle import oracle_geodesic
 
 unit_range = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False)
 
@@ -113,6 +115,72 @@ def test_geodesic_differentiable_through_both_args():
         backward(d)
     assert u.grad is not None and np.isfinite(u.grad).all()
     assert np.linalg.norm(u.grad) > 0.0
+
+
+def _geodesic_bits(distance, U, V, W, grad_u=True, grad_v=True, same=False):
+    """Bytes of distance(u, v) and of the gradients of sum(w * distance)."""
+    u = Tensor(U, requires_grad=grad_u)
+    v = u if same else Tensor(V, requires_grad=grad_v)
+    with record():
+        d = distance(u, v)
+        backward((d * Tensor(W)).sum())
+    return [d.data.tobytes()] + [t.grad.tobytes() for t in (u, v) if t.requires_grad]
+
+
+@pytest.mark.parametrize("grad_u, grad_v", [(True, False), (False, True), (True, True)])
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_geodesic_op_gives_the_oracle_bits_for_a_vector(grad_u, grad_v, k):
+    gen = np.random.default_rng(k)
+    for _ in range(20):
+        U, V, W = gen.normal(size=k), gen.normal(size=k), gen.normal()
+        want = _geodesic_bits(oracle_geodesic, U, V, W, grad_u, grad_v)
+        assert _geodesic_bits(geodesic_distance, U, V, W, grad_u, grad_v) == want
+        # one tensor as both inputs: v's contributions first, then u's
+        want = _geodesic_bits(oracle_geodesic, U, None, W, same=True)
+        assert _geodesic_bits(geodesic_distance, U, None, W, same=True) == want
+
+
+@pytest.mark.parametrize("grad_u, grad_v", [(True, False), (False, True), (True, True)])
+def test_geodesic_op_gives_each_row_the_oracle_bits_of_that_row(grad_u, grad_v):
+    gen = np.random.default_rng(11)
+    U, V, W = gen.normal(size=(9, 5)), gen.normal(size=(9, 5)), gen.normal(size=(9, 1))
+    V[3] = -2.0 * U[3]  # antipodal: acos's flat cap, zero gradient
+    got = _geodesic_bits(geodesic_distance, U, V, W, grad_u, grad_v)
+    rows = [_geodesic_bits(oracle_geodesic, U[r], V[r], W[r, 0], grad_u, grad_v) for r in range(9)]
+    for i, bits in enumerate(got):
+        assert bits == b"".join(row[i] for row in rows)
+    both = _geodesic_bits(geodesic_distance, U, None, W, same=True)
+    rows = [_geodesic_bits(oracle_geodesic, U[r], None, W[r, 0], same=True) for r in range(9)]
+    assert both == [b"".join(row[i] for row in rows) for i in range(3)]
+
+
+_SHORT = "cannot project vector with norm"
+
+
+def _chain(u, v):
+    # the ops geodesic_distance replaces, with their errors
+    return project_to_sphere(u).dot(project_to_sphere(v)).acos() / math.pi
+
+
+@pytest.mark.parametrize(
+    "u, v, error, message",
+    [
+        ([0.0, 0.0], [1.0, 0.0], DegenerateVectorError, f"{_SHORT} 0.000e+00 (<= 1e-12)"),
+        ([1.0, 0.0], [1e-13, 0.0], DegenerateVectorError, f"{_SHORT} 1.000e-13 (<= 1e-12)"),
+        ([0.0, 0.0], [np.nan, 0.0], DegenerateVectorError, f"{_SHORT} 0.000e+00 (<= 1e-12)"),
+        ([1.0, np.nan], [1.0, 0.0], DomainError, "acos: input contains non-finite values"),
+        ([1.0, 0.0], [[1.0, 0.0]], ShapeError, "dot: shapes (2,) and (1, 2) must be equal"),
+        ([[[1.0]]], [1.0], ShapeError, "l2_norm: shape (1, 1, 1) is not 1-D or 2-D"),
+    ],
+)
+def test_geodesic_op_raises_the_chains_errors(u, v, error, message):
+    for distance in (geodesic_distance, _chain):
+        with pytest.raises(error, match=re.escape(message)) as caught:
+            distance(u, v)
+        assert type(caught.value) is error
+    with pytest.raises(error) as chained:
+        _chain(u, v)
+    assert str(caught.value) == str(chained.value)
 
 
 # -- euclidean distance ---------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import operator
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from centerpolar.tensor import (
     Tensor,
     _partner_order,
     backward,
+    dense,
     grad_check,
     pair_distances,
     pair_index,
@@ -233,6 +235,105 @@ def test_fold_adds_onto_the_running_gradient_row_by_row(k):
     assert np.array_equal(b.grad, acc)
 
 
+def _outer_products_by_loop(G, X):
+    # the per-row weight gradients of a matvec, added last row first onto
+    # +0.0, where numpy's reduction starts
+    acc = np.zeros((G.shape[1], X.shape[1]))
+    for g, x in zip(G[::-1], X[::-1]):
+        acc = acc + np.outer(g, x)
+    return acc
+
+
+@pytest.mark.parametrize("B", [2, 3, 8, 32, 33, 129])
+@pytest.mark.parametrize(
+    "m, n", [(m, n) for m in (1, 2, 7, 64) for n in (1, 2, 7, 64) if m * n > 1]
+)
+def test_factor_fold_adds_rows_last_first(B, m, n):
+    # the einsum sum must give the bytes of the per-row loop, magnitudes
+    # 1e-8..1e8 and a column of zero gradients (-0.0 parts) included
+    gen = np.random.default_rng(B * 10_000 + m * 100 + n)
+    for spread in (0, 8):
+        G = gen.normal(size=(B, m)) * 10.0 ** gen.integers(-spread, spread + 1, size=(B, m))
+        X = gen.normal(size=(B, n)) * 10.0 ** gen.integers(-spread, spread + 1, size=(B, n))
+        G[:, 0] = -0.0
+        with record():
+            W = Tensor(np.zeros((m, n)), requires_grad=True)
+            backward((W.matvec(Tensor(X)) * Tensor(G)).sum())
+        assert W.grad.tobytes() == _outer_products_by_loop(G, X).tobytes()
+
+
+@pytest.mark.parametrize("B", [2, 3, 8, 32, 33, 129])
+def test_factor_fold_of_one_element_parts_adds_them_in_a_loop(B):
+    # einsum would reduce a (1, 1) weight's parts inside its inner loop
+    gen = np.random.default_rng(B)
+    G = gen.normal(size=(B, 1))
+    X = gen.normal(size=(B, 1)) * 10.0 ** gen.integers(-8, 9, size=(B, 1))
+    with record():
+        W = Tensor(np.zeros((1, 1)), requires_grad=True)
+        backward((W.matvec(Tensor(X)) * Tensor(G)).sum())
+    acc = G[-1, 0] * X[-1, 0]
+    for g, x in zip(G[-2::-1, 0], X[-2::-1, 0]):
+        acc = acc + g * x
+    assert W.grad.tobytes() == np.array([[acc]]).tobytes()
+
+
+def _unfused_dense(w, x, b, activation):
+    h = w.matvec(x) + b
+    return {"tanh": h.tanh, "relu": h.relu, "identity": lambda: h}[activation]()
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
+@pytest.mark.parametrize("rows", [None, 1, 9])
+@pytest.mark.parametrize("frozen", [False, True])
+def test_dense_gives_the_bits_of_matvec_bias_activation(activation, rows, frozen):
+    # two layers, so the first takes its output gradient from the second;
+    # frozen parameters pass gradients to the input only
+    gen = np.random.default_rng(7)
+    X = gen.normal(size=(5,) if rows is None else (rows, 5))
+    params = [gen.normal(size=s) for s in ((4, 5), (4,), (3, 4), (3,))]
+    weights = gen.normal(size=(3,) if rows is None else (rows, 3))
+
+    def run(layer):
+        x = Tensor(X, requires_grad=True)
+        leaves = [Tensor(p, requires_grad=not frozen) for p in params]
+        w1, b1, w2, b2 = leaves
+        with record():
+            out = layer(w2, layer(w1, x, b1, activation), b2, activation)
+            backward((out * Tensor(weights)).sum())
+        grads = [t.grad for t in (x, *leaves) if t.requires_grad]
+        return [out.data.tobytes()] + [g.tobytes() for g in grads]
+
+    assert run(dense) == run(_unfused_dense)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
+@pytest.mark.parametrize("B", [3, 32])
+def test_a_weight_in_two_dense_ops_adds_onto_its_running_gradient(activation, B):
+    # the second op's factor Fold meets the first's sum: the slot path
+    gen = np.random.default_rng(B)
+    X1, X2 = gen.normal(size=(B, 6)), gen.normal(size=(B + 1, 6))
+    W0, b0 = gen.normal(size=(5, 6)), gen.normal(size=5)
+
+    def run(layer):
+        W, b = Tensor(W0, requires_grad=True), Tensor(b0, requires_grad=True)
+        with record():
+            out = layer(W, Tensor(X1), b, activation).sum() * 0.5
+            backward(out + layer(W, Tensor(X2), b, activation).sum())
+        return W.grad.tobytes(), b.grad.tobytes()
+
+    assert run(dense) == run(_unfused_dense)
+
+
+def test_dense_shape_and_activation_errors():
+    w, b = Tensor(np.ones((2, 3))), Tensor(np.ones(2))
+    with pytest.raises(ShapeError, match=r"dense: shapes \(2, 3\), \(4,\) and \(2,\)"):
+        dense(w, Tensor(np.ones(4)), b, "tanh")
+    with pytest.raises(ShapeError, match=r"dense: shapes \(2, 3\), \(3,\) and \(3,\)"):
+        dense(w, Tensor(np.ones(3)), Tensor(np.ones(3)), "tanh")
+    with pytest.raises(ValueError, match="dense: unknown activation 'gelu'"):
+        dense(w, Tensor(np.ones(3)), b, "gelu")
+
+
 def _partner_order_by_loop(n):
     # the docstring of `_partner_order`, one row and one partner at a time
     position = {pair: p for p, pair in enumerate(zip(*np.triu_indices(n, 1)))}
@@ -323,6 +424,9 @@ def _shape_cases():
                 yield f"number{sym}{s}", lambda t, op=op: op(2.0, t), (s,), s
     yield "matvec", Tensor.matvec, ((2, 3), _ROW), (2,)
     yield "matvec-rows", Tensor.matvec, ((2, 3), _ROWS), (4, 2)
+    for act in ("tanh", "relu", "identity"):
+        yield f"dense-{act}", partial(dense, activation=act), ((2, 3), _ROW, (2,)), (2,)
+        yield f"dense-{act}-rows", partial(dense, activation=act), ((2, 3), _ROWS, (2,)), (4, 2)
     yield "dot", Tensor.dot, (_ROW, _ROW), ()
     yield "dot-rows", Tensor.dot, (_ROWS, _ROWS), (4, 1)
     for s, per_row, mean in ((_ROW, (), ()), (_ROWS, _COLUMN, _ROW)):
