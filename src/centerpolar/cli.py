@@ -108,10 +108,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_gen_data(args) -> int:
     spec_path = Path(args.spec)
     spec = BenchmarkSpec.from_json(spec_path.read_text())
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = output_dir(args.out, "--out")
     started = _now()
     train_set, tests = generate_benchmark(spec)
+    out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = {}
     train_path = out_dir / "train.csv"
     save_csv(train_set, train_path)

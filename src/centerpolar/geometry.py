@@ -1,4 +1,4 @@
-"""Hypersphere geometry: projection, distances, class centroids.
+"""Hypersphere geometry: distances and class centroids.
 
 Distance helpers accept tensors or array-likes, one vector (k,) or a stack
 of rows (B, k), and return a scalar tensor or a (B, 1) column, so they
@@ -36,15 +36,6 @@ def as_tensor(v) -> Tensor:
     return v if isinstance(v, Tensor) else Tensor(v)
 
 
-def project_to_sphere(v) -> Tensor:
-    """v / ||v|| for a vector or each row, rejecting vectors too short to
-    carry a direction."""
-    v = as_tensor(v)
-    n = v.l2_norm()
-    _check_direction(n.data)
-    return v / n
-
-
 def _check_direction(norm: np.ndarray) -> None:
     short = norm <= EPS_PROJECTION
     if short.any():
@@ -61,23 +52,26 @@ def euclidean_distance(u, v) -> Tensor:
 def geodesic_distance(u, v) -> Tensor:
     """Arc distance between the directions of u and v, scaled to [0, 1].
 
-    0 for parallel, 1/2 for orthogonal, 1 for antipodal vectors.  One
-    recorded op with the values, gradients and errors of the chain
-    `project_to_sphere(u).dot(project_to_sphere(v)).acos() / pi`, bit for
-    bit: each input takes its two contributions, through the projection
-    and through the norm, as one `Fold`, v's before u's, in the order the
-    reversed chain adds them.
+    0 for parallel, 1/2 for orthogonal, 1 for antipodal vectors.  u and v
+    must have equal shapes, 1-D or 2-D.  One recorded op with the values and
+    gradients of the chain `acos(dot(u / |u|, v / |v|)) / pi` of 1-D ops on
+    each row, bit for bit: each input takes its two contributions, through
+    the projection and through the norm, as one `Fold`, v's before u's, in
+    the order the reversed chain adds them.  A vector too short to carry a
+    direction raises DegenerateVectorError.
     """
     u, v = as_tensor(u), as_tensor(v)
     U, V = u.data, v.data
+    if U.ndim not in (1, 2) or U.shape != V.shape:
+        raise ShapeError(
+            f"geodesic_distance: shapes {U.shape} and {V.shape} must be equal 1-D or 2-D"
+        )
     nu = _row_norm(U)
     _check_direction(nu)
     pu = U / nu
     nv = _row_norm(V)
     _check_direction(nv)
     pv = V / nv
-    if pu.shape != pv.shape:
-        raise ShapeError(f"dot: shapes {pu.shape} and {pv.shape} must be equal 1-D or 2-D")
     c = _rowdot(pu, pv)
     angle, mask = _acos(c)
 
@@ -97,7 +91,7 @@ _PI = np.array(math.pi)  # the chain divides by a constant tensor of pi
 def _projection_fold(g: np.ndarray, rows: np.ndarray, norm: np.ndarray) -> Fold:
     # the gradients that `rows / norm` with `norm = rows.l2_norm()` passes
     # to `rows`, in the reversed chain's order: the quotient's, then the norm's
-    fold = Fold.empty(2, rows.shape, loop=True)
+    fold = Fold.empty(2, rows.shape)
     np.divide(g, norm, out=fold.parts[0])
     gnorm = _reduce_to(-g * rows / (norm * norm), norm.shape)
     fold.parts[1] = _norm_grad(gnorm, norm, rows)

@@ -3,7 +3,7 @@
 Phase one perturbs inputs: each sample is pushed away from its class
 centroid on the embedding sphere (`loss_geo`) while two semantic terms
 tether it, a quadratic one in input space (`loss_sem_low`) and a hinge on
-embedding-space drift past a margin (`loss_sem_high`).  `c3e_objective`
+embedding-space drift past a margin (`_drift_hinge`).  `c3e_objective`
 sums the three with unit weights, one value per row, and is
 differentiated with respect to the input only; the encoder and centroids
 stay frozen.
@@ -54,17 +54,10 @@ def loss_sem_low(x, x_tilde) -> Tensor:
     return (as_tensor(x) - as_tensor(x_tilde)).square().sum(axis=-1)
 
 
-def loss_sem_high(x_embed, x_tilde_embed, centroid, margin: float) -> Tensor:
-    """Hinge on embedding drift past the original sample's centroid distance.
-
-    Exactly zero, with exactly zero gradient, once the perturbed embedding
-    is closer than `original distance - margin`.
-    """
-    d_tilde = euclidean_distance(centroid, x_tilde_embed)
-    return _drift_hinge(d_tilde, euclidean_distance(centroid, x_embed), margin)
-
-
 def _drift_hinge(d_tilde: Tensor, d_orig, margin: float) -> Tensor:
+    """Hinge on embedding drift past the original sample's centroid distance
+    `d_orig`: exactly zero, with exactly zero gradient, once the perturbed
+    embedding's distance `d_tilde` is below `d_orig - margin`."""
     return (d_tilde - as_tensor(d_orig) + float(margin)).relu()
 
 
@@ -75,7 +68,8 @@ def c3e_reference(x, centroid, model) -> np.ndarray:
 
 
 def c3e_objective(x, x_tilde, centroid, d_orig, model, margin: float) -> Tensor:
-    """Expansion objective per row: geo + sem_low + sem_high, unit weights.
+    """Expansion objective per row: geo + sem_low + sem_high (the drift
+    hinge), unit weights.
 
     `d_orig` is `c3e_reference(x, centroid, model)`.  The encoder is applied
     frozen, so gradients flow to `x_tilde` only when `x` is constant.

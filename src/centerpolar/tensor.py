@@ -18,17 +18,15 @@ becomes a constant 0-d tensor, which takes no gradient.
 Rows.  The leading axis of a 2-D tensor is the sample: a (B, k) tensor is
 a batch of B rows, and every op gives each row exactly the bits it gives
 that row alone as a 1-D (k,) tensor, gradients included, so one graph
-over a batch replaces B per-sample graphs.  `matvec` applies a matrix to
-every row, and `dense` is a whole layer, matrix, bias and activation;
-`dot`, `l2_norm` and `sum(axis=-1)` reduce each row to one value and
-keep it as a column (B, 1); `mean` averages over the leading
-axis, adding rows left to right; `take` selects rows and
-`pair_distances` measures every pair of them.  `len` is the row count.
+over a batch replaces B per-sample graphs.  `dense` is a whole layer,
+matrix, bias and activation, applied to every row; `l2_norm` and
+`sum(axis=-1)` reduce each row to one value and keep it as a column
+(B, 1); `mean` averages over the leading axis, adding rows left to
+right; `take` selects rows and `pair_distances` measures every pair of
+them.  `len` is the row count.
 
-Broadcasting.  Elementwise ops take equal shapes or one of three
-broadcasts: a scalar () against any shape; a column (B, 1) against rows
-(B, k), one value per row; and a single row (k,) against rows (B, k),
-shared by every row as a bias is.
+Broadcasting.  Elementwise ops take equal shapes, or a scalar () against
+any shape.  A bias shared by every row is `dense`'s own operand.
 
 Order of gradient sums.  Floating-point addition is not associative, so
 each input sums its gradient contributions in the order the per-sample
@@ -37,39 +35,43 @@ shared by all rows takes the per-row contributions one at a time, from the
 last row to the first.  A row of `pair_distances` takes one contribution
 per partner, in descending partner index.  Such an op hands `backward` an
 ordered `Fold` of contributions for that one input; a single pre-summed
-array would round differently.  A `Fold` comes in two forms:
+array would round differently.
+
+Every `Fold` is summed under one rule: part after part, from the first,
+with the sign of a zero kept, as a loop of `acc + part` from the first
+part does.  Starting from -0.0 is the same, since -0.0 + x is x for every
+x; starting from +0.0 is not, since +0.0 + -0.0 is +0.0.  A `Fold` comes
+in two forms:
 
 - A slot `Fold` is a (1 + parts, *shape) array whose first part is a free
   slot.  `backward` writes the input's running gradient into it and adds
-  the array down its leading axis with one `np.add.reduce`.  Along the
-  slow axis of a C-contiguous array numpy adds part after part, left to
-  right, onto its +0.0 identity, as a loop of `acc + part` from
-  `acc = 0.0` does (pairwise summation, which regroups the terms, runs
-  only along the contiguous axis; see the Notes of `numpy.sum`).  When
-  each part holds one element the leading axis is that contiguous axis,
-  so `backward` adds those parts in a loop, from the first part.  A
-  `Fold` that stands for a chain of ops asks for that loop too: it keeps
-  the chain's -0.0 where every part is -0.0, which the identity would
-  turn into +0.0.
+  the array down its leading axis with one
+  `np.add.reduce(stack, axis=0, initial=-0.0)`.  Along the slow axis of a
+  C-contiguous array numpy adds part after part onto the initial value
+  (pairwise summation, which regroups the terms, runs only along the
+  contiguous axis; see the Notes of `numpy.sum`).  When each part holds
+  one element the leading axis is that contiguous axis, so `backward`
+  adds those parts in a loop instead.
 - A factor `Fold` carries two row factors instead, the gradient rows
   (B, m) and the input rows (B, n), last row first; part r is the outer
-  product of their rows r, the weight gradient of `matvec` and `dense`.
-  When the input has no running gradient yet and a part holds more than
-  one element, `backward` sums the parts with one
-  `np.einsum("ri,rj->ij")`, without building them: with the output's
-  contiguous axis innermost and the row axis outside it, einsum adds row
-  after row onto an output it has zeroed, which rounds as the reduction
-  does.  Otherwise (a running gradient, or one element per part, where
-  einsum reduces inside its inner loop and rounds differently) `backward`
-  builds the parts as a slot `Fold`.  Like `np.tanh`, `np.arccos` and the
-  BLAS products, einsum's loop is a kernel whose bits a CPU dispatch
-  could change (ROADMAP item 10); in numpy's X86_V2-baseline wheel it
-  multiplies, then adds, with no fused multiply-add.
+  product of their rows r, the weight gradient of `dense`.  When the
+  input has no running gradient yet and a part holds more than one
+  element, `backward` sums the parts with one `np.einsum("ri,rj->ij")`,
+  without building them: with the output's contiguous axis innermost and
+  the row axis outside it, einsum adds row after row, which rounds as the
+  reduction does, but onto an output it has zeroed (even with `out=`),
+  so a sum of -0.0 parts comes out +0.0.  `backward` sums the entries
+  that come out zero again, with the slot rule.  Otherwise (a running
+  gradient, or one element per part, where einsum reduces inside its
+  inner loop and rounds differently) `backward` builds the parts as a
+  slot `Fold`.  Like `np.tanh`, `np.arccos` and the BLAS products,
+  einsum's loop is a kernel whose bits a CPU dispatch could change
+  (ROADMAP item 10); in numpy's X86_V2-baseline wheel it multiplies,
+  then adds, with no fused multiply-add.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import lru_cache
@@ -108,21 +110,18 @@ class Fold:
     to the input's running gradient in order, first part first: either a
     slot `stack` (1 + parts, *shape) whose parts follow a free first slot,
     or the factor `rows` (B, m) and (B, n), last row first, whose row r
-    gives the outer product that is part r (see the module docstring).
-    With `loop`, a slot `Fold` is added in a loop, as the chain of ops it
-    stands for added its parts."""
+    gives the outer product that is part r (see the module docstring)."""
 
-    __slots__ = ("stack", "rows", "loop")
+    __slots__ = ("stack", "rows")
 
-    def __init__(self, stack=None, rows=None, loop=False):
+    def __init__(self, stack=None, rows=None):
         self.stack = stack
         self.rows = rows
-        self.loop = loop
 
     @classmethod
-    def empty(cls, parts: int, shape: tuple, loop: bool = False) -> "Fold":
+    def empty(cls, parts: int, shape: tuple) -> "Fold":
         """A slot `Fold` of `parts` parts of `shape`, for the caller to fill."""
-        return cls(np.empty((parts + 1, *shape)), loop=loop)
+        return cls(np.empty((parts + 1, *shape)))
 
     @property
     def parts(self) -> np.ndarray:
@@ -161,16 +160,8 @@ def _record(out: "Tensor", inputs: tuple, vjp, name: str) -> "Tensor":
 
 
 def _check_broadcast(op: str, sa: tuple, sb: tuple) -> None:
-    if sa == sb or sa == () or sb == ():
-        return
-    if len(sa) == len(sb) == 2 and sa[0] == sb[0] and 1 in (sa[1], sb[1]):
-        return  # a column against rows
-    if len(sa) == 2 and sb == sa[1:] or len(sb) == 2 and sa == sb[1:]:
-        return  # one row shared by all rows
-    raise ShapeError(
-        f"{op}: shapes {sa} and {sb} are incompatible (equal shapes, a scalar, "
-        "a column against rows, or one row against rows)"
-    )
+    if sa != sb and sa != () and sb != ():
+        raise ShapeError(f"{op}: shapes {sa} and {sb} are incompatible (equal shapes or a scalar)")
 
 
 def _reduce_to(g: np.ndarray, shape: tuple):
@@ -291,47 +282,8 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return self._binary(other, "div", np.divide, lambda g, a, b: (g / b, -g * a / (b * b)))
-
     def __neg__(self):
         return self * -1.0
-
-    def matvec(self, x: "Tensor") -> "Tensor":
-        """(m, n) matrix times each row of x: (n,) -> (m,), (B, n) -> (B, m)."""
-        if not isinstance(x, Tensor):
-            raise TypeError("matvec: both operands must be tensors")
-        W, X = self.data, x.data
-        if W.ndim != 2 or X.ndim not in (1, 2) or X.shape[-1] != W.shape[1]:
-            raise ShapeError(
-                f"matvec: shapes {W.shape} and {X.shape} do not give a matrix and rows"
-            )
-        # a stack of matrix-vector products, one gemv per row, so each row
-        # gets the bits of W @ x; one X @ W.T gemm rounds differently
-        out = Tensor._wrap((W @ X[..., None])[..., 0])
-
-        def vjp(g, needs):
-            gw = gx = None
-            if needs[0]:  # outer products; for rows one per row, last row first
-                gw = np.outer(g, X) if X.ndim == 1 else Fold(rows=(g[::-1], X[::-1]))
-            if needs[1]:
-                gx = (W.T @ g[..., None])[..., 0]
-            return gw, gx
-
-        return _record(out, (self, x), vjp, "matvec")
-
-    def dot(self, other: "Tensor") -> "Tensor":
-        """Row-wise dot product: (k,) -> (), (B, k) -> (B, 1)."""
-        if not isinstance(other, Tensor):
-            raise TypeError("dot: both operands must be tensors")
-        A, B = self.data, other.data
-        if A.ndim not in (1, 2) or A.shape != B.shape:
-            raise ShapeError(f"dot: shapes {A.shape} and {B.shape} must be equal 1-D or 2-D")
-
-        def vjp(g, needs):
-            return (g * B if needs[0] else None, g * A if needs[1] else None)
-
-        return _record(Tensor._wrap(_rowdot(A, B)), (self, other), vjp, "dot")
 
     # -- reductions --------------------------------------------------------
 
@@ -396,15 +348,6 @@ class Tensor:
 
         return _record(out, (self,), vjp, "relu")
 
-    def tanh(self) -> "Tensor":
-        y = np.tanh(self.data)
-        out = Tensor._wrap(y)
-
-        def vjp(g, _):
-            return (g * (1.0 - y * y),)
-
-        return _record(out, (self,), vjp, "tanh")
-
     def square(self) -> "Tensor":
         ad = self.data
         out = Tensor._wrap(ad * ad)
@@ -413,15 +356,6 @@ class Tensor:
             return (g * (2.0 * ad),)
 
         return _record(out, (self,), vjp, "square")
-
-    def acos(self) -> "Tensor":
-        ad = self.data
-        angle, mask = _acos(ad)
-
-        def vjp(g, _):
-            return (_acos_grad(g, ad, mask),)
-
-        return _record(Tensor._wrap(angle), (self,), vjp, "acos")
 
 
 def _acos(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -442,16 +376,20 @@ def _acos_grad(g, c: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def dense(weight: Tensor, x: Tensor, bias: Tensor, activation: str) -> Tensor:
-    """One dense layer as one op: `weight.matvec(x) + bias`, then
-    "tanh", "relu" or "identity", with the values and gradients of that
-    chain of ops, bit for bit.  `bias` holds one value per weight row."""
+    """One dense layer as one op: `weight` times each row of `x`, plus
+    `bias`, then "tanh", "relu" or "identity".  Each row gets the bits of
+    that chain of 1-D ops on the row alone, gradients included (the
+    chain's reference is `tests/scalar_oracle.py`).  `bias` holds one value
+    per weight row."""
     W, X, b = weight.data, x.data, bias.data
     if W.ndim != 2 or X.ndim not in (1, 2) or X.shape[-1] != W.shape[1] or b.shape != W.shape[:1]:
         raise ShapeError(
             f"dense: shapes {W.shape}, {X.shape} and {b.shape} do not give a matrix, "
             "rows and one bias per matrix row"
         )
-    z = (W @ X[..., None])[..., 0]  # as `matvec`: one gemv per row
+    # a stack of matrix-vector products, one gemv per row, so each row gets
+    # the bits of W @ x; one X @ W.T gemm rounds differently
+    z = (W @ X[..., None])[..., 0]
     z += b
     if activation == "tanh":
         y = np.tanh(z)
@@ -587,56 +525,25 @@ def _add_fold(acc: np.ndarray | None, fold: Fold) -> np.ndarray:
     if fold.rows is not None:
         a, b = (np.ascontiguousarray(f) for f in fold.rows)
         if acc is None and a.shape[1] * b.shape[1] > 1:
-            return np.einsum("ri,rj->ij", a, b)
+            total = np.einsum("ri,rj->ij", a, b)
+            if not total.all():  # einsum adds onto +0.0: sum the zeros again, signed
+                i, j = np.nonzero(total == 0.0)
+                total[i, j] = _sum_parts(a[:, i] * b[:, j])
+            return total
         fold = Fold.empty(len(a), (a.shape[1], b.shape[1]))
         np.multiply(a[:, :, None], b[:, None, :], out=fold.parts)
     if acc is None:
-        stack = fold.parts
-    else:
-        stack = fold.stack
-        stack[0] = acc
-    if stack[0].size > 1 and not fold.loop:
-        return np.add.reduce(stack, axis=0)
-    total = stack[0]  # parts of one element, which reduce would sum pairwise, or a chain's
+        return _sum_parts(fold.parts)
+    fold.stack[0] = acc
+    return _sum_parts(fold.stack)
+
+
+def _sum_parts(stack: np.ndarray) -> np.ndarray:
+    """The parts along the leading axis of `stack`, added in order from the
+    first, with the sign of a zero kept."""
+    if stack[0].size > 1:
+        return np.add.reduce(stack, axis=0, initial=-0.0)
+    total = stack[0]  # parts of one element, which reduce would sum pairwise
     for part in stack[1:]:
         total = total + part
     return total
-
-
-def grad_check(f, x: Tensor, h: float = 1e-5) -> float:
-    """Max relative disagreement between reverse-mode and central differences.
-
-    Returns max_i |analytic_i - numeric_i| / max(1, |analytic_i|).  `f` must
-    map a tensor to a scalar tensor and be evaluated away from non-smooth
-    points for the comparison to be meaningful.
-    """
-    if not isinstance(x, Tensor):
-        raise TypeError("grad_check: x must be a Tensor")
-    x.requires_grad = True
-    with record():
-        y = f(x)
-        if not isinstance(y, Tensor) or y.size != 1:
-            raise TapeError("grad_check: f must return a scalar tensor")
-        if y._tape is None:
-            analytic = np.zeros(x.size)  # f is constant in x
-        else:
-            backward(y)
-            analytic = x.grad.ravel() if x.grad is not None else np.zeros(x.size)
-    if not np.isfinite(y.item()):
-        raise FloatingPointError("grad_check: f returned a non-finite value")
-    coords = x.data.flat  # writes go through to x
-    numeric = np.empty(x.size)
-    for i in range(x.size):
-        orig = coords[i]
-        coords[i] = orig + h
-        hi = f(x).item()
-        coords[i] = orig - h
-        lo = f(x).item()
-        coords[i] = orig
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise FloatingPointError(
-                f"grad_check: f returned a non-finite value at coordinate {i}"
-            )
-        numeric[i] = (hi - lo) / (2.0 * h)
-    err = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
-    return float(err.max()) if err.size else 0.0

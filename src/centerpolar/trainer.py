@@ -13,7 +13,7 @@ contrastive when the centripetal term is ablated.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .data import DataSet
 from .encoder import EncoderModel, LayerRecord
 from .evaluation import RetrievalReport, check_domains, evaluate
 from .expansion import ExpansionConfig, expand_batch
-from .geometry import CentroidTable, compute_centroids
-from .losses import LossConfig, loss_c4, loss_dis, loss_dom
+from .geometry import compute_centroids
+from .losses import LossConfig, loss_c4, loss_dom
 from .tensor import DomainError, Tensor, backward, record
 
 ABLATIONS = ("baseline", "c4_only", "c3e_only", "full")
@@ -255,57 +255,6 @@ def _class_balanced_batches(labels, batch_size: int, gen) -> list:
             batch.extend(groups[gi])
         batches.append(batch)
     return batches
-
-
-def c4_equilibrium_probe(
-    model: EncoderModel,
-    x,
-    class_ids,
-    centroids: CentroidTable,
-    lconfig: LossConfig,
-    lambdas,
-) -> list[dict]:
-    """Parameter-gradient norms of the two phase-two terms per lambda.
-
-    Rows report ||grad of the contrastive term||, lambda * ||grad of the
-    summed centripetal distances|| (unaveraged, so the column scales with
-    the batch), and the norm of the full mean-loss gradient.  The total is
-    grad_dom + (lambda / batch) * grad_sum by linearity.  The batch is the
-    (B, d) inputs `x` with their `class_ids`.  `lambdas` must be non-empty,
-    finite and >= 0; it is checked before any gradient is taken.
-    """
-    lams = [float(lam) for lam in lambdas]
-    if not lams or not all(np.isfinite(lam) and lam >= 0 for lam in lams):
-        raise ValueError(f"lambdas must be non-empty, finite and >= 0, got {lams}")
-    # lambda = 0 makes loss_c4 exactly the contrastive term
-    dom_config = replace(lconfig, lam=0.0)
-    g_dom = _param_grad(model, lambda: loss_c4(x, class_ids, model, centroids, dom_config))
-    # unaveraged: the probe reports the summed centripetal pull
-    g_dis_sum = _param_grad(
-        model, lambda: loss_dis(model.forward(x), centroids.vectors(class_ids)).sum()
-    )
-    n = float(len(x))
-    rows = []
-    for lam in lams:
-        total = g_dom + (lam / n) * g_dis_sum
-        rows.append(
-            {
-                "lambda": lam,
-                "grad_norm_contrastive": float(np.sqrt(np.dot(g_dom, g_dom))),
-                "grad_norm_centripetal_term": lam
-                * float(np.sqrt(np.dot(g_dis_sum, g_dis_sum))),
-                "grad_norm_total": float(np.sqrt(np.dot(total, total))),
-            }
-        )
-    return rows
-
-
-def _param_grad(model, build_loss) -> np.ndarray:
-    params = model.parameters()
-    with record():
-        loss = build_loss()
-        backward(loss)
-    return np.concatenate([p.grad.ravel() for p in params])
 
 
 # -- checkpointing -------------------------------------------------------------

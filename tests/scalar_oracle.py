@@ -7,6 +7,11 @@ code in `centerpolar.losses` and `centerpolar.expansion` must give the
 same values and gradients bit for bit.  The oracles take the columns the
 batched functions take, but use only 1-D tensor ops, apart from `take`,
 which splits an embedding stack into single rows.
+
+The unfused 1-D ops that `tensor.dense` and `geometry.geodesic_distance`
+replace live here, recorded through `tensor._record`: `matvec`, `dot`,
+`tanh`, `acos` and `div`, and with them `project_to_sphere` and the
+unbatched `loss_sem_high`.
 """
 
 from __future__ import annotations
@@ -16,12 +21,88 @@ import math
 import numpy as np
 
 from centerpolar.expansion import ExpansionDivergedError
-from centerpolar.geometry import EPS_PROJECTION, DegenerateVectorError
-from centerpolar.tensor import DomainError, Tensor, backward, record
+from centerpolar.geometry import _check_direction, euclidean_distance
+from centerpolar.losses import _drift_hinge
+from centerpolar.tensor import (
+    DomainError,
+    ShapeError,
+    Tensor,
+    _acos,
+    _acos_grad,
+    _record,
+    backward,
+    record,
+)
+
+# -- the unfused 1-D ops --------------------------------------------------------
 
 
 def _t(v) -> Tensor:
     return v if isinstance(v, Tensor) else Tensor(v)
+
+
+def matvec(w: Tensor, x: Tensor) -> Tensor:
+    """(m, n) matrix times an (n,) vector, as one gemv: the bits of W @ x."""
+    W, X = w.data, x.data
+    if W.ndim != 2 or X.shape != W.shape[1:]:
+        raise ShapeError(f"matvec: shapes {W.shape} and {X.shape} are not (m, n) and (n,)")
+
+    def vjp(g, needs):
+        return (
+            np.outer(g, X) if needs[0] else None,
+            (W.T @ g[:, None])[:, 0] if needs[1] else None,
+        )
+
+    return _record(Tensor._wrap((W @ X[:, None])[:, 0]), (w, x), vjp, "matvec")
+
+
+def dot(a: Tensor, b: Tensor) -> Tensor:
+    """Dot product of two (k,) vectors, as np.dot computes it."""
+    A, B = a.data, b.data
+    if A.ndim != 1 or A.shape != B.shape:
+        raise ShapeError(f"dot: shapes {A.shape} and {B.shape} must be equal 1-D")
+
+    def vjp(g, needs):
+        return (g * B if needs[0] else None, g * A if needs[1] else None)
+
+    return _record(Tensor._wrap(A @ B), (a, b), vjp, "dot")
+
+
+def tanh(t: Tensor) -> Tensor:
+    y = np.tanh(t.data)
+    return _record(Tensor._wrap(y), (t,), lambda g, _: (g * (1.0 - y * y),), "tanh")
+
+
+def acos(t: Tensor) -> Tensor:
+    """arccos with the flat cap of `tensor._acos` next to the endpoints."""
+    c = t.data
+    angle, mask = _acos(c)
+    return _record(Tensor._wrap(angle), (t,), lambda g, _: (_acos_grad(g, c, mask),), "acos")
+
+
+def div(a: Tensor, b) -> Tensor:
+    """a / b for equal shapes or a scalar on either side; a number `b` is a
+    constant."""
+    return _t(a)._binary(b, "div", np.divide, lambda g, a, b: (g / b, -g * a / (b * b)))
+
+
+def project_to_sphere(v) -> Tensor:
+    """v / ||v||, rejecting a vector too short to carry a direction."""
+    v = _t(v)
+    n = v.l2_norm()
+    _check_direction(n.data)
+    return div(v, n)
+
+
+def loss_sem_high(x_embed, x_tilde_embed, centroid, margin: float) -> Tensor:
+    """The drift hinge of one sample, from its original and perturbed
+    embeddings: zero, with zero gradient, once the perturbed embedding is
+    closer to the centroid than the original distance less the margin."""
+    d_tilde = euclidean_distance(centroid, x_tilde_embed)
+    return _drift_hinge(d_tilde, euclidean_distance(centroid, x_embed), margin)
+
+
+# -- the per-sample graphs ------------------------------------------------------
 
 
 def oracle_forward(model, x, frozen: bool = False) -> Tensor:
@@ -29,35 +110,28 @@ def oracle_forward(model, x, frozen: bool = False) -> Tensor:
     for layer in model.layers:
         w = layer.weight.detach() if frozen else layer.weight
         b = layer.bias.detach() if frozen else layer.bias
-        h = w.matvec(h) + b
+        h = matvec(w, h) + b
         if layer.activation == "tanh":
-            h = h.tanh()
+            h = tanh(h)
         elif layer.activation == "relu":
             h = h.relu()
     return h
 
 
-def _project(v) -> Tensor:
-    v = _t(v)
-    n = v.l2_norm()
-    if n.item() <= EPS_PROJECTION:
-        raise DegenerateVectorError(f"cannot project vector with norm {n.item():.3e}")
-    return v / n
-
-
 def oracle_geodesic(u, v) -> Tensor:
-    return _project(u).dot(_project(v)).acos() / math.pi
+    return div(acos(dot(project_to_sphere(u), project_to_sphere(v))), math.pi)
 
 
 def oracle_euclidean(u, v) -> Tensor:
     return (_t(u) - _t(v)).l2_norm()
 
 
-def _mean_scalars(terms: list[Tensor]) -> Tensor:
+def mean_scalars(terms: list[Tensor]) -> Tensor:
+    """The terms added left to right, over their count: `Tensor.mean`'s order."""
     acc = terms[0]
     for t in terms[1:]:
         acc = acc + t
-    return acc / float(len(terms))
+    return div(acc, float(len(terms)))
 
 
 def oracle_c3e_objective(x, x_tilde, centroid, d_orig: float, model, margin: float) -> Tensor:
@@ -81,7 +155,7 @@ def oracle_c3e_mean(x, x_tildes, class_ids, model, centroids, margin: float) -> 
         mu = centroids.vectors([class_id])[0]
         d_orig = _reference(x_r, mu, model)
         terms.append(oracle_c3e_objective(x_r, x_tilde, mu, d_orig, model, margin))
-    return _mean_scalars(terms)
+    return mean_scalars(terms)
 
 
 def _rows(embeddings) -> list:
@@ -111,9 +185,9 @@ def oracle_loss_dom(embeddings, class_ids, config) -> Tensor:
                 n_neg += 1
     total = None
     if pos_sum is not None:
-        total = pos_sum / n_pos
+        total = div(pos_sum, n_pos)
     if neg_sum is not None:
-        neg_term = neg_sum / n_neg
+        neg_term = div(neg_sum, n_neg)
         total = neg_term if total is None else total + neg_term
     return total
 
@@ -123,7 +197,7 @@ def oracle_loss_c4(x, class_ids, model, centroids, config) -> Tensor:
     total = oracle_loss_dom(embeds, class_ids, config)
     if config.lam != 0.0:
         dis = [oracle_geodesic(centroids.vectors([cid])[0], e) for e, cid in zip(embeds, class_ids)]
-        total = total + config.lam * _mean_scalars(dis)
+        total = total + config.lam * mean_scalars(dis)
     return total
 
 

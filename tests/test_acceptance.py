@@ -33,17 +33,18 @@ from centerpolar.losses import (
     loss_dis,
     loss_dom,
     loss_geo,
-    loss_sem_high,
     loss_sem_low,
 )
-from centerpolar.tensor import Tensor, backward, grad_check, record
-from centerpolar.trainer import TrainConfig, c4_equilibrium_probe, train
+from centerpolar.tensor import Tensor, backward, record
+from centerpolar.trainer import TrainConfig, train
 
+from grad_oracle import c4_equilibrium_probe, grad_check
 from metric_oracle import (
     oracle_map_at_r,
     oracle_r_precision,
     oracle_recall_at_k,
 )
+from scalar_oracle import loss_sem_high
 
 
 def _report(criterion: int, body) -> None:

@@ -2,16 +2,20 @@
 
 `scalar_oracle` builds one graph per sample and one scalar chain per pair,
 as the losses did before they ran on row-stacked tensors.  Values and
-gradients must match it exactly (`np.array_equal`), not within a
-tolerance: the trained checksums, the criterion-4 convergence epochs and
-the README table rest on these bits.
+gradients must match it exactly, as bytes (`tobytes()`), not within a
+tolerance and not with `np.array_equal`, which takes -0.0 for +0.0: the
+trained checksums, the criterion-4 convergence epochs and the README
+table rest on these bits.
 """
 
 import math
 
 import numpy as np
 import pytest
+from grad_oracle import grad_check
 from scalar_oracle import (
+    matvec,
+    mean_scalars,
     oracle_c3e_mean,
     oracle_expand_batch,
     oracle_forward,
@@ -25,7 +29,7 @@ from centerpolar.encoder import EncoderModel
 from centerpolar.expansion import ExpansionConfig, ExpansionDivergedError, expand_batch
 from centerpolar.geometry import compute_centroids
 from centerpolar.losses import LossConfig, c3e_objective, c3e_reference, loss_c4, loss_dom
-from centerpolar.tensor import ShapeError, Tensor, backward, grad_check, pair_distances, record
+from centerpolar.tensor import ShapeError, Tensor, backward, dense, pair_distances, record
 from centerpolar.trainer import ABLATIONS, train
 
 BATCHES = [2, 3, 8, 32]
@@ -46,15 +50,15 @@ def _grads(build, leaves):
     with record():
         out = build()
         backward(out)
-    return out.item(), [t.grad.copy() for t in leaves]
+    return out.data.tobytes(), [t.grad.copy() for t in leaves]
 
 
 def _assert_same(got, want):
     # gradients compare as one flat array: a stacked leaf against its rows
     (v1, g1), (v2, g2) = got, want
     assert v1 == v2
-    assert np.array_equal(
-        np.concatenate([g.ravel() for g in g1]), np.concatenate([g.ravel() for g in g2])
+    assert np.concatenate([g.ravel() for g in g1]).tobytes() == (
+        np.concatenate([g.ravel() for g in g2]).tobytes()
     )
 
 
@@ -150,19 +154,15 @@ def test_forward_rows_match_rows_alone(n):
     params = model.parameters()
 
     def per_sample():
-        dots = [oracle_forward(model, x).dot(Tensor(g)) for x, g in zip(X, G)]
-        acc = dots[0]
-        for d in dots[1:]:
-            acc = acc + d
-        return acc / float(n)
+        return mean_scalars([(oracle_forward(model, x) * Tensor(g)).sum() for x, g in zip(X, G)])
 
     _assert_same(
-        _grads(lambda: model.forward(X).dot(Tensor(G)).mean(), params),
+        _grads(lambda: (model.forward(X) * Tensor(G)).sum(axis=-1).mean(), params),
         _grads(per_sample, params),
     )
     E = model.forward(X).numpy()
     for x, e in zip(X, E):
-        assert np.array_equal(e, oracle_forward(model, x).numpy())
+        assert e.tobytes() == oracle_forward(model, x).data.tobytes()
 
 
 @pytest.mark.parametrize("n", BATCHES)
@@ -175,9 +175,9 @@ def test_expansion_matches_per_sample_descent(n):
     batch = (np.arange(10, 10 + n), X, labels)
     econf = ExpansionConfig(iterations_te=3, step_size=0.05)
     lconf = LossConfig(margin_m=0.5)
-    assert np.array_equal(
-        expand_batch(batch, model, table, econf, lconf),
-        oracle_expand_batch(batch, model, table, econf, lconf),
+    assert (
+        expand_batch(batch, model, table, econf, lconf).tobytes()
+        == oracle_expand_batch(batch, model, table, econf, lconf).tobytes()
     )
 
 
@@ -194,7 +194,7 @@ def test_expansion_blocks_give_rows_their_alone_bits():
     for i, row in enumerate(together):
         one = ([i], X[i : i + 1], labels[i : i + 1])
         (alone,) = expand_batch(one, model, table, econf, LossConfig())
-        assert np.array_equal(row, alone)
+        assert row.tobytes() == alone.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -240,6 +240,35 @@ def test_train_thin_encoder_with_oracle_losses_gives_the_same_model(
     _assert_trains_like_the_oracle(monkeypatch, dataset, cfg)
 
 
+# -- signed zeros ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m, n", [(3, 4), (1, 1)], ids=["3x4", "1x1"])
+@pytest.mark.parametrize("B", [2, 5, 33])
+def test_parts_that_are_all_negative_zero_sum_to_negative_zero(B, m, n):
+    # the first output's gradient is -0.0 in every row, and the inputs are
+    # positive, so that output's bias entry and its weight row take only
+    # -0.0 parts; each is -0.0, as the per-sample graphs give it
+    gen = np.random.default_rng(B * 10 + m)
+    X = gen.uniform(0.5, 1.5, size=(B, n))
+    G = gen.normal(size=(B, m))
+    G[:, 0] = -0.0
+    W = Tensor(gen.normal(size=(m, n)), requires_grad=True)
+    b = Tensor(gen.normal(size=m), requires_grad=True)
+
+    def per_sample():
+        return mean_scalars([((matvec(W, Tensor(x)) + b) * Tensor(g)).sum() for x, g in zip(X, G)])
+
+    def batched():
+        return (dense(W, Tensor(X), b, "identity") * Tensor(G)).sum(axis=-1).mean()
+
+    got = _grads(batched, [W, b])
+    _assert_same(got, _grads(per_sample, [W, b]))
+    gw, gb = got[1]
+    assert gb[0] == 0.0 and np.signbit(gb[0])
+    assert (gw[0] == 0.0).all() and np.signbit(gw[0]).all()
+
+
 # -- row primitives -----------------------------------------------------------
 
 
@@ -249,15 +278,13 @@ def test_row_reductions_match_one_dimensional_formulas():
         X = gen.normal(size=(9, k))
         W = gen.normal(size=(5, k))
         norms = Tensor(X).l2_norm().numpy()
-        dots = Tensor(X).dot(Tensor(X[::-1].copy())).numpy()
         sums = Tensor(X).sum(axis=-1).numpy()
-        mapped = Tensor(W).matvec(Tensor(X)).numpy()
-        assert norms.shape == dots.shape == sums.shape == (9, 1)
+        mapped = dense(Tensor(W), Tensor(X), Tensor(np.zeros(5)), "identity").numpy()
+        assert norms.shape == sums.shape == (9, 1)
         for r, x in enumerate(X):
             assert norms[r, 0] == math.sqrt(np.dot(x, x))
-            assert dots[r, 0] == np.dot(x, X[::-1][r])
             assert sums[r, 0] == x.sum()
-            assert np.array_equal(mapped[r], W @ x)
+            assert mapped[r].tobytes() == (W @ x).tobytes()
 
 
 def test_mean_adds_rows_left_to_right():
@@ -271,10 +298,12 @@ def test_mean_adds_rows_left_to_right():
 
 def test_broadcasting_rules():
     rows = Tensor(np.arange(6.0).reshape(3, 2))
-    assert (rows + Tensor([10.0, 20.0])).numpy().tolist() == [[10, 21], [12, 23], [14, 25]]
-    assert (rows / Tensor([[1.0], [2.0], [4.0]])).numpy().tolist() == [[0, 1], [1, 1.5], [1, 1.25]]
+    assert (rows + 10.0).numpy().tolist() == [[10, 11], [12, 13], [14, 15]]
+    assert (Tensor(2.0) * rows).numpy().tolist() == [[0, 2], [4, 6], [8, 10]]
     with pytest.raises(ShapeError, match="add"):
-        rows + Tensor([1.0, 2.0, 3.0])
+        rows + Tensor([10.0, 20.0])  # a shared row is dense's bias, not a broadcast
+    with pytest.raises(ShapeError, match="mul"):
+        rows * Tensor([[1.0], [2.0], [4.0]])  # nor is a column
     with pytest.raises(ShapeError):
         rows + Tensor(np.ones((2, 2)))
 
@@ -284,11 +313,12 @@ def test_shared_row_takes_rows_last_to_first():
     g = np.array([[1e16], [1.0], [-1e16], [1.0]])
     with record():
         b = Tensor([0.0], requires_grad=True)
-        backward(((Tensor(np.zeros((4, 1))) + b) * Tensor(g)).sum())
+        out = dense(Tensor(np.zeros((1, 1))), Tensor(np.zeros((4, 1))), b, "identity")
+        backward((out * Tensor(g)).sum())
     acc = g[3]
     for r in (2, 1, 0):
         acc = acc + g[r]
-    assert np.array_equal(b.grad, acc)
+    assert b.grad.tobytes() == acc.tobytes()
     assert not np.array_equal(b.grad, np.array([g.sum()]))
 
 
@@ -297,13 +327,18 @@ def _grad_check_rows(f, shape, seed):
     return grad_check(f, Tensor(gen.normal(size=shape) + 0.5))
 
 
+def _layer(w, x, b, activation="identity"):
+    return dense(*(v if isinstance(v, Tensor) else Tensor(v) for v in (w, x, b)), activation)
+
+
 @pytest.mark.parametrize(
     "f, shape",
     [
-        (lambda t: (t.l2_norm() * t.dot(t + 1.0)).mean().sum(), (5, 3)),
-        (lambda t: (t / t.l2_norm()).sum(axis=-1).square().mean().sum(), (4, 3)),
-        (lambda t: Tensor(np.ones((3, 2))).matvec(t.take([2, 0, 2])).tanh().sum(), (4, 2)),
-        (lambda t: t.matvec(Tensor(np.arange(12.0).reshape(4, 3))).square().sum(), (2, 3)),
+        (lambda t: (t.l2_norm() * (t * (t + 1.0)).sum(axis=-1)).mean().sum(), (5, 3)),
+        (lambda t: (t.l2_norm() * t.sum(axis=-1)).square().mean().sum(), (4, 3)),
+        (lambda t: _layer(np.ones((3, 2)), t.take([2, 0, 2]), np.zeros(3), "tanh").sum(), (4, 2)),
+        (lambda t: _layer(t, np.arange(12.0).reshape(4, 3), np.zeros(2)).square().sum(), (2, 3)),
+        (lambda t: _layer(np.eye(3, 2) / 4.0, np.ones((4, 2)), t, "tanh").sum(), (3,)),
         (lambda t: pair_distances(t).square().mean(), (5, 3)),
     ],
 )

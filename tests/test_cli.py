@@ -171,7 +171,8 @@ class TestGenData:
         rc = main(["gen-data", "--spec", str(spec_path), "--out", str(tmp_path / "d")])
         assert rc == 2
 
-    def test_infeasible_spec_is_runtime_failure(self, tmp_path, capsys):
+    @staticmethod
+    def _infeasible_spec(tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(
             json.dumps(
@@ -183,9 +184,28 @@ class TestGenData:
                 )
             )
         )
+        return spec_path
+
+    def test_infeasible_spec_is_runtime_failure(self, tmp_path, capsys):
+        spec_path = self._infeasible_spec(tmp_path)
         rc = main(["gen-data", "--spec", str(spec_path), "--out", str(tmp_path / "d")])
         assert rc == 1
         assert "prototypes" in capsys.readouterr().err
+
+    def test_failed_generation_leaves_no_folder(self, tmp_path, capsys, monkeypatch):
+        # --out is checked before generation and made only after it
+        out = tmp_path / "outdir" / "sub"
+        real = cli.generate_benchmark
+
+        def generate(spec):
+            assert not (tmp_path / "outdir").exists()
+            return real(spec)
+
+        monkeypatch.setattr(cli, "generate_benchmark", generate)
+        rc = main(["gen-data", "--spec", str(self._infeasible_spec(tmp_path)), "--out", str(out)])
+        assert rc == 1
+        assert "prototypes" in capsys.readouterr().err
+        assert not (tmp_path / "outdir").exists()
 
 
 class TestTrain:

@@ -19,6 +19,7 @@ from centerpolar.experiments import benchmark_train_config, default_benchmark_sp
 from centerpolar.geometry import compute_centroids
 from centerpolar.losses import LossConfig
 from centerpolar.tensor import ShapeError, Tensor
+from grad_oracle import c4_equilibrium_probe
 from schema_paths import object_paths
 from centerpolar.trainer import (
     ABLATIONS,
@@ -28,7 +29,6 @@ from centerpolar.trainer import (
     TrainingDivergedError,
     _class_balanced_batches,
     adam_step,
-    c4_equilibrium_probe,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -755,16 +755,16 @@ class TestEquilibriumProbe:
         ids=["negative", "nan", "inf", "-inf", "empty"],
     )
     def test_bad_lambdas_rejected_before_any_gradient(self, monkeypatch, lambdas):
-        from centerpolar import trainer
+        import grad_oracle
 
         calls = []
-        real = trainer._param_grad
+        real = grad_oracle._param_grad
 
         def counted(*args):
             calls.append(1)
             return real(*args)
 
-        monkeypatch.setattr(trainer, "_param_grad", counted)
+        monkeypatch.setattr(grad_oracle, "_param_grad", counted)
         model, x, class_ids, centroids = self._setup()
         with pytest.raises(ValueError, match="lambdas must be non-empty, finite and >= 0"):
             c4_equilibrium_probe(model, x, class_ids, centroids, LossConfig(), lambdas)
