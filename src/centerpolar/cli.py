@@ -248,6 +248,9 @@ def cmd_eval(args) -> int:
     data_dir = Path(args.data)
     tests, test_paths = _load_tests(data_dir, model.input_dim, "the checkpoint's encoder")
     if not tests:
+        if test_paths:
+            names = ", ".join(path.name for path in test_paths)
+            raise ValueError(f"the test CSVs in {data_dir} hold no rows: {names}")
         raise FileNotFoundError(f"no test_*.csv files in {data_dir}")
     check_domains(tests)
     out_path = output_file(args.out)

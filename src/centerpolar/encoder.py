@@ -97,9 +97,7 @@ class EncoderModel:
         return cls(layers)
 
     @classmethod
-    def default(
-        cls, input_dim: int, embed_dim: int = 32, hidden_dim: int = 64, seed: int = 0
-    ) -> "EncoderModel":
+    def default(cls, input_dim: int, embed_dim: int, hidden_dim: int, seed: int) -> "EncoderModel":
         # hidden tanh layer, linear embedding head
         return cls.build([input_dim, hidden_dim, embed_dim], ["tanh", "identity"], seed)
 

@@ -1,11 +1,13 @@
 """Leave-one-out retrieval evaluation.
 
 Metrics follow the standard definitions: Recall@k is the per-query hit
-indicator within the top k averaged over queries; with R the number of
-same-class gallery items, R-Precision is r/R for r hits in the top R, and
-MAP@R averages precision-at-i over the relevant positions i <= R (counting
-missed ones as zero). Queries with R = 0 are excluded from the R-based
-aggregates and reported.
+indicator within the top k averaged over queries, for each k of RECALL_KS;
+with R the number of same-class gallery items, R-Precision is r/R for r
+hits in the top R, and MAP@R averages precision-at-i over the relevant
+positions i <= R (counting missed ones as zero). Queries with R = 0 are
+excluded from the R-based aggregates and reported.  Each block of queries
+compares its ranked labels with the query labels once; the metrics read
+that relevance matrix, or its hits within each row's first R ranks.
 
 Ranking is exact: each query's gallery is ordered by ascending
 `_distances`, the one definition of the distance (squared coordinate
@@ -59,11 +61,10 @@ class RetrievalReport:
         return schema.to_dict(self)
 
     def to_text(self) -> str:
-        ks = sorted(next(iter(self.domains.values())).recall_at) if self.domains else []
-        headers = ["domain"] + [f"R@{k}" for k in ks] + ["RP", "MAP"]
+        headers = ["domain"] + [f"R@{k}" for k in RECALL_KS] + ["RP", "MAP"]
         table = [headers] + [
             [name]
-            + [f"{m.recall_at[k]:.4f}" for k in ks]
+            + [f"{m.recall_at[k]:.4f}" for k in RECALL_KS]
             + [f"{m.r_precision:.4f}", f"{m.map_at_r:.4f}"]
             for name, m in [*self.domains.items(), ("average", self.average)]
         ]
@@ -71,60 +72,35 @@ class RetrievalReport:
         return "".join("  ".join(v.ljust(w) for v, w in zip(r, widths)) + "\n" for r in table)
 
 
-def _per_query(metric):
-    """Turns a metric of the relevance of each query's top `cutoff` ranks into
-    one taking ranked labels: 2-D with one row, query label and cutoff per
-    query (one value per row), or one ranked list with scalars (a float)."""
-
-    def from_ranked(ranked_labels, query_label, cutoff):
-        ranked = np.atleast_2d(ranked_labels)
-        cutoff = np.asarray(cutoff).reshape(-1)
-        bad = (cutoff < 1) | (cutoff > ranked.shape[1])
-        if bad.any():
-            raise ValueError(
-                f"{metric.__name__}: cutoff {cutoff[bad][0]} outside [1, {ranked.shape[1]}]"
-            )
-        width = int(cutoff.max(initial=0))
-        relevant = ranked[:, :width] == np.asarray(query_label).reshape(-1, 1)
-        values = metric(relevant & (np.arange(width) < cutoff[:, None]), cutoff)
-        return float(values[0]) if np.ndim(ranked_labels) == 1 else values
-
-    from_ranked.__name__ = from_ranked.__qualname__ = metric.__name__
-    return from_ranked
-
-
-@_per_query
 def recall_at_k(relevant, k):
-    return relevant.any(axis=1).astype(np.float64)
+    """1.0 for each row of `relevant` (ranked hits) with a hit in its first k ranks."""
+    return relevant[:, :k].any(axis=1).astype(np.float64)
 
 
-@_per_query
-def r_precision(relevant, R):
-    return relevant.sum(axis=1) / R
+def r_precision(within, R):
+    """r/R for each row of `within` (the hits in its first R ranks), r its hits."""
+    return within.sum(axis=1) / R
 
 
-@_per_query
-def map_at_r(relevant, R):
-    hits = np.cumsum(relevant, axis=1)
-    precision = np.where(relevant, hits / np.arange(1, hits.shape[1] + 1), 0.0)
+def map_at_r(within, R):
+    """For each row of `within` (the hits in its first R ranks), precision at
+    each hit's rank, summed in rank order and divided by R."""
+    hits = np.cumsum(within, axis=1)
+    precision = np.where(within, hits / np.arange(1, hits.shape[1] + 1), 0.0)
     # cumsum adds left to right, as the running sum over ranks does
     return np.cumsum(precision, axis=1)[np.arange(len(R)), R - 1] / R
 
 
-def evaluate(
-    model, tests: dict, recall_ks=RECALL_KS, metric: str = "euclidean"
-) -> RetrievalReport:
+def evaluate(model, tests: dict, metric: str = "euclidean") -> RetrievalReport:
     """Leave-one-out retrieval over each test domain, averaged across domains."""
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     if not tests:
         raise ValueError("evaluate: no test sets given")
-    recall_ks = check_domains(tests, recall_ks)
-    domains = {name: _evaluate_domain(model, ds, recall_ks, metric) for name, ds in tests.items()}
+    check_domains(tests)
+    domains = {name: _evaluate_domain(model, ds, metric) for name, ds in tests.items()}
     avg = DomainMetrics(
-        recall_at={
-            k: _mean([m.recall_at[k] for m in domains.values()]) for k in recall_ks
-        },
+        recall_at={k: _mean([m.recall_at[k] for m in domains.values()]) for k in RECALL_KS},
         r_precision=_mean([m.r_precision for m in domains.values()]),
         map_at_r=_mean([m.map_at_r for m in domains.values()]),
         queries=sum(m.queries for m in domains.values()),
@@ -133,25 +109,18 @@ def evaluate(
     return RetrievalReport(domains=domains, average=avg, query_count=avg.queries, metric=metric)
 
 
-def check_domains(tests: dict, recall_ks=RECALL_KS) -> tuple:
-    """`recall_ks` sorted and without repeats, once every domain of `tests`
-    can be scored with them: ValueError unless the ks are non-empty and
-    each >= 1, and each domain has at least 2 samples and a gallery (the
-    domain less the query) of at least the largest k."""
-    ks = tuple(sorted({schema.check_value(int, k, "evaluate: recall_ks", {}) for k in recall_ks}))
-    if not ks or ks[0] < 1:
-        raise ValueError(f"evaluate: recall_ks must be non-empty, each k >= 1, got {recall_ks!r}")
+def check_domains(tests: dict) -> None:
+    """ValueError unless each domain of `tests` has a gallery (the domain
+    less the query) of at least the largest of RECALL_KS."""
+    k = RECALL_KS[-1]
     for name, ds in tests.items():
-        if len(ds) < 2:
-            raise ValueError(f"evaluate: domain {name!r} needs at least 2 samples, got {len(ds)}")
-        if ks[-1] > len(ds) - 1:
+        if k > len(ds) - 1:
             raise ValueError(
-                f"evaluate: domain {name!r}: recall k={ks[-1]} exceeds gallery size {len(ds) - 1}"
+                f"evaluate: domain {name!r}: recall k={k} exceeds gallery size {len(ds) - 1}"
             )
-    return ks
 
 
-def _evaluate_domain(model, ds: DataSet, recall_ks, metric: str) -> DomainMetrics:
+def _evaluate_domain(model, ds: DataSet, metric: str) -> DomainMetrics:
     n = len(ds)
     E = model.embed_many(ds.features)
     ids, labels = ds.ids, ds.labels
@@ -172,28 +141,29 @@ def _evaluate_domain(model, ds: DataSet, recall_ks, metric: str) -> DomainMetric
     _, label_index, class_sizes = np.unique(labels, return_inverse=True, return_counts=True)
     R = class_sizes[label_index] - 1
     scored = R > 0
-    recalls = {k: np.empty(n) for k in recall_ks}
+    recalls = {k: np.empty(n) for k in RECALL_KS}
     rp, mp = np.empty(n), np.empty(n)
     rows = max(1, _BLOCK_ENTRIES // n)
     keys = np.empty((min(rows, n), n))  # every block's keys, in one buffer
     for start in range(0, n, rows):
         block = slice(start, start + rows)
         # the deepest rank a metric reads, plus one for the query's own column
-        width = max(int(R[block].max()), recall_ks[-1]) + 1
+        width = max(int(R[block].max()), RECALL_KS[-1]) + 1
         order = _first_columns(E[block], gallery, gallery_sq, metric, width, keys)
         # leave each query out by its own column, else by the last one kept
         own = order == own_column[block, None]
         own[:, -1] |= ~own.any(axis=1)
-        ranked = gallery_labels[order[~own].reshape(-1, width - 1)]
-        query = labels[block]
-        for k in recall_ks:
-            recalls[k][block] = recall_at_k(ranked, query, k)
+        relevant = gallery_labels[order[~own].reshape(-1, width - 1)] == labels[block, None]
+        for k in RECALL_KS:
+            recalls[k][block] = recall_at_k(relevant, k)
         keep = scored[block]
-        rp[block][keep] = r_precision(ranked[keep], query[keep], R[block][keep])
-        mp[block][keep] = map_at_r(ranked[keep], query[keep], R[block][keep])
+        R_keep = R[block][keep]
+        within = relevant[keep] & (np.arange(width - 1) < R_keep[:, None])
+        rp[block][keep] = r_precision(within, R_keep)
+        mp[block][keep] = map_at_r(within, R_keep)
     # means over the queries in sample order, as a left-to-right sum
     return DomainMetrics(
-        recall_at={k: _mean(recalls[k].tolist()) for k in recall_ks},
+        recall_at={k: _mean(recalls[k].tolist()) for k in RECALL_KS},
         r_precision=_mean(rp[scored].tolist()) if scored.any() else 0.0,
         map_at_r=_mean(mp[scored].tolist()) if scored.any() else 0.0,
         queries=n,

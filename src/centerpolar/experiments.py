@@ -100,15 +100,10 @@ def run_benchmark(spec: BenchmarkSpec, config: TrainConfig) -> dict:
     }
 
 
-def run_ablation_grid(
-    seeds,
-    ablations=ABLATIONS,
-    lam: float = DEFAULT_LAMBDA,
-    total_epochs: int = 2,
-) -> dict:
-    """MAP@R per ablation per seed on the default benchmark."""
+def run_ablation_grid(seeds, lam: float = DEFAULT_LAMBDA, total_epochs: int = 2) -> dict:
+    """MAP@R per ablation of ABLATIONS per seed on the default benchmark."""
     return _run_grid(
-        ablations, seeds,
+        ABLATIONS, seeds,
         lambda ablation, seed: benchmark_train_config(seed, ablation, lam, total_epochs),
     )
 

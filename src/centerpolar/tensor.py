@@ -132,18 +132,18 @@ _ACTIVE: ContextVar[Tape | None] = ContextVar("centerpolar_active_tape", default
 
 
 @contextmanager
-def record(tape: Tape | None = None):
-    """Make `tape` (or a fresh one) the active tape within the block.
+def record():
+    """Make a fresh tape the active tape within the block, and yield it.
 
     The active tape belongs to the calling thread and async context, so
     blocks in other threads neither see nor replace it.  Ops run outside
     any active tape are pure and record nothing, so inference never
     allocates graph state.
     """
-    active = tape if tape is not None else Tape()
-    token = _ACTIVE.set(active)
+    tape = Tape()
+    token = _ACTIVE.set(tape)
     try:
-        yield active
+        yield tape
     finally:
         _ACTIVE.reset(token)
 

@@ -84,9 +84,9 @@ def adam_step(
     grads: list[np.ndarray],
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    beta1: float,
+    beta2: float,
+    eps: float,
 ) -> None:
     """One bias-corrected Adam update, mutating params and state in place."""
     if len(params) != len(grads) or len(params) != len(state.m):

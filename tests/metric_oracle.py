@@ -7,7 +7,8 @@ hit counting by explicit loops, and exact rationals via fractions.Fraction
 next to the float-accumulation variants the production code is expected to
 reproduce bit for bit.  `reference_evaluate_domain` is the slow numpy path
 that sorts every whole row; it shares `_distances` and the metric
-functions with the package, so only the ranking differs.
+functions with the package, so only the ranking differs.  `relevance_rows`
+turns one relevance list into the matrices the metric functions read.
 """
 
 import math
@@ -17,6 +18,7 @@ import numpy as np
 
 from centerpolar.evaluation import (
     _BLOCK_ENTRIES,
+    RECALL_KS,
     DomainMetrics,
     _distances,
     _mean,
@@ -25,6 +27,15 @@ from centerpolar.evaluation import (
     recall_at_k,
 )
 from centerpolar.geometry import EPS_PROJECTION
+
+
+def relevance_rows(relevance):
+    """(relevant, within, R) of one ranked list's relevance: the one-row
+    matrix of its hits, the hits within its first R ranks, and R, its hit
+    count, as `evaluate` hands them to the metric functions."""
+    relevant = np.array([relevance], dtype=bool)
+    R = relevant.sum(axis=1)
+    return relevant, relevant & (np.arange(relevant.shape[1]) < R[:, None]), R
 
 
 def oracle_recall_at_k(relevance, k):
@@ -136,10 +147,9 @@ def oracle_leave_one_out(vectors, labels, ids, recall_ks=(1, 2)):
     return per_query, means
 
 
-def reference_evaluate_domain(model, ds, recall_ks, metric):
+def reference_evaluate_domain(model, ds, metric):
     """One domain's metrics from a stable argsort of every whole row of
-    `_distances`, with each query's own column dropped; `recall_ks` sorted
-    and unique, as `evaluate` passes them."""
+    `_distances`, with each query's own column dropped."""
     n = len(ds)
     E = model.embed_many(ds.features)
     ids, labels = ds.ids, ds.labels
@@ -154,22 +164,23 @@ def reference_evaluate_domain(model, ds, recall_ks, metric):
     _, label_index, class_sizes = np.unique(labels, return_inverse=True, return_counts=True)
     R = class_sizes[label_index] - 1
     scored = R > 0
-    recalls = {k: np.empty(n) for k in recall_ks}
+    recalls = {k: np.empty(n) for k in RECALL_KS}
     rp, mp = np.empty(n), np.empty(n)
     rows = max(1, _BLOCK_ENTRIES // n)
     for start in range(0, n, rows):
         block = slice(start, start + rows)
         order = np.argsort(_distances(E[block], gallery, metric), axis=1, kind="stable")
         order = order[order != own_column[block, None]].reshape(-1, n - 1)
-        ranked = gallery_labels[order]
-        query = labels[block]
-        for k in recall_ks:
-            recalls[k][block] = recall_at_k(ranked, query, k)
+        relevant = gallery_labels[order] == labels[block, None]
+        for k in RECALL_KS:
+            recalls[k][block] = recall_at_k(relevant, k)
         keep = scored[block]
-        rp[block][keep] = r_precision(ranked[keep], query[keep], R[block][keep])
-        mp[block][keep] = map_at_r(ranked[keep], query[keep], R[block][keep])
+        R_keep = R[block][keep]
+        within = relevant[keep] & (np.arange(n - 1) < R_keep[:, None])
+        rp[block][keep] = r_precision(within, R_keep)
+        mp[block][keep] = map_at_r(within, R_keep)
     return DomainMetrics(
-        recall_at={k: _mean(recalls[k].tolist()) for k in recall_ks},
+        recall_at={k: _mean(recalls[k].tolist()) for k in RECALL_KS},
         r_precision=_mean(rp[scored].tolist()) if scored.any() else 0.0,
         map_at_r=_mean(mp[scored].tolist()) if scored.any() else 0.0,
         queries=n,

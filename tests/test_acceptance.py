@@ -43,6 +43,7 @@ from metric_oracle import (
     oracle_map_at_r,
     oracle_r_precision,
     oracle_recall_at_k,
+    relevance_rows,
 )
 from scalar_oracle import loss_sem_high
 
@@ -435,18 +436,17 @@ def test_criterion_5_metric_oracle():
         t0 = time.perf_counter()
 
         # exhaustive: every relevance configuration of every gallery size <= 8,
-        # rendered as ranked labels with query label 1, bit for bit
+        # as the one-row relevance matrices the metrics read, bit for bit
         for n in range(1, 9):
             for bits in itertools.product((False, True), repeat=n):
                 rel = list(bits)
-                ranked = [1 if r else 0 for r in rel]
+                relevant, within, R = relevance_rows(rel)
                 for k in range(1, n + 1):
-                    assert recall_at_k(ranked, 1, k) == oracle_recall_at_k(rel, k)
-                R = sum(rel)
-                if R == 0:
+                    assert recall_at_k(relevant, k)[0] == oracle_recall_at_k(rel, k)
+                if R[0] == 0:
                     continue
-                assert r_precision(ranked, 1, R) == oracle_r_precision(rel)
-                assert map_at_r(ranked, 1, R) == oracle_map_at_r(rel)
+                assert r_precision(within, R)[0] == oracle_r_precision(rel)
+                assert map_at_r(within, R)[0] == oracle_map_at_r(rel)
 
         # committed ten-sample hand table on the identity encoder
         positions = [0.0, 1.0, 2.0, 3.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0]
@@ -473,14 +473,14 @@ def test_criterion_5_metric_oracle():
         for _ in range(10_000):
             n = int(gen.integers(1, 12))
             ranked = gen.integers(0, 2, size=n).tolist()
+            relevant, within, R = relevance_rows(ranked)
             prev = 0.0
             for k in range(1, n + 1):
-                r = recall_at_k(ranked, 1, k)
+                r = recall_at_k(relevant, k)[0]
                 assert r >= prev
                 prev = r
-            R = sum(ranked)
-            if R:
-                assert map_at_r(ranked, 1, R) <= r_precision(ranked, 1, R) + 1e-12
+            if R[0]:
+                assert map_at_r(within, R)[0] <= r_precision(within, R)[0] + 1e-12
 
         assert time.perf_counter() - t0 < 30.0
 

@@ -65,7 +65,7 @@ def train_config_dict(**overrides):
 
 def checkpoint_dict(config=TrainConfig(embed_dim=4, hidden_dim=8), **overrides):
     # layers built from the config it writes, for the 4-dim spec_dict() data
-    model = EncoderModel.default(4, config.embed_dim, config.hidden_dim)
+    model = EncoderModel.default(4, config.embed_dim, config.hidden_dim, config.seed)
     d = schema.to_dict(Checkpoint(config, 1, config.seed, model.records()))
     d.update(overrides)
     return d
@@ -453,7 +453,29 @@ class TestEval:
         ckpt = str(run_dir / "checkpoint.json")
         rc = main(["eval", "--checkpoint", ckpt, "--data", str(data_dir), "--out", str(out)])
         assert rc == 2
-        assert "domain 'shift' needs at least 2 samples, got 1" in capsys.readouterr().err
+        assert "domain 'shift': recall k=2 exceeds gallery size 0" in capsys.readouterr().err
+        assert not (tmp_path / "erun").exists()
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            ((), "no test_*.csv files in {}"),
+            (("test_b.csv", "test_a.csv"), "the test CSVs in {} hold no rows: test_a.csv, test_b.csv"),
+        ],
+    )
+    def test_no_test_rows_names_the_files_and_makes_no_output_folder(
+        self, tmp_path, data_dir, run_dir, capsys, names, message
+    ):
+        header = (data_dir / "test_near.csv").read_text().splitlines()[0]
+        empty = tmp_path / "e"
+        empty.mkdir()
+        for name in names:
+            (empty / name).write_text(header + "\n")
+        out = tmp_path / "erun" / "report.json"
+        ckpt = str(run_dir / "checkpoint.json")
+        rc = main(["eval", "--checkpoint", ckpt, "--data", str(empty), "--out", str(out)])
+        assert rc == 2
+        assert message.format(empty) in capsys.readouterr().err
         assert not (tmp_path / "erun").exists()
 
     def test_geodesic_metric_flag(self, tmp_path, data_dir, run_dir):

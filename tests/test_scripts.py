@@ -11,6 +11,7 @@ from test_cli import child_env
 
 from centerpolar import experiments
 from centerpolar.experiments import run_ablation_grid, run_lambda_sweep
+from centerpolar.trainer import ABLATIONS
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -77,22 +78,20 @@ def test_lambda_sweep_rejects_a_repeated_lambda_before_the_grid(lambdas):
 
 
 @pytest.mark.parametrize(
-    "grid, kwargs, match",
+    "lambdas, match",
     [
-        (run_lambda_sweep, {"lambdas": (0.5, 0.5)}, "is repeated"),
-        (run_lambda_sweep, {"lambdas": (0.0, 0.25, -0.0)}, "is repeated"),
-        (run_ablation_grid, {"ablations": ("full", "baseline", "full")}, "is repeated"),
-        (run_lambda_sweep, {"lambdas": (0.5, -3.0)}, "lambda: must be >= 0, got -3.0"),
-        (run_ablation_grid, {"ablations": ("full", "bogus")}, "ablation: .* got 'bogus'"),
+        ((0.5, 0.5), "is repeated"),
+        ((0.0, 0.25, -0.0), "is repeated"),
+        ((0.5, -3.0), "lambda: must be >= 0, got -3.0"),
     ],
 )
-def test_repeated_grid_cell_rejected_before_any_cell_trains(monkeypatch, grid, kwargs, match):
+def test_repeated_grid_cell_rejected_before_any_cell_trains(monkeypatch, lambdas, match):
     def no_run(*args):
         raise AssertionError("a cell ran before the grid was checked")
 
     monkeypatch.setattr(experiments, "run_benchmark", no_run)
     with pytest.raises(ValueError, match=match):
-        grid(range(1), **kwargs)
+        run_lambda_sweep(range(1), lambdas=lambdas)
 
 
 def test_every_grid_cell_runs_every_seed_of_a_one_pass_iterator(monkeypatch):
@@ -100,8 +99,8 @@ def test_every_grid_cell_runs_every_seed_of_a_one_pass_iterator(monkeypatch):
         return {"map_at_r": float(config.seed)}
 
     monkeypatch.setattr(experiments, "run_benchmark", seed_as_score)
-    grid = run_ablation_grid(iter(range(2)), ablations=("baseline", "full"))
-    assert grid == {"baseline": [0.0, 1.0], "full": [0.0, 1.0]}
+    grid = run_ablation_grid(iter(range(2)))
+    assert grid == {ablation: [0.0, 1.0] for ablation in ABLATIONS}
 
 
 @pytest.mark.parametrize("name", ["run_ablation.py", "lambda_sweep.py"])

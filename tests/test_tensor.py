@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from centerpolar.tensor import (
     DomainError,
     ShapeError,
-    Tape,
     TapeError,
     Tensor,
     _partner_order,
@@ -581,8 +580,7 @@ def test_public_constructor_copies_input():
 
 
 def test_tape_is_reusable_container():
-    tape = Tape()
-    with record(tape):
+    with record() as tape:
         x = Tensor([2.0], requires_grad=True)
         backward((x * x).sum())
     assert len(tape) > 0
