@@ -13,6 +13,7 @@ from centerpolar.data import DataSet
 from centerpolar.encoder import EncoderModel, Layer
 from centerpolar.evaluation import (
     _BLOCK_ENTRIES,
+    RECALL_KS,
     _distances,
     _euclidean_slack,
     _first_columns,
@@ -89,6 +90,33 @@ class TestMetricHandValues:
         expected += 2 / 3
         assert got == expected / 3
         assert abs(got - float(Fraction(7, 18))) < 1e-15
+
+    @pytest.mark.parametrize("k", RECALL_KS)
+    def test_recall_reads_only_the_first_k_columns(self, k):
+        # a first hit at rank k counts, one at rank k + 1 does not
+        relevant = np.zeros((2, k + 3), dtype=bool)
+        relevant[0, k - 1] = True
+        relevant[1, k:] = True
+        assert recall_at_k(relevant, k).tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("metric", [r_precision, map_at_r])
+    @pytest.mark.parametrize("pad", [0, 1, 4])
+    def test_rows_of_one_block_keep_their_own_R(self, metric, pad):
+        # a block is as wide as its largest R (plus `pad`); each row, cut at
+        # its own R, scores the bits it scores alone
+        rels = [
+            [(mask >> i) & 1 == 1 for i in range(n)]
+            for n in range(1, 7)
+            for mask in range(1, 2**n)
+        ]
+        width = max(sum(rel) for rel in rels) + pad
+        relevant = np.zeros((len(rels), width), dtype=bool)
+        for row, rel in zip(relevant, rels):
+            row[: min(len(rel), width)] = rel[:width]
+        R = np.array([sum(rel) for rel in rels])
+        within = relevant & (np.arange(width) < R[:, None])
+        alone = [of_first_R(metric, rel) for rel in rels]
+        assert metric(within, R).tolist() == alone
 
 
 class TestRanking:
@@ -395,6 +423,66 @@ class TestEvaluate:
         }
         with pytest.raises(ValueError, match=message):
             evaluate(identity_model(1), tests)
+
+
+class TestBlockWidth:
+    """`_evaluate_domain` cuts each block at the deepest rank a metric
+    reads; the cut is always within the gallery and covers every R."""
+
+    @pytest.mark.parametrize("block_entries", [1 << 16, 7])
+    @pytest.mark.parametrize(
+        "labels",
+        [[0, 0, 0], [0, 1, 2, 3], [2, 0, 1, 0, 0, 1, 0, 0], [0] * 9 + [1, 1, 2]],
+        ids=["one-class", "singletons", "mixed", "one-large-class"],
+    )
+    def test_cut_covers_every_R_and_stays_in_the_gallery(self, monkeypatch, labels, block_entries):
+        n = len(labels)
+        ds = line_dataset(np.arange(n, dtype=float) ** 1.5, labels)
+        widths = []
+        real = evaluation._first_columns
+
+        def spied(Q, gallery_t, gallery_sq, metric, width, out):
+            widths.append((len(Q), width))
+            return real(Q, gallery_t, gallery_sq, metric, width, out)
+
+        monkeypatch.setattr(evaluation, "_BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(evaluation, "_first_columns", spied)
+        got = evaluate(identity_model(1), {"d": ds}).domains["d"]
+        sizes = {label: labels.count(label) for label in labels}
+        R = [sizes[label] - 1 for label in labels]
+        start = 0
+        for rows, width in widths:
+            assert RECALL_KS[-1] + 1 <= width <= n
+            assert width - 1 >= max(R[start : start + rows])
+            start += rows
+        assert start == n
+        monkeypatch.undo()
+        assert got == reference_evaluate_domain(identity_model(1), ds, "euclidean")
+
+
+class TestRecallKsConstant:
+    """`RECALL_KS` is read where it is used: by the report, its text table
+    and the gallery rule."""
+
+    @pytest.mark.parametrize("ks", [(1,), (1, 3), (2, 4, 5)])
+    def test_every_site_reads_the_constant(self, monkeypatch, ks):
+        monkeypatch.setattr(evaluation, "RECALL_KS", ks)
+        positions = [0.0, 1.0, 2.5, 4.0, 7.0, 7.5][: ks[-1] + 1]
+        labels = [0, 1, 0, 1, 1, 0][: len(positions)]
+        ds = line_dataset(positions, labels)
+        report = evaluate(identity_model(1), {"d": ds})
+        _rows, means = oracle_leave_one_out(
+            [[x] for x in positions], labels, list(range(len(positions))), ks
+        )
+        assert report.domains["d"].recall_at == means["recall_at"]
+        assert list(report.average.recall_at) == list(ks)
+        assert report.to_text().split("\n")[0].split() == (
+            ["domain"] + [f"R@{k}" for k in ks] + ["RP", "MAP"]
+        )
+        small = line_dataset(positions[:-1], labels[:-1])
+        message = f"recall k={ks[-1]} exceeds gallery size {ks[-1] - 1}"
+        with pytest.raises(ValueError, match=message):
+            evaluate(identity_model(1), {"d": small})
 
 
 class TestReportShapes:
