@@ -6,20 +6,25 @@ with R the number of same-class gallery items, R-Precision is r/R for r
 hits in the top R, and MAP@R averages precision-at-i over the relevant
 positions i <= R (counting missed ones as zero). Queries with R = 0 are
 excluded from the R-based aggregates and reported.  Each block of queries
-compares its ranked labels with the query labels once; the metrics read
-that relevance matrix, or its hits within each row's first R ranks.
+ranks its relevance once (whether each rank holds an item of the query's
+class); the metrics read that matrix, or its hits within each row's first
+R ranks.
 
 Ranking is exact: each query's gallery is ordered by ascending
 `_distances`, the one definition of the distance (squared coordinate
 differences summed in order; metric="geodesic" takes the angle), with ties
-broken by ascending sample id, so exactly tied items stay tied.  `evaluate`
-works one block of queries at a time and orders only the first K + 1
-columns of each row, K being the deepest rank a metric reads.  It finds
-them from a cheap key (one BLAS product; for "geodesic" the distance
-itself) and keeps a row's key order only where a rounding bound certifies
-that it equals the distance order (see `_first_columns`).  Every other
-row (an exact or near tie, a NaN) falls back to the distances and a stable
-full sort, so the result is the same, bit for bit, as sorting every row.
+broken by ascending sample id, so exactly tied items stay tied.  The
+metrics read only whether each rank holds an item of the query's class,
+so `evaluate` ranks that relevance, never column indices.  It works one
+block of queries at a time and takes a cheap key per gallery column (one
+BLAS product; for "geodesic" the distance itself).  Each key carries its
+column's relevance in its last mantissa bit, the query's own column is set
+to -inf, and only the K + 2 smallest keys of a row are sorted, in place,
+K being the deepest rank a metric reads.  A row keeps that order only
+where a rounding bound, which allows for the tag, certifies that it
+equals the distance order (see `_ranked_relevance`).  Every other row (an
+exact or near tie, a NaN) falls back to the distances and a stable full
+sort, so the result is the same, bit for bit, as sorting every row.
 """
 
 from __future__ import annotations
@@ -35,7 +40,11 @@ from .geometry import EPS_PROJECTION, DegenerateVectorError
 
 METRICS = ("euclidean", "geodesic")
 RECALL_KS = (1, 2)
-_BLOCK_ENTRIES = 1 << 16  # query-by-gallery distances held at once
+# query-by-gallery keys held at once.  Median `evaluate` of 31 (seed-0 `full`
+# model, 2-vCPU Xeon) at 2^15, 2^16 and 2^17: euclidean 40.3, 40.6 and 40.8 ms
+# at gallery 799, 277, 249 and 225 ms at gallery 1999; geodesic 50, 47 and 65
+# ms, 313, 285 and 369 ms.  2^17 wins only for euclidean at gallery 1999.
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -145,15 +154,16 @@ def _evaluate_domain(model, ds: DataSet, metric: str) -> DomainMetrics:
     rp, mp = np.empty(n), np.empty(n)
     rows = max(1, _BLOCK_ENTRIES // n)
     keys = np.empty((min(rows, n), n))  # every block's keys, in one buffer
+    same_class = np.empty(keys.shape, dtype=np.uint64)  # and its relevance bits
     for start in range(0, n, rows):
         block = slice(start, start + rows)
+        Q = E[block]
+        tags = np.equal(labels[block, None], gallery_labels, out=same_class[: len(Q)])
         # the deepest rank a metric reads, plus one for the query's own column
         width = max(int(R[block].max()), RECALL_KS[-1]) + 1
-        order = _first_columns(E[block], gallery, gallery_sq, metric, width, keys)
-        # leave each query out by its own column, else by the last one kept
-        own = order == own_column[block, None]
-        own[:, -1] |= ~own.any(axis=1)
-        relevant = gallery_labels[order[~own].reshape(-1, width - 1)] == labels[block, None]
+        relevant = _ranked_relevance(
+            Q, gallery, gallery_sq, own_column[block], tags, metric, width, keys
+        )
         for k in RECALL_KS:
             recalls[k][block] = recall_at_k(relevant, k)
         keep = scored[block]
@@ -182,46 +192,60 @@ def _distances(Q: np.ndarray, gallery_t: np.ndarray, metric: str) -> np.ndarray:
     return np.sqrt(D)
 
 
-def _first_columns(Q, gallery_t, gallery_sq, metric: str, width: int, out) -> np.ndarray:
-    """The first `width` columns of each row of a stable argsort of
-    `_distances(Q, gallery_t, metric)`: by distance, then by column.
+def _ranked_relevance(Q, gallery_t, gallery_sq, own, same_class, metric: str, width: int, out):
+    """Whether the items at ranks 1 .. width - 1 of each row share the
+    query's class (bool, len(Q) by width - 1).  The ranks are those of a
+    stable argsort of `_distances(Q, gallery_t, metric)`, by distance and
+    then by column, with the row's own column `own` put first, at rank 0,
+    so each query is left out.  `same_class` holds each column's 1 or 0;
+    no metric reads more than these bits, so no column order is built.
 
     Each row is ranked by a key, the distance itself for "geodesic" and
-    A = |q|^2 + |g|^2 - 2 q.g from one BLAS product for "euclidean".  Of
-    the `width` smallest keys and the first one past them, every gap must
-    exceed the row's slack (`_euclidean_slack`, 0 for "geodesic"); then the
+    A = |q|^2 + |g|^2 - 2 q.g from one BLAS product for "euclidean".  The
+    last mantissa bit of each key is set to its column's `same_class` bit
+    and the own column to -inf; an in-place partition and a sort of the
+    `width` + 1 smallest keys then carry the relevance to its rank.  Past
+    rank 0, every gap of those keys must exceed the row's slack
+    (`_euclidean_slack` and `_GEODESIC_SLACK` allow for the tag); then the
     key order is the distance order and no column past the cut can enter
     it.  Other rows are ranked again from `_distances` with a stable sort.
     The "euclidean" key is written into the first len(Q) rows of `out`.
     """
-    n = gallery_t.shape[1]
+    rows, n = len(Q), gallery_t.shape[1]
     if metric == "geodesic":
         key = _distances(Q, gallery_t, metric)
-        slack = np.zeros(len(Q))
+        slack = np.full(rows, _GEODESIC_SLACK)
     else:
         q_sq = np.einsum("ij,ij->i", Q, Q)
-        key = np.matmul(Q, gallery_t, out=out[: len(Q)])
+        key = np.matmul(Q, gallery_t, out=out[:rows])
         key *= -2.0
         key += gallery_sq
         key += q_sq[:, None]
         slack = _euclidean_slack(q_sq, gallery_sq.max(), Q.shape[1])
-    # the `width` smallest keys and, where there is one, the next
-    near = np.argpartition(key, min(width, n - 1), axis=1)[:, : width + 1]
-    # gathers by flat index into the C-ordered rows
-    rows = np.arange(len(near))[:, None]
-    near_key = key.take(near + rows * n)
-    by_key = np.argsort(near_key, axis=1) + rows * near.shape[1]
-    order = near.take(by_key[:, :width])
-    gaps = np.diff(near_key.take(by_key), axis=1)
-    redo = np.flatnonzero(~(gaps > slack[:, None]).all(axis=1))
+    tagged = key.view(np.uint64)
+    tagged &= ~np.uint64(1)
+    tagged |= same_class
+    key[np.arange(rows), own] = -np.inf
+    # the own column, the `width` - 1 ranks read and, where there is one, the next
+    key.partition(min(width, n - 1), axis=1)
+    near = key[:, : width + 1]
+    near.sort(axis=1)
+    relevant = (near[:, 1:width].view(np.uint64) & 1).astype(bool)
+    redo = np.flatnonzero(~(np.diff(near[:, 1:], axis=1) > slack[:, None]).all(axis=1))
     if redo.size:
-        exact = key[redo] if metric == "geodesic" else _distances(Q[redo], gallery_t, metric)
-        order[redo] = np.argsort(exact, axis=1, kind="stable")[:, :width]
-    return order
+        exact = _distances(Q[redo], gallery_t, metric)
+        exact[np.arange(redo.size), own[redo]] = -np.inf
+        order = np.argsort(exact, axis=1, kind="stable")[:, 1:width]
+        relevant[redo] = np.take_along_axis(same_class[redo], order, axis=1) != 0
+    return relevant
 
 
 _UNIT_ROUNDOFF = 2.0**-53
 _MIN_REACH = 2.0**-500  # below it, underflow could outweigh the rounding bound
+# A geodesic key is the distance itself, in [0, 1], so untagged keys rank
+# exactly; the tag moves each by at most one unit in its last place, 2^-52,
+# and a tagged gap over two such moves leaves the untagged keys in order.
+_GEODESIC_SLACK = 2.0**-51
 
 
 def _euclidean_slack(q_sq, max_gallery_sq, dim: int) -> np.ndarray:
@@ -240,14 +264,20 @@ def _euclidean_slack(q_sq, max_gallery_sq, dim: int) -> np.ndarray:
       round values below (1 + g_{d+1}) M^2, so |A - S| <= g_{d+2} M^2.
 
     The extra g_{d+3} - g_{d+2} covers the rounding of the norms that M is
-    computed from.  Two keys a < b of a row whose computed gap exceeds 4e
-    have D2_b - D2_a > 1.99 e once the check's own rounding is taken off,
-    so D2 is in the order of A.  As e >= 8 u M^2, that gap exceeds
-    15 u D2_b, and the exact roots differ by more than 7 u sqrt(D2_b), over
-    3 units in the last place of the larger: sqrt cannot merge the two
-    into one distance, whose tie the column would break.  A query
-    whose M^2 is not finite or is below _MIN_REACH, where underflow could
-    break the relative bounds, gets an infinite slack, which no gap exceeds.
+    computed from.  `_ranked_relevance` compares tagged keys: setting the
+    last mantissa bit moves a key by at most one unit in its last place,
+    2 u |A| <= 2.01 u M^2 (a subnormal key moves by 2^-1074, far below u M^2
+    at M^2 >= _MIN_REACH), so two keys move by at most 4.02 u M^2 <= 0.51 e
+    together, as e >= 8 u M^2.  Two tagged keys a < b of a row whose
+    computed gap exceeds 4e thus differ by more than 3.48 e before tagging,
+    once the check's own rounding is taken off, and have
+    D2_b - D2_a > 1.48 e: D2 is in the order of the tagged keys.  That gap
+    exceeds 11 u D2_b, and the exact roots differ by more than
+    5.5 u sqrt(D2_b), over 2 units in the last place of the larger: sqrt
+    cannot merge the two into one distance, whose tie the column would
+    break.  A query whose M^2 is not finite or is below _MIN_REACH, where
+    underflow could break the relative bounds, gets an infinite slack,
+    which no gap exceeds.
     """
     k = (dim + 3) * _UNIT_ROUNDOFF
     reach = (np.sqrt(q_sq) + np.sqrt(max_gallery_sq)) ** 2

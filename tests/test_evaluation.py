@@ -16,7 +16,7 @@ from centerpolar.evaluation import (
     RECALL_KS,
     _distances,
     _euclidean_slack,
-    _first_columns,
+    _ranked_relevance,
     evaluate,
     map_at_r,
     r_precision,
@@ -245,17 +245,20 @@ class TestAgainstOracle:
             assert m.r_precision == means["r_precision"]
             assert m.map_at_r == means["map_at_r"]
             assert m.skipped_zero_relevant == means["skipped_zero_relevant"]
-            if len(X) <= 30:  # and every query's whole ranking, on the small domains
+            if len(X) <= 30:  # and every query's whole ranked relevance, on the small domains
                 by_id = np.argsort(ids, kind="stable")
                 G = X[by_id].T.copy()
                 G_sq, keys = np.einsum("ij,ij->j", G, G), np.empty((len(X), len(X)))
-                order = _first_columns(X, G, G_sq, "euclidean", len(X), keys)
+                same_class = (labels[:, None] == labels[by_id]).astype(np.uint64)
+                relevant = _ranked_relevance(
+                    X, G, G_sq, np.argsort(by_id), same_class, "euclidean", len(X), keys
+                )
+                label_of = dict(zip(ids.tolist(), labels.tolist()))
                 for q in range(len(X)):
                     rest = [i for i in range(len(X)) if i != q]
-                    got = [int(ids[by_id[c]]) for c in order[q] if by_id[c] != q]
-                    assert got == oracle_rank(
-                        vectors[q], [vectors[i] for i in rest], ids[rest].tolist()
-                    )
+                    gallery = [vectors[i] for i in rest]
+                    ranked = oracle_rank(vectors[q], gallery, ids[rest].tolist())
+                    assert relevant[q].tolist() == [label_of[sid] == labels[q] for sid in ranked]
 
     @pytest.mark.parametrize("metric", ["euclidean", "geodesic"])
     def test_one_block_mixes_unscored_short_and_long_rows(self, metric):
@@ -439,14 +442,14 @@ class TestBlockWidth:
         n = len(labels)
         ds = line_dataset(np.arange(n, dtype=float) ** 1.5, labels)
         widths = []
-        real = evaluation._first_columns
+        real = evaluation._ranked_relevance
 
-        def spied(Q, gallery_t, gallery_sq, metric, width, out):
+        def spied(Q, gallery_t, gallery_sq, own, same_class, metric, width, out):
             widths.append((len(Q), width))
-            return real(Q, gallery_t, gallery_sq, metric, width, out)
+            return real(Q, gallery_t, gallery_sq, own, same_class, metric, width, out)
 
         monkeypatch.setattr(evaluation, "_BLOCK_ENTRIES", block_entries)
-        monkeypatch.setattr(evaluation, "_first_columns", spied)
+        monkeypatch.setattr(evaluation, "_ranked_relevance", spied)
         got = evaluate(identity_model(1), {"d": ds}).domains["d"]
         sizes = {label: labels.count(label) for label in labels}
         R = [sizes[label] - 1 for label in labels]
@@ -635,6 +638,20 @@ class TestFastPathTaken:
         report = evaluate(model, tests)
         assert report.query_count == 2400
         assert sum(rows) == 0
+
+    def test_no_fallback_at_gallery_1999(self, monkeypatch):
+        # the domains of `centerpolar eval` in the cli_eval benchmark workload
+        train_set, _tests = data.generate_benchmark(experiments.default_benchmark_spec(seed=0))
+        model = trainer.train(train_set, experiments.benchmark_train_config(0, "full")).model
+        spec = experiments.default_benchmark_spec(seed=0, samples_per_class=500)
+        _train, tests = data.generate_benchmark(spec)
+        rows = count_distance_rows(monkeypatch)
+        report = evaluate(model, tests)
+        assert [len(ds) - 1 for ds in tests.values()] == [1999] * 3
+        assert sum(rows) == 0
+        monkeypatch.undo()
+        for name, ds in tests.items():
+            assert report.domains[name] == reference_evaluate_domain(model, ds, "euclidean")
 
     def test_planted_duplicate_falls_back_to_the_same_result(self, monkeypatch):
         gen = np.random.default_rng(9)
