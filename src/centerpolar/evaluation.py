@@ -12,19 +12,21 @@ R ranks.
 
 Ranking is exact: each query's gallery is ordered by ascending
 `_distances`, the one definition of the distance (squared coordinate
-differences summed in order; metric="geodesic" takes the angle), with ties
-broken by ascending sample id, so exactly tied items stay tied.  The
-metrics read only whether each rank holds an item of the query's class,
-so `evaluate` ranks that relevance, never column indices.  It works one
-block of queries at a time and takes a cheap key per gallery column (one
-BLAS product; for "geodesic" the distance itself).  Each key carries its
-column's relevance in its last mantissa bit, the query's own column is set
-to -inf, and only the K + 2 smallest keys of a row are sorted, in place,
-K being the deepest rank a metric reads.  A row keeps that order only
-where a rounding bound, which allows for the tag, certifies that it
-equals the distance order (see `_ranked_relevance`).  Every other row (an
-exact or near tie, a NaN) falls back to the distances and a stable full
-sort, so the result is the same, bit for bit, as sorting every row.
+differences summed in order; metric="geodesic" takes the angle of the
+coordinate products summed in order), with ties broken by ascending sample
+id, so exactly tied items stay tied.  The metrics read only whether each
+rank holds an item of the query's class, so `evaluate` ranks that
+relevance, never column indices.  It works one block of queries at a time
+and takes a cheap key per gallery column from one BLAS product, the same
+key for both metrics, as the geodesic rows are unit vectors.  Each key
+carries its column's relevance in its last mantissa bit, the query's own
+column is set to -inf, and only the K + 2 smallest keys of a row are
+sorted, in place, K being the deepest rank a metric reads.  A row keeps
+that order only where a rounding bound, which allows for the tag,
+certifies that it equals the distance order (see `_ranked_relevance`).
+Every other row (an exact or near tie, a NaN) falls back to the distances
+and a stable full sort, so the result is the same, bit for bit, as sorting
+every row.
 """
 
 from __future__ import annotations
@@ -40,10 +42,11 @@ from .geometry import EPS_PROJECTION, DegenerateVectorError
 
 METRICS = ("euclidean", "geodesic")
 RECALL_KS = (1, 2)
-# query-by-gallery keys held at once.  Median `evaluate` of 31 (seed-0 `full`
-# model, 2-vCPU Xeon) at 2^15, 2^16 and 2^17: euclidean 40.3, 40.6 and 40.8 ms
-# at gallery 799, 277, 249 and 225 ms at gallery 1999; geodesic 50, 47 and 65
-# ms, 313, 285 and 369 ms.  2^17 wins only for euclidean at gallery 1999.
+# query-by-gallery keys held at once.  Median `evaluate` of 31, interleaved
+# (seed-0 `full` model, 2-vCPU Xeon, one BLAS thread) at 2^15, 2^16 and 2^17:
+# euclidean 38.4, 31.8 and 37.8 ms at gallery 799, 224, 199 and 189 ms at
+# gallery 1999; geodesic 32.0, 32.5 and 36.1 ms, 221, 197 and 189 ms.  2^17
+# wins only at gallery 1999, by 5%, and loses 10-20% at gallery 799.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -132,23 +135,27 @@ def check_domains(tests: dict) -> None:
 def _evaluate_domain(model, ds: DataSet, metric: str) -> DomainMetrics:
     n = len(ds)
     E = model.embed_many(ds.features)
-    ids, labels = ds.ids, ds.labels
+    ids = ds.ids
     if metric == "geodesic":
         norms = np.sqrt((E * E).sum(axis=1))
-        bad = np.nonzero(norms <= EPS_PROJECTION)[0]
+        # a norm whose square overflows would leave a zero row, not a unit one
+        bad = np.nonzero((norms <= EPS_PROJECTION) | (norms == np.inf))[0]
         if bad.size:
             raise DegenerateVectorError(
-                f"geodesic ranking: embedding of sample {int(ids[bad[0]])} has near-zero norm"
+                f"geodesic ranking: embedding of sample {int(ids[bad[0]])} "
+                "has near-zero or overflowing norm"
             )
         E = E / norms[:, None]
     # gallery columns in id order, so a stable sort breaks ties by id
     by_id = np.argsort(ids, kind="stable")
     gallery = E[by_id].T.copy()
     gallery_sq = np.einsum("ij,ij->j", gallery, gallery)
-    gallery_labels = labels[by_id]
     own_column = np.argsort(by_id)
-    _, label_index, class_sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    _, label_index, class_sizes = np.unique(ds.labels, return_inverse=True, return_counts=True)
     R = class_sizes[label_index] - 1
+    # class codes compare faster than the int64 labels they stand for
+    codes = label_index.astype(np.int32)
+    gallery_codes = codes[by_id]
     scored = R > 0
     recalls = {k: np.empty(n) for k in RECALL_KS}
     rp, mp = np.empty(n), np.empty(n)
@@ -158,7 +165,7 @@ def _evaluate_domain(model, ds: DataSet, metric: str) -> DomainMetrics:
     for start in range(0, n, rows):
         block = slice(start, start + rows)
         Q = E[block]
-        tags = np.equal(labels[block, None], gallery_labels, out=same_class[: len(Q)])
+        tags = np.equal(codes[block, None], gallery_codes, out=same_class[: len(Q)])
         # the deepest rank a metric reads, plus one for the query's own column
         width = max(int(R[block].max()), RECALL_KS[-1]) + 1
         relevant = _ranked_relevance(
@@ -183,10 +190,14 @@ def _evaluate_domain(model, ds: DataSet, metric: str) -> DomainMetrics:
 
 def _distances(Q: np.ndarray, gallery_t: np.ndarray, metric: str) -> np.ndarray:
     """Distances from each row of Q to each column of gallery_t (unit vectors
-    for the geodesic metric); euclidean adds (q_j - g_j)^2 over j in order."""
-    if metric == "geodesic":
-        return np.arccos(np.clip(Q @ gallery_t, -1.0, 1.0)) / math.pi
+    for the geodesic metric).  Euclidean adds (q_j - g_j)^2 over j in order,
+    geodesic takes the angle, over pi, of q_j g_j added over j in order: so
+    no row's distances depend on the rows it is computed with."""
     D = np.zeros((Q.shape[0], gallery_t.shape[1]))
+    if metric == "geodesic":
+        for q_j, g_j in zip(Q.T, gallery_t):
+            D += q_j[:, None] * g_j
+        return np.arccos(np.clip(D, -1.0, 1.0)) / math.pi
     for q_j, g_j in zip(Q.T, gallery_t):
         D += (q_j[:, None] - g_j) ** 2
     return np.sqrt(D)
@@ -200,28 +211,25 @@ def _ranked_relevance(Q, gallery_t, gallery_sq, own, same_class, metric: str, wi
     so each query is left out.  `same_class` holds each column's 1 or 0;
     no metric reads more than these bits, so no column order is built.
 
-    Each row is ranked by a key, the distance itself for "geodesic" and
-    A = |q|^2 + |g|^2 - 2 q.g from one BLAS product for "euclidean".  The
-    last mantissa bit of each key is set to its column's `same_class` bit
-    and the own column to -inf; an in-place partition and a sort of the
-    `width` + 1 smallest keys then carry the relevance to its rank.  Past
-    rank 0, every gap of those keys must exceed the row's slack
-    (`_euclidean_slack` and `_GEODESIC_SLACK` allow for the tag); then the
-    key order is the distance order and no column past the cut can enter
-    it.  Other rows are ranked again from `_distances` with a stable sort.
-    The "euclidean" key is written into the first len(Q) rows of `out`.
+    Each row is ranked by the key A = |q|^2 + |g|^2 - 2 q.g, from one BLAS
+    product written into the first len(Q) rows of `out`.  It serves both
+    metrics: the geodesic rows are unit vectors, on which the angle, like
+    the distance, grows as q.g falls.  The last mantissa bit of each key is
+    set to its column's `same_class` bit and the own column to -inf; an
+    in-place partition and a sort of the `width` + 1 smallest keys then
+    carry the relevance to its rank.  Past rank 0, every gap of those keys
+    must exceed the row's slack (`_euclidean_slack`, which allows for the
+    tag); then the key order is the distance order and no column past the
+    cut can enter it.  Other rows are ranked again from `_distances` with a
+    stable sort.
     """
     rows, n = len(Q), gallery_t.shape[1]
-    if metric == "geodesic":
-        key = _distances(Q, gallery_t, metric)
-        slack = np.full(rows, _GEODESIC_SLACK)
-    else:
-        q_sq = np.einsum("ij,ij->i", Q, Q)
-        key = np.matmul(Q, gallery_t, out=out[:rows])
-        key *= -2.0
-        key += gallery_sq
-        key += q_sq[:, None]
-        slack = _euclidean_slack(q_sq, gallery_sq.max(), Q.shape[1])
+    q_sq = np.einsum("ij,ij->i", Q, Q)
+    key = np.matmul(Q, gallery_t, out=out[:rows])
+    key *= -2.0
+    key += gallery_sq
+    key += q_sq[:, None]
+    slack = _euclidean_slack(q_sq, gallery_sq.max(), Q.shape[1])
     tagged = key.view(np.uint64)
     tagged &= ~np.uint64(1)
     tagged |= same_class
@@ -242,10 +250,6 @@ def _ranked_relevance(Q, gallery_t, gallery_sq, own, same_class, metric: str, wi
 
 _UNIT_ROUNDOFF = 2.0**-53
 _MIN_REACH = 2.0**-500  # below it, underflow could outweigh the rounding bound
-# A geodesic key is the distance itself, in [0, 1], so untagged keys rank
-# exactly; the tag moves each by at most one unit in its last place, 2^-52,
-# and a tagged gap over two such moves leaves the untagged keys in order.
-_GEODESIC_SLACK = 2.0**-51
 
 
 def _euclidean_slack(q_sq, max_gallery_sq, dim: int) -> np.ndarray:
@@ -278,6 +282,27 @@ def _euclidean_slack(q_sq, max_gallery_sq, dim: int) -> np.ndarray:
     break.  A query whose M^2 is not finite or is below _MIN_REACH, where
     underflow could break the relative bounds, gets an infinite slack,
     which no gap exceeds.
+
+    For "geodesic" the same certificate orders the angles.  The rows are
+    computed unit rows: each norm's sum of squares errs by g_d, its root
+    and each quotient by u, so |q|^2 and |g|^2 lie within h = g_{d+4} of 1.
+    With G = g_{d+3} > 4u, e >= 2 G M^2 >= 7.99 G (M^2 >= 4 - 4h),
+    h <= 1.25 G and g_d < G.  A certified pair has S_b - S_a >
+    3.48 e - 2 g_{d+2} M^2 > 2.48 e, so the exact dot products
+    s = (|q|^2 + |g|^2 - S) / 2 have s_a - s_b > 1.24 e - h > 8.6 G.
+    `_distances` takes the cosine c as q_j g_j added in order, so
+    |c - s| <= g_d (1 + h) < G (underflow in the products adds at most
+    d 2^-1074, far below u) and c_a - c_b > 6.6 G.
+    As |c| <= (1 + h)(1 + g_d) < 1 + 2.3 G, at most one of the two lies
+    outside [-1, 1], and the clipped cosines stay more than 4.3 G > 17 u
+    apart; arccos falls with slope at most -1, so their exact angles differ
+    by as much.  np.arccos is assumed within one unit in the last place of
+    the angle, the tolerance numpy's own accuracy tests hold float64
+    arccos to (the worst seen over 44,000 cosines, many near -1 and 1, on
+    an AVX-512 CPU was 0.79).  Below pi < 4 that is at most 4 u, so the
+    computed angles differ by more than 9 u and their quotients by fl(pi)
+    by more than 2.8 u, over the 2 u that any float below 2 is rounded
+    from: the two distances stay distinct and in the order of the keys.
     """
     k = (dim + 3) * _UNIT_ROUNDOFF
     reach = (np.sqrt(q_sq) + np.sqrt(max_gallery_sq)) ** 2

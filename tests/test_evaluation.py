@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from centerpolar import data, evaluation, experiments, trainer
@@ -165,6 +165,13 @@ class TestAgainstOracle:
         D = _distances(Q, G.T, "euclidean")
         oracle = [[oracle_distance(q, g) for g in G.tolist()] for q in Q.tolist()]
         assert np.array_equal(D, np.array(oracle))
+        # the fallback takes the distances of some rows of a block alone, so
+        # no row's may depend on the rows beside it, as a BLAS product's do
+        unit_Q, unit_G = (X / np.sqrt((X * X).sum(axis=1))[:, None] for X in (Q, G))
+        for metric, Qm, Gm in [("euclidean", Q, G), ("geodesic", unit_Q, unit_G)]:
+            D = _distances(Qm, Gm.T, metric)
+            for i in range(len(Qm)):
+                assert np.array_equal(D[i], _distances(Qm[i : i + 1], Gm.T, metric)[0]), metric
 
     def test_exhaustive_small_galleries(self):
         # every relevance configuration up to gallery size 8, bit for bit,
@@ -384,8 +391,12 @@ class TestEvaluate:
         assert eu.metric == "euclidean"
         assert geo.metric == "geodesic"
 
-    def test_geodesic_rejects_zero_embedding(self):
-        ds = line_dataset([0.0, 1.0, 2.0], [0, 0, 0], ids=(3, 4, 5))
+    # a square that overflows would leave a zero row, ranked by the key as
+    # nearer than the angle puts it
+    @pytest.mark.parametrize("first", [0.0, 1e200])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_geodesic_rejects_zero_or_overflowing_embedding(self, first):
+        ds = line_dataset([first, 1.0, 2.0], [0, 0, 0], ids=(3, 4, 5))
         with pytest.raises(DegenerateVectorError, match="sample 3"):
             evaluate(identity_model(1), {"d": ds}, metric="geodesic")
 
@@ -580,6 +591,14 @@ class TestMatchesReference:
         X[17] = 1e4
         assert_matches_reference(identity_model(8), shuffled_domain(gen, X, 4), metric)
 
+    @pytest.mark.parametrize("labels", [[0, 0, 1], [0, 1, 0]])
+    @pytest.mark.parametrize("ids", [[0, 1, 2], [0, 2, 1]])
+    def test_antipodal_tie_at_distance_one(self, metric, labels, ids):
+        # both gallery items of the first query lie at angle pi, distance
+        # exactly 1.0, so the smaller id, not the class bit, goes first
+        ds = DataSet(ids, labels, ["d"] * 3, [[1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]])
+        assert_matches_reference(identity_model(2), ds, metric)
+
     def test_scaled_copies(self, metric):
         gen = np.random.default_rng(8)
         X = gen.normal(size=(50, 4))
@@ -606,7 +625,23 @@ def tied_domains(draw):
     return DataSet(ids, labels, ["d"] * m, X), metric
 
 
+# exact angle ties that a BLAS product broke one way for the whole block and
+# another for the rows the fallback ranks alone
+TIED_ANGLES = DataSet(
+    [2, 3, 19, 24, 11, 15, 12, 22, 23, 21, 7, 6, 13],
+    [1, 2, 2, 2, 0, 1, 2, 0, 2, 0, 0, 1, 2],
+    ["d"] * 13,
+    [
+        [-1.5, -1, 1, 0], [0.5, -1, 1.5, -1], [-1.5, 1.5, -1.5, -0.5], [-0.5, 0, -0.5, -1.5],
+        [1.5, -1.5, -1, 1.5], [1, -1.5, 1, 0.5], [-1.5, 1.5, -1.5, -1], [-1.5, -0.5, 0, 0.5],
+        [0.5, -1, -1.5, 1], [-1, 0.5, 0, 1.5], [-1.5, -1, 0.5, -1.5], [1, 1.5, 1, -1],
+        [-1, -1.5, 0.5, -1],
+    ],
+)
+
+
 @given(tied_domains(), st.sampled_from([1 << 16, 37]))
+@example((TIED_ANGLES, "geodesic"), 1 << 16)
 def test_matches_reference_on_tied_domains(case, block_entries):
     ds, metric = case
     with pytest.MonkeyPatch.context() as mp:
@@ -617,7 +652,7 @@ def test_matches_reference_on_tied_domains(case, block_entries):
 
 
 def count_distance_rows(monkeypatch):
-    """Rows given to `evaluation._distances`; on the euclidean path only
+    """Rows given to `evaluation._distances`; under either metric only
     rows whose key order is not certified get there."""
     rows = []
     real = evaluation._distances
@@ -631,27 +666,29 @@ def count_distance_rows(monkeypatch):
 
 
 class TestFastPathTaken:
-    def test_no_fallback_on_the_seed_0_reference_domains(self, monkeypatch):
+    @pytest.mark.parametrize("metric", ["euclidean", "geodesic"])
+    def test_no_fallback_on_the_seed_0_reference_domains(self, monkeypatch, metric):
         train_set, tests = data.generate_benchmark(experiments.default_benchmark_spec(seed=0))
         model = trainer.train(train_set, experiments.benchmark_train_config(0, "full")).model
         rows = count_distance_rows(monkeypatch)
-        report = evaluate(model, tests)
+        report = evaluate(model, tests, metric)
         assert report.query_count == 2400
         assert sum(rows) == 0
 
-    def test_no_fallback_at_gallery_1999(self, monkeypatch):
+    @pytest.mark.parametrize("metric", ["euclidean", "geodesic"])
+    def test_no_fallback_at_gallery_1999(self, monkeypatch, metric):
         # the domains of `centerpolar eval` in the cli_eval benchmark workload
         train_set, _tests = data.generate_benchmark(experiments.default_benchmark_spec(seed=0))
         model = trainer.train(train_set, experiments.benchmark_train_config(0, "full")).model
         spec = experiments.default_benchmark_spec(seed=0, samples_per_class=500)
         _train, tests = data.generate_benchmark(spec)
         rows = count_distance_rows(monkeypatch)
-        report = evaluate(model, tests)
+        report = evaluate(model, tests, metric)
         assert [len(ds) - 1 for ds in tests.values()] == [1999] * 3
         assert sum(rows) == 0
         monkeypatch.undo()
         for name, ds in tests.items():
-            assert report.domains[name] == reference_evaluate_domain(model, ds, "euclidean")
+            assert report.domains[name] == reference_evaluate_domain(model, ds, metric)
 
     def test_planted_duplicate_falls_back_to_the_same_result(self, monkeypatch):
         gen = np.random.default_rng(9)
