@@ -61,7 +61,21 @@ def geodesic_distance(u, v) -> Tensor:
     direction raises DegenerateVectorError.
     """
     u, v = as_tensor(u), as_tensor(v)
-    U, V = u.data, v.data
+    distance, grad = _geodesic(u.data, v.data)
+
+    def vjp(g, needs):
+        folds = [Fold.empty(2, t.shape) if need else None for t, need in zip((v, u), needs)]
+        grad(g, *(None if fold is None else fold.parts for fold in folds))
+        return folds
+
+    return _record(Tensor._wrap(distance), (v, u), vjp, "geodesic_distance")
+
+
+def _geodesic(U: np.ndarray, V: np.ndarray):
+    """The arithmetic of `geodesic_distance` on arrays: the distances, and
+    `grad(g, parts_v, parts_u)`, which writes the two contributions that a
+    distance gradient `g` passes to V, and to U, into the given (2, *shape)
+    arrays (None skips that input)."""
     if U.ndim not in (1, 2) or U.shape != V.shape:
         raise ShapeError(
             f"geodesic_distance: shapes {U.shape} and {V.shape} must be equal 1-D or 2-D"
@@ -75,27 +89,25 @@ def geodesic_distance(u, v) -> Tensor:
     c = _rowdot(pu, pv)
     angle, mask = _acos(c)
 
-    def vjp(g, needs):
+    def grad(g, parts_v, parts_u):
         gc = _acos_grad(g / _PI, c, mask)
-        return (
-            _projection_fold(gc * pu, V, nv) if needs[0] else None,
-            _projection_fold(gc * pv, U, nu) if needs[1] else None,
-        )
+        if parts_v is not None:
+            _projection_parts(gc * pu, V, nv, parts_v)
+        if parts_u is not None:
+            _projection_parts(gc * pv, U, nu, parts_u)
 
-    return _record(Tensor._wrap(angle / _PI), (v, u), vjp, "geodesic_distance")
+    return angle / _PI, grad
 
 
 _PI = np.array(math.pi)  # the chain divides by a constant tensor of pi
 
 
-def _projection_fold(g: np.ndarray, rows: np.ndarray, norm: np.ndarray) -> Fold:
+def _projection_parts(g: np.ndarray, rows: np.ndarray, norm: np.ndarray, parts) -> None:
     # the gradients that `rows / norm` with `norm = rows.l2_norm()` passes
     # to `rows`, in the reversed chain's order: the quotient's, then the norm's
-    fold = Fold.empty(2, rows.shape)
-    np.divide(g, norm, out=fold.parts[0])
+    np.divide(g, norm, out=parts[0])
     gnorm = _reduce_to(-g * rows / (norm * norm), norm.shape)
-    fold.parts[1] = _norm_grad(gnorm, norm, rows)
-    return fold
+    parts[1] = _norm_grad(gnorm, norm, rows)
 
 
 @dataclass(frozen=True)

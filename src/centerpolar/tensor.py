@@ -7,6 +7,10 @@ tape in reverse execution order, which makes gradients bitwise
 reproducible for a fixed graph.  The active tape is per thread and per
 async context, so concurrent runs in one process keep separate graphs.
 
+Lifetime.  Outputs hold their tape weakly, so a graph lives as long as
+its tape, and reference counting frees it when its `record` block ends.
+`backward` runs inside the block; once the tape is gone it raises TapeError.
+
 Recording.  Every op computes its output, then returns it through
 `_record` with its tensor inputs and a vjp.  An input takes part when it
 requires a gradient or was itself recorded on the active tape; `_record`
@@ -22,8 +26,8 @@ over a batch replaces B per-sample graphs.  `dense` is a whole layer,
 matrix, bias and activation, applied to every row; `l2_norm` and
 `sum(axis=-1)` reduce each row to one value and keep it as a column
 (B, 1); `mean` averages over the leading axis, adding rows left to
-right; `take` selects rows and `pair_distances` measures every pair of
-them.  `len` is the row count.
+right; `losses.loss_dom` measures every pair of rows.  `len` is the row
+count.
 
 Broadcasting.  Elementwise ops take equal shapes, or a scalar () against
 any shape.  A bias shared by every row is `dense`'s own operand.
@@ -32,8 +36,8 @@ Order of gradient sums.  Floating-point addition is not associative, so
 each input sums its gradient contributions in the order the per-sample
 graphs, recorded one row after another, would sum them.  An input that is
 shared by all rows takes the per-row contributions one at a time, from the
-last row to the first.  A row of `pair_distances` takes one contribution
-per partner, in descending partner index.  Such an op hands `backward` an
+last row to the first.  A row of `loss_dom` takes one contribution per
+partner, in descending partner index.  Such an op hands `backward` an
 ordered `Fold` of contributions for that one input; a single pre-summed
 array would round differently.
 
@@ -72,6 +76,7 @@ in two forms:
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import lru_cache
@@ -94,12 +99,14 @@ class DomainError(ValueError):
 
 
 class Tape:
-    """Ordered record of primitive ops: (output, inputs, needs, vjp, name)."""
+    """Ordered record of primitive ops: (output, inputs, needs, vjp, name).
+    Outputs hold the tape through `_ref`, its one weak reference."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_ref", "__weakref__")
 
     def __init__(self):
         self._entries = []
+        self._ref = weakref.ref(self)
 
     def __len__(self):
         return len(self._entries)
@@ -152,9 +159,10 @@ def _record(out: "Tensor", inputs: tuple, vjp, name: str) -> "Tensor":
     """Record `out = name(*inputs)` on the active tape if any input takes part."""
     tape = _ACTIVE.get()
     if tape is not None:
-        needs = [t.requires_grad or t._tape is tape for t in inputs]
+        ref = tape._ref
+        needs = [t.requires_grad or t._tape is ref for t in inputs]
         if True in needs:
-            out._tape = tape
+            out._tape = ref
             tape._entries.append((out, inputs, needs, vjp, name))
     return out
 
@@ -207,7 +215,7 @@ class Tensor:
         self.data = np.array(values, dtype=np.float64, order="C")
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self._tape: Tape | None = None
+        self._tape: weakref.ref | None = None  # the recording tape's `_ref`
 
     @classmethod
     def _wrap(cls, data) -> "Tensor":
@@ -321,42 +329,6 @@ class Tensor:
 
         return _record(Tensor._wrap(norm), (self,), vjp, "l2_norm")
 
-    def take(self, index) -> "Tensor":
-        """Rows (or elements, for 1-D) at `index` along the leading axis."""
-        A = self.data
-        if A.ndim == 0:
-            raise ShapeError("take: tensor has no leading axis")
-        index = np.asarray(index, dtype=np.intp)
-
-        def vjp(g, _):
-            # -0.0 is the additive identity (x + -0.0 == x for every x, +0.0
-            # included), so the padding leaves each row's gradient bits unchanged
-            ga = np.full(A.shape, -0.0)
-            np.add.at(ga, index, g)
-            return (ga,)
-
-        return _record(Tensor._wrap(A[index]), (self,), vjp, "take")
-
-    # -- elementwise unaries -----------------------------------------------
-
-    def relu(self) -> "Tensor":
-        mask = self.data > 0.0  # subgradient at 0 is 0
-        out = Tensor._wrap(np.where(mask, self.data, 0.0))
-
-        def vjp(g, _):
-            return (g * mask,)
-
-        return _record(out, (self,), vjp, "relu")
-
-    def square(self) -> "Tensor":
-        ad = self.data
-        out = Tensor._wrap(ad * ad)
-
-        def vjp(g, _):
-            return (g * (2.0 * ad),)
-
-        return _record(out, (self,), vjp, "square")
-
 
 def _acos(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """arccos of `c` and the mask of the inputs with a gradient."""
@@ -434,41 +406,8 @@ def _frozen(*arrays: np.ndarray) -> tuple:
 def pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only row indices (i, j) of the unordered pairs i < j of n rows,
     in row-major order: `np.triu_indices(n, 1)`.  The one definition of
-    the pair order, for `pair_distances` and whoever reads its output."""
+    the pair order, for `losses.loss_dom` and its references."""
     return _frozen(*np.triu_indices(n, 1))
-
-
-def pair_distances(rows: Tensor) -> Tensor:
-    """Euclidean distance of every unordered pair of rows of a (B, k)
-    tensor, as a (P,) tensor.
-
-    Pairs (i, j), i < j, come in row-major order, the order of the loop
-    `for i: for j > i`.  Each distance is `(e_i - e_j).l2_norm()` of the
-    rows alone to the bit, and row i takes its gradient contributions one
-    per partner, in descending partner index, as that loop's reversed tape
-    would add them.
-    """
-    E = rows.data
-    if E.ndim != 2:
-        raise ShapeError(f"pair_distances: shape {E.shape} is not (B, k)")
-    n = len(E)
-    if n < 2:
-        raise ShapeError(f"pair_distances: need 2 or more rows, got {n}")
-    i, j = pair_index(n)
-    diff = E[i] - E[j]
-    norm = np.sqrt(_rowdot(diff, diff))
-
-    def vjp(g, _):
-        contrib = _norm_grad(g[:, None], norm, diff)
-        # as the first operand of e_i - e_j a row takes +c, as the second
-        # -c; step s adds every row's s-th partner
-        pair, sign = _partner_order(n)
-        fold = Fold.empty(n - 1, E.shape)
-        parts = np.take(contrib, pair, axis=0, out=fold.parts)
-        parts *= sign[:, :, None]
-        return (fold,)
-
-    return _record(Tensor._wrap(norm[:, 0]), (rows,), vjp, "pair_distances")
 
 
 @lru_cache(maxsize=_INDEX_CACHE)
@@ -489,9 +428,11 @@ def backward(out: Tensor) -> None:
 
     Gradients of requires_grad tensors reachable from `out` are overwritten.
     """
-    tape = out._tape
-    if tape is None:
+    if out._tape is None:
         raise TapeError("backward: output was not produced under an active tape")
+    tape = out._tape()
+    if tape is None:
+        raise TapeError("backward: the output's tape is gone (backward runs inside its block)")
     if out.size != 1:
         raise TapeError(f"backward: output must be a scalar, got shape {out.shape}")
     grads: dict[int, np.ndarray] = {id(out): np.ones(out.shape)}

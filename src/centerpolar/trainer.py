@@ -67,16 +67,14 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m: list
-    v: list
+    m: np.ndarray  # moments of every parameter entry, parameters in order
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def init(cls, params: list[Tensor]) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p.data) for p in params],
-            v=[np.zeros_like(p.data) for p in params],
-        )
+        size = sum(p.size for p in params)
+        return cls(m=np.zeros(size), v=np.zeros(size))
 
 
 def adam_step(
@@ -88,25 +86,32 @@ def adam_step(
     beta2: float,
     eps: float,
 ) -> None:
-    """One bias-corrected Adam update, mutating params and state in place."""
-    if len(params) != len(grads) or len(params) != len(state.m):
+    """One bias-corrected Adam update, mutating params and state in place;
+    elementwise, so each entry gets the bits of a per-parameter update."""
+    if len(params) != len(grads) or sum(p.size for p in params) != len(state.m):
         raise ValueError("adam_step: params, grads, and state must align")
-    state.t += 1
-    t = state.t
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g in zip(params, grads):
         if g is None:
             raise ValueError("adam_step: missing gradient for a parameter")
         if g.shape != p.data.shape:
             raise ValueError(
                 f"adam_step: gradient shape {g.shape} != param shape {p.data.shape}"
             )
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    flat = np.concatenate([g.ravel() for g in grads])
+    state.t += 1
+    t = state.t
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    m, v = state.m, state.v
+    m *= beta1
+    m += (1.0 - beta1) * flat
+    v *= beta2
+    v += (1.0 - beta2) * (flat * flat)
+    step = lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    start = 0
+    for p in params:
+        p.data -= step[start : start + p.size].reshape(p.data.shape)
+        start += p.size
 
 
 @dataclass

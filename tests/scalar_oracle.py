@@ -11,7 +11,12 @@ which splits an embedding stack into single rows.
 The unfused 1-D ops that `tensor.dense` and `geometry.geodesic_distance`
 replace live here, recorded through `tensor._record`: `matvec`, `dot`,
 `tanh`, `acos` and `div`, and with them `project_to_sphere` and the
-unbatched `loss_sem_high`.
+unbatched `loss_sem_high`.  The ops that only tests use live here too:
+`relu`, `square` and `take`.
+
+So do the batched chains of small ops that the one-op heads of
+`centerpolar.losses` replace: `pair_distances`, `loss_geo`, `loss_sem_low`
+and `_drift_hinge`, combined in `chain_loss_dom` and `chain_c3e_objective`.
 """
 
 from __future__ import annotations
@@ -21,16 +26,25 @@ import math
 import numpy as np
 
 from centerpolar.expansion import ExpansionDivergedError
-from centerpolar.geometry import _check_direction, euclidean_distance
-from centerpolar.losses import _drift_hinge
+from centerpolar.geometry import (
+    _check_direction,
+    as_tensor,
+    euclidean_distance,
+    geodesic_distance,
+)
 from centerpolar.tensor import (
     DomainError,
+    Fold,
     ShapeError,
     Tensor,
     _acos,
     _acos_grad,
+    _norm_grad,
+    _partner_order,
     _record,
+    _rowdot,
     backward,
+    pair_index,
     record,
 )
 
@@ -73,6 +87,34 @@ def tanh(t: Tensor) -> Tensor:
     return _record(Tensor._wrap(y), (t,), lambda g, _: (g * (1.0 - y * y),), "tanh")
 
 
+def take(t: Tensor, index) -> Tensor:
+    """Rows (or elements, for 1-D) at `index` along the leading axis."""
+    A = t.data
+    if A.ndim == 0:
+        raise ShapeError("take: tensor has no leading axis")
+    index = np.asarray(index, dtype=np.intp)
+
+    def vjp(g, _):
+        # -0.0 is the additive identity (x + -0.0 == x for every x, +0.0
+        # included), so the padding leaves each row's gradient bits unchanged
+        ga = np.full(A.shape, -0.0)
+        np.add.at(ga, index, g)
+        return (ga,)
+
+    return _record(Tensor._wrap(A[index]), (t,), vjp, "take")
+
+
+def relu(t: Tensor) -> Tensor:
+    mask = t.data > 0.0  # subgradient at 0 is 0
+    out = Tensor._wrap(np.where(mask, t.data, 0.0))
+    return _record(out, (t,), lambda g, _: (g * mask,), "relu")
+
+
+def square(t: Tensor) -> Tensor:
+    ad = t.data
+    return _record(Tensor._wrap(ad * ad), (t,), lambda g, _: (g * (2.0 * ad),), "square")
+
+
 def acos(t: Tensor) -> Tensor:
     """arccos with the flat cap of `tensor._acos` next to the endpoints."""
     c = t.data
@@ -94,12 +136,92 @@ def project_to_sphere(v) -> Tensor:
     return div(v, n)
 
 
+def _drift_hinge(d_tilde: Tensor, d_orig, margin: float) -> Tensor:
+    """Hinge on embedding drift past the original sample's centroid distance
+    `d_orig`: exactly zero, with exactly zero gradient, once the perturbed
+    embedding's distance `d_tilde` is below `d_orig - margin`."""
+    return relu(d_tilde - as_tensor(d_orig) + float(margin))
+
+
 def loss_sem_high(x_embed, x_tilde_embed, centroid, margin: float) -> Tensor:
     """The drift hinge of one sample, from its original and perturbed
     embeddings: zero, with zero gradient, once the perturbed embedding is
     closer to the centroid than the original distance less the margin."""
     d_tilde = euclidean_distance(centroid, x_tilde_embed)
     return _drift_hinge(d_tilde, euclidean_distance(centroid, x_embed), margin)
+
+
+# -- the batched chains ---------------------------------------------------------
+
+
+def pair_distances(rows: Tensor) -> Tensor:
+    """Euclidean distance of every unordered pair of rows of a (B, k)
+    tensor, as a (P,) tensor.
+
+    Pairs (i, j), i < j, come in row-major order, the order of the loop
+    `for i: for j > i`.  Each distance is `(e_i - e_j).l2_norm()` of the
+    rows alone to the bit, and row i takes its gradient contributions one
+    per partner, in descending partner index, as that loop's reversed tape
+    would add them.
+    """
+    E = rows.data
+    if E.ndim != 2:
+        raise ShapeError(f"pair_distances: shape {E.shape} is not (B, k)")
+    n = len(E)
+    if n < 2:
+        raise ShapeError(f"pair_distances: need 2 or more rows, got {n}")
+    i, j = pair_index(n)
+    diff = E[i] - E[j]
+    norm = np.sqrt(_rowdot(diff, diff))
+
+    def vjp(g, _):
+        contrib = _norm_grad(g[:, None], norm, diff)
+        # as the first operand of e_i - e_j a row takes +c, as the second
+        # -c; step s adds every row's s-th partner
+        pair, sign = _partner_order(n)
+        fold = Fold.empty(n - 1, E.shape)
+        parts = np.take(contrib, pair, axis=0, out=fold.parts)
+        parts *= sign[:, :, None]
+        return (fold,)
+
+    return _record(Tensor._wrap(norm[:, 0]), (rows,), vjp, "pair_distances")
+
+
+def chain_loss_dom(embeddings: Tensor, class_ids, config) -> Tensor:
+    """`losses.loss_dom` as a chain: pair distances, then per group a
+    take, a subtraction, a relu and a mean, then an add."""
+    d = pair_distances(embeddings)
+    labels = np.asarray(class_ids)
+    i, j = pair_index(len(embeddings))
+    same = labels[i] == labels[j]
+    total = None
+    if same.any():
+        total = relu(take(d, np.flatnonzero(same)) - config.margin_pos).mean()
+    if not same.all():
+        neg_term = relu(config.margin_neg - take(d, np.flatnonzero(~same))).mean()
+        total = neg_term if total is None else total + neg_term
+    return total
+
+
+def loss_geo(x_tilde_embed: Tensor, centroid) -> Tensor:
+    """Negated sphere distance to the centroid; minimizing drives expansion."""
+    return -geodesic_distance(centroid, x_tilde_embed)
+
+
+def loss_sem_low(x, x_tilde) -> Tensor:
+    """Squared input-space displacement, the energy of the straight path."""
+    return square(as_tensor(x) - as_tensor(x_tilde)).sum(axis=-1)
+
+
+def chain_c3e_objective(x, x_tilde, centroid, d_orig, model, margin: float) -> Tensor:
+    """`losses.c3e_objective` as a chain: geo + sem_low + the drift hinge."""
+    mu = Tensor(centroid)
+    e_tilde = model.forward(x_tilde, frozen=True)
+    return (
+        loss_geo(e_tilde, mu)
+        + loss_sem_low(x, x_tilde)
+        + _drift_hinge(euclidean_distance(mu, e_tilde), d_orig, margin)
+    )
 
 
 # -- the per-sample graphs ------------------------------------------------------
@@ -114,7 +236,7 @@ def oracle_forward(model, x, frozen: bool = False) -> Tensor:
         if layer.activation == "tanh":
             h = tanh(h)
         elif layer.activation == "relu":
-            h = h.relu()
+            h = relu(h)
     return h
 
 
@@ -138,8 +260,8 @@ def oracle_c3e_objective(x, x_tilde, centroid, d_orig: float, model, margin: flo
     mu = Tensor(centroid)
     e_tilde = oracle_forward(model, x_tilde, frozen=True)
     geo = -oracle_geodesic(mu, e_tilde)
-    sem_low = (_t(x) - _t(x_tilde)).square().sum()
-    hinge = (oracle_euclidean(mu, e_tilde) - d_orig + float(margin)).relu()
+    sem_low = square(_t(x) - _t(x_tilde)).sum()
+    hinge = relu(oracle_euclidean(mu, e_tilde) - d_orig + float(margin))
     return geo + sem_low + hinge
 
 
@@ -161,7 +283,7 @@ def oracle_c3e_mean(x, x_tildes, class_ids, model, centroids, margin: float) -> 
 def _rows(embeddings) -> list:
     # a (B, k) stack becomes B (1, k) rows, each carrying its 1-D row's bits
     if isinstance(embeddings, Tensor):
-        return [embeddings.take([r]) for r in range(len(embeddings))]
+        return [take(embeddings, [r]) for r in range(len(embeddings))]
     return list(embeddings)
 
 
@@ -176,11 +298,11 @@ def oracle_loss_dom(embeddings, class_ids, config) -> Tensor:
             e_j, y_j = rows[j], class_ids[j]
             d = (e_i - e_j).l2_norm()
             if y_i == y_j:
-                h = (d - config.margin_pos).relu()
+                h = relu(d - config.margin_pos)
                 pos_sum = h if pos_sum is None else pos_sum + h
                 n_pos += 1
             else:
-                h = (config.margin_neg - d).relu()
+                h = relu(config.margin_neg - d)
                 neg_sum = h if neg_sum is None else neg_sum + h
                 n_neg += 1
     total = None

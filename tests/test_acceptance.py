@@ -32,8 +32,6 @@ from centerpolar.losses import (
     loss_c4,
     loss_dis,
     loss_dom,
-    loss_geo,
-    loss_sem_low,
 )
 from centerpolar.tensor import Tensor, backward, record
 from centerpolar.trainer import TrainConfig, train
@@ -45,7 +43,7 @@ from metric_oracle import (
     oracle_recall_at_k,
     relevance_rows,
 )
-from scalar_oracle import loss_sem_high
+from scalar_oracle import loss_geo, loss_sem_high, loss_sem_low
 
 
 def _report(criterion: int, body) -> None:

@@ -1,7 +1,8 @@
 """The batched training graphs against the per-sample oracle, bit for bit.
 
 `scalar_oracle` builds one graph per sample and one scalar chain per pair,
-as the losses did before they ran on row-stacked tensors.  Values and
+as the losses did before they ran on row-stacked tensors, and keeps the
+batched chains of small ops that each one-op loss head replaces.  Values and
 gradients must match it exactly, as bytes (`tobytes()`), not within a
 tolerance and not with `np.array_equal`, which takes -0.0 for +0.0: the
 trained checksums, the criterion-4 convergence epochs and the README
@@ -14,6 +15,8 @@ import numpy as np
 import pytest
 from grad_oracle import grad_check
 from scalar_oracle import (
+    chain_c3e_objective,
+    chain_loss_dom,
     matvec,
     mean_scalars,
     oracle_c3e_mean,
@@ -21,6 +24,9 @@ from scalar_oracle import (
     oracle_forward,
     oracle_loss_c4,
     oracle_loss_dom,
+    pair_distances,
+    square,
+    take,
 )
 from test_trainer import small_config, toy_dataset
 
@@ -29,7 +35,7 @@ from centerpolar.encoder import EncoderModel
 from centerpolar.expansion import ExpansionConfig, ExpansionDivergedError, expand_batch
 from centerpolar.geometry import compute_centroids
 from centerpolar.losses import LossConfig, c3e_objective, c3e_reference, loss_c4, loss_dom
-from centerpolar.tensor import ShapeError, Tensor, backward, dense, pair_distances, record
+from centerpolar.tensor import ShapeError, Tensor, backward, dense, record
 from centerpolar.trainer import ABLATIONS, train
 
 BATCHES = [2, 3, 8, 32]
@@ -96,6 +102,67 @@ def test_loss_dom_matches_pair_loop(n):
         _grads(lambda: loss_dom(stacked, labels, cfg), [stacked]),
         _grads(lambda: oracle_loss_dom(rows, labels, cfg), rows),
     )
+
+
+def _coincident(E):
+    E[-1] = E[0]
+
+
+def _underflowing(E):
+    # coordinates 1e-170 apart: each square underflows, so d == 0 while the
+    # difference is not zero, with both signs in it
+    E[0] = [1e-170, -2e-170, 0.0]
+    E[-1] = [-1e-170, 1e-170, 3e-170]
+
+
+@pytest.mark.parametrize("place", [_coincident, _underflowing], ids=lambda f: f.__name__[1:])
+@pytest.mark.parametrize("n", BATCHES)
+def test_loss_dom_zero_distance_cross_class_pair(n, place):
+    # rows 0 and n - 1 are of different classes, so the hinge is active at d = 0
+    gen = np.random.default_rng(50 + n)
+    labels = _labels(gen, n)
+    E = gen.normal(size=(n, 3))
+    place(E)
+    stacked, rows = _leaves(E)
+    cfg = LossConfig(margin_pos=0.1, margin_neg=1.5)
+    got = _grads(lambda: loss_dom(stacked, labels, cfg), [stacked])
+    assert np.linalg.norm(E[0] - E[-1]) == 0.0 and labels[0] != labels[-1]
+    _assert_same(got, _grads(lambda: oracle_loss_dom(rows, labels, cfg), rows))
+
+
+@pytest.mark.parametrize("n", BATCHES + [33])
+def test_loss_dom_matches_its_chain(n):
+    gen = np.random.default_rng(60 + n)
+    labels = _labels(gen, n)
+    E = gen.normal(size=(n, 4))
+    _coincident(E)
+    for cfg in (LossConfig(), LossConfig(margin_pos=0.5, margin_neg=2.0)):
+        stacked = Tensor(E, requires_grad=True)
+        _assert_same(
+            _grads(lambda: loss_dom(stacked, labels, cfg) * 3.0, [stacked]),
+            _grads(lambda: chain_loss_dom(stacked, labels, cfg) * 3.0, [stacked]),
+        )
+
+
+@pytest.mark.parametrize("n", BATCHES)
+def test_c3e_objective_matches_its_chain(n):
+    gen = np.random.default_rng(250 + n)
+    model = _model(gen)
+    X = gen.normal(size=(n, 5))
+    x_tilde = Tensor(X + 0.1 * gen.normal(size=(n, 5)), requires_grad=True)
+    mu = model.embed_many(X) + gen.normal(size=(n, 4))
+    mu[0] = model.forward(x_tilde.data[0]).data  # row 0 sits on its centroid
+    d_orig = c3e_reference(X, mu, model)
+    weights = Tensor(gen.normal(size=(n, 1)))
+    for margin in (0.0, 0.4, 5.0):
+
+        def weighted(objective, margin=margin):
+            return lambda: (objective(X, x_tilde, mu, d_orig, model, margin) * weights).sum()
+
+        _assert_same(
+            _grads(weighted(c3e_objective), [x_tilde]),
+            _grads(weighted(chain_c3e_objective), [x_tilde]),
+        )
 
 
 def test_loss_dom_single_group():
@@ -335,11 +402,11 @@ def _layer(w, x, b, activation="identity"):
     "f, shape",
     [
         (lambda t: (t.l2_norm() * (t * (t + 1.0)).sum(axis=-1)).mean().sum(), (5, 3)),
-        (lambda t: (t.l2_norm() * t.sum(axis=-1)).square().mean().sum(), (4, 3)),
-        (lambda t: _layer(np.ones((3, 2)), t.take([2, 0, 2]), np.zeros(3), "tanh").sum(), (4, 2)),
-        (lambda t: _layer(t, np.arange(12.0).reshape(4, 3), np.zeros(2)).square().sum(), (2, 3)),
+        (lambda t: square(t.l2_norm() * t.sum(axis=-1)).mean().sum(), (4, 3)),
+        (lambda t: _layer(np.ones((3, 2)), take(t, [2, 0, 2]), np.zeros(3), "tanh").sum(), (4, 2)),
+        (lambda t: square(_layer(t, np.arange(12.0).reshape(4, 3), np.zeros(2))).sum(), (2, 3)),
         (lambda t: _layer(np.eye(3, 2) / 4.0, np.ones((4, 2)), t, "tanh").sum(), (3,)),
-        (lambda t: pair_distances(t).square().mean(), (5, 3)),
+        (lambda t: square(pair_distances(t)).mean(), (5, 3)),
     ],
 )
 def test_row_primitives_grad_check(f, shape):
@@ -350,6 +417,6 @@ def test_pair_distances_order_and_values():
     rows = Tensor([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
     assert pair_distances(rows).numpy().tolist() == [5.0, 1.0, math.sqrt(18.0)]
     with pytest.raises(ShapeError):
-        pair_distances(rows.take([0]))
+        pair_distances(take(rows, [0]))
     with pytest.raises(ShapeError):
         pair_distances(Tensor([1.0, 2.0]))

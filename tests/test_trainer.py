@@ -1,6 +1,7 @@
 """Trainer: config plumbing, Adam, the two-phase loop, probe, checkpoints."""
 
 import dataclasses
+import gc
 import json
 import math
 import re
@@ -303,6 +304,19 @@ class TestTrainConfig:
 ADAM = {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
 
 
+def per_parameter_adam_step(params, grads, m, v, t, lr, beta1, beta2, eps):
+    """Step `t` of `adam_step`, one parameter at a time, with moment arrays
+    `m` and `v` per parameter: the reference for the flat moment vectors."""
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    for p, g, m_p, v_p in zip(params, grads, m, v):
+        m_p *= beta1
+        m_p += (1.0 - beta1) * g
+        v_p *= beta2
+        v_p += (1.0 - beta2) * (g * g)
+        p.data -= lr * (m_p / c1) / (np.sqrt(v_p / c2) + eps)
+
+
 class TestAdam:
     def test_first_step_frozen_value(self):
         # p0 = 0, g = 1, lr = 0.1: the bias-corrected update is
@@ -337,6 +351,30 @@ class TestAdam:
         state = AdamState.init([p])
         with pytest.raises(ValueError, match="shape"):
             adam_step([p], [np.zeros(3)], state, lr=0.1, **ADAM)
+
+    def test_flat_moments_match_the_per_parameter_loop(self):
+        flat, loop = (EncoderModel.default(5, 3, 4, seed=2).parameters() for _ in range(2))
+        state = AdamState.init(flat)
+        m, v = [np.zeros_like(p.data) for p in loop], [np.zeros_like(p.data) for p in loop]
+        gen = np.random.default_rng(9)
+        for t in range(1, 8):
+            grads = [gen.normal(size=p.shape) * 10.0 ** gen.integers(-9, 3) for p in flat]
+            grads[t % len(grads)][...] = -0.0
+            adam_step(flat, grads, state, lr=1e-2, **ADAM)
+            per_parameter_adam_step(loop, grads, m, v, t, lr=1e-2, **ADAM)
+            for a, b in zip(flat, loop):
+                assert a.data.tobytes() == b.data.tobytes()
+            assert state.m.tobytes() == np.concatenate([a.ravel() for a in m]).tobytes()
+            assert state.v.tobytes() == np.concatenate([a.ravel() for a in v]).tobytes()
+
+    def test_rejected_step_changes_nothing(self):
+        p, q = (Tensor(np.array(v), requires_grad=True) for v in ([0.0, 0.0], [1.0]))
+        state = AdamState.init([p, q])
+        with pytest.raises(ValueError, match="align"):
+            adam_step([p], [np.ones(2)], state, lr=0.1, **ADAM)
+        with pytest.raises(ValueError, match="gradient"):
+            adam_step([p, q], [np.ones(2), None], state, lr=0.1, **ADAM)
+        assert p.data.tolist() == [0.0, 0.0] and state.t == 0 and not state.m.any()
 
     def test_missing_gradient_rejected(self):
         p = Tensor(np.array([0.0]), requires_grad=True)
@@ -605,6 +643,20 @@ class TestTrainLoop:
         monkeypatch.setattr(trainer, "_class_balanced_batches", lambda *a: pytest.fail("trained"))
         with pytest.raises(ValueError, match=message):
             train(toy_dataset(), small_config(), tests={"holdout": holdout, "tiny": tiny})
+
+    @pytest.mark.parametrize("ablation", ["c4_only", "full"])
+    def test_leaves_no_cyclic_garbage(self, ablation):
+        # each step's graph is freed by reference counting when its record
+        # block ends; the first run only warms up lazy imports (numpy.ma)
+        cfg = small_config(ablation=ablation)
+        train(toy_dataset(), cfg)
+        gc.collect()
+        gc.disable()
+        try:
+            train(toy_dataset(), cfg)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_snapshot_schedule(self):
         ds = toy_dataset()
