@@ -130,12 +130,17 @@ def cmd_gen_data(args) -> int:
         started=started,
     )
     print(
-        f"train: {len(train_set)} samples, {len(np.unique(train_set.labels))} classes "
+        f"train: {len(train_set)} samples, {_class_count(train_set.labels)} classes "
         f"({train_path})"
     )
     for name, ds in tests.items():
-        print(f"test {name}: {len(ds)} samples, {len(np.unique(ds.labels))} classes")
+        print(f"test {name}: {len(ds)} samples, {_class_count(ds.labels)} classes")
     return 0
+
+
+def _class_count(labels) -> int:
+    # a bare np.unique imports numpy.ma on its first call; return_counts does not
+    return len(np.unique(labels, return_counts=True)[1])
 
 
 def _resolve_train_config(args) -> tuple[TrainConfig, list[Path]]:

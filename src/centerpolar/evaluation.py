@@ -16,17 +16,22 @@ differences summed in order; metric="geodesic" takes the angle of the
 coordinate products summed in order), with ties broken by ascending sample
 id, so exactly tied items stay tied.  The metrics read only whether each
 rank holds an item of the query's class, so `evaluate` ranks that
-relevance, never column indices.  It works one block of queries at a time
-and takes a cheap key per gallery column from one BLAS product, the same
-key for both metrics, as the geodesic rows are unit vectors.  Each key
-carries its column's relevance in its last mantissa bit, the query's own
-column is set to -inf, and only the K + 2 smallest keys of a row are
-sorted, in place, K being the deepest rank a metric reads.  A row keeps
-that order only where a rounding bound, which allows for the tag,
-certifies that it equals the distance order (see `_ranked_relevance`).
-Every other row (an exact or near tie, a NaN) falls back to the distances
-and a stable full sort, so the result is the same, bit for bit, as sorting
-every row.
+relevance, never column indices.  It puts the queries and the gallery
+columns in one class order (class by class, ids ascending within a class),
+so a query's own column is its own row and its class's columns are one
+range.  It works one block of queries at a time and takes a cheap key per
+gallery column from one BLAS product, the same key for both metrics, as
+the geodesic rows are unit vectors.  Each key carries its column's
+relevance in its last mantissa bit, set over the class's column range, the
+query's own column is set to -inf, and only the K + 2 smallest keys of a
+row are sorted, in place, K being the deepest rank a metric reads.  A row
+keeps that order only where a rounding bound, which allows for the tag,
+certifies that it equals the distance order (see `_ranked_relevance`);
+such a row has no ties, so the column order cannot show in it.  Every
+other row (an exact or near tie, a NaN) falls back to the distances and a
+stable full sort of its columns in id order, so the result is the same,
+bit for bit, as sorting every row.  The metrics go back to sample order
+before the means.
 """
 
 from __future__ import annotations
@@ -46,7 +51,13 @@ RECALL_KS = (1, 2)
 # (seed-0 `full` model, 2-vCPU Xeon, one BLAS thread) at 2^15, 2^16 and 2^17:
 # euclidean 38.4, 31.8 and 37.8 ms at gallery 799, 224, 199 and 189 ms at
 # gallery 1999; geodesic 32.0, 32.5 and 36.1 ms, 221, 197 and 189 ms.  2^17
-# wins only at gallery 1999, by 5%, and loses 10-20% at gallery 799.
+# wins only at gallery 1999, by 5%, and loses 10-20% at gallery 799.  The
+# size also reaches training: freeing the key buffer, above glibc's initial
+# 128 KiB mmap threshold, raises that threshold for the rest of the process,
+# so the next `train` keeps its per-batch loss_dom buffers (about 260 KB) on
+# the heap.  At 2^14 (125 KiB at gallery 799) it does not, and each `full`
+# train in a generate + train + evaluate loop took 320 minor page faults,
+# not 67 (same machine).
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -97,10 +108,17 @@ def r_precision(within, R):
 def map_at_r(within, R):
     """For each row of `within` (the hits in its first R ranks), precision at
     each hit's rank, summed in rank order and divided by R."""
-    hits = np.cumsum(within, axis=1)
-    precision = np.where(within, hits / np.arange(1, hits.shape[1] + 1), 0.0)
-    # cumsum adds left to right, as the running sum over ranks does
-    return np.cumsum(precision, axis=1)[np.arange(len(R)), R - 1] / R
+    by_rank = np.ascontiguousarray(within.T)
+    hits = np.cumsum(by_rank, axis=0, dtype=np.int32)
+    precision = hits / np.arange(1, len(hits) + 1)[:, None]
+    precision *= by_rank
+    # each row's precisions add in rank order: reducing the slow axis adds
+    # one rank's vector of rows at a time.  A single row would be summed
+    # pairwise along its contiguous axis (see tensor._sum_parts), so it
+    # takes the running sum, which adds in order
+    if precision.shape[1] == 1:
+        return np.cumsum(precision, axis=0)[-1] / R
+    return np.add.reduce(precision, axis=0) / R
 
 
 def evaluate(model, tests: dict, metric: str = "euclidean") -> RetrievalReport:
@@ -146,43 +164,44 @@ def _evaluate_domain(model, ds: DataSet, metric: str) -> DomainMetrics:
                 "has near-zero or overflowing norm"
             )
         E = E / norms[:, None]
-    # gallery columns in id order, so a stable sort breaks ties by id
-    by_id = np.argsort(ids, kind="stable")
-    gallery = E[by_id].T.copy()
-    gallery_sq = np.einsum("ij,ij->j", gallery, gallery)
-    own_column = np.argsort(by_id)
     _, label_index, class_sizes = np.unique(ds.labels, return_inverse=True, return_counts=True)
-    R = class_sizes[label_index] - 1
-    # class codes compare faster than the int64 labels they stand for
-    codes = label_index.astype(np.int32)
-    gallery_codes = codes[by_id]
+    # queries and gallery columns in one order, class by class and by id
+    # within a class: row i's own column is i, its class's columns lo:hi
+    order = np.lexsort((ids, label_index))
+    E, column_ids, codes = E[order], ids[order], label_index[order]
+    gallery = E.T.copy()
+    gallery_sq = np.einsum("ij,ij->j", gallery, gallery)
+    hi = np.cumsum(class_sizes)[codes]
+    lo = hi - class_sizes[codes]
+    R = hi - lo - 1
     scored = R > 0
     recalls = {k: np.empty(n) for k in RECALL_KS}
     rp, mp = np.empty(n), np.empty(n)
     rows = max(1, _BLOCK_ENTRIES // n)
     keys = np.empty((min(rows, n), n))  # every block's keys, in one buffer
-    same_class = np.empty(keys.shape, dtype=np.uint64)  # and its relevance bits
     for start in range(0, n, rows):
         block = slice(start, start + rows)
-        Q = E[block]
-        tags = np.equal(codes[block, None], gallery_codes, out=same_class[: len(Q)])
         # the deepest rank a metric reads, plus one for the query's own column
         width = max(int(R[block].max()), RECALL_KS[-1]) + 1
         relevant = _ranked_relevance(
-            Q, gallery, gallery_sq, own_column[block], tags, metric, width, keys
+            E[block], gallery, gallery_sq, start, lo[block], hi[block], column_ids, metric,
+            width, keys,
         )
         for k in RECALL_KS:
             recalls[k][block] = recall_at_k(relevant, k)
         keep = scored[block]
         R_keep = R[block][keep]
-        within = relevant[keep] & (np.arange(width - 1) < R_keep[:, None])
+        within = relevant if keep.all() else relevant[keep]
+        within = within & (np.arange(width - 1) < R_keep[:, None])
         rp[block][keep] = r_precision(within, R_keep)
         mp[block][keep] = map_at_r(within, R_keep)
-    # means over the queries in sample order, as a left-to-right sum
+    # back to sample order, so the means are left-to-right sums in sample order
+    back = np.argsort(order)
+    scored = scored[back]
     return DomainMetrics(
-        recall_at={k: _mean(recalls[k].tolist()) for k in RECALL_KS},
-        r_precision=_mean(rp[scored].tolist()) if scored.any() else 0.0,
-        map_at_r=_mean(mp[scored].tolist()) if scored.any() else 0.0,
+        recall_at={k: _mean(recalls[k][back].tolist()) for k in RECALL_KS},
+        r_precision=_mean(rp[back][scored].tolist()) if scored.any() else 0.0,
+        map_at_r=_mean(mp[back][scored].tolist()) if scored.any() else 0.0,
         queries=n,
         skipped_zero_relevant=int(n - scored.sum()),
     )
@@ -203,37 +222,44 @@ def _distances(Q: np.ndarray, gallery_t: np.ndarray, metric: str) -> np.ndarray:
     return np.sqrt(D)
 
 
-def _ranked_relevance(Q, gallery_t, gallery_sq, own, same_class, metric: str, width: int, out):
+def _ranked_relevance(
+    Q, gallery_t, gallery_sq, start, lo, hi, column_ids, metric: str, width: int, out
+):
     """Whether the items at ranks 1 .. width - 1 of each row share the
-    query's class (bool, len(Q) by width - 1).  The ranks are those of a
-    stable argsort of `_distances(Q, gallery_t, metric)`, by distance and
-    then by column, with the row's own column `own` put first, at rank 0,
-    so each query is left out.  `same_class` holds each column's 1 or 0;
-    no metric reads more than these bits, so no column order is built.
+    query's class (bool, len(Q) by width - 1).  Rows and columns are in
+    class order: row i is the query of column start + i, and its class
+    holds columns lo[i]:hi[i].  The ranks are those of
+    `_distances(Q, gallery_t, metric)`, by distance and then by
+    `column_ids`, with the row's own column put first, at rank 0, so each
+    query is left out.  No metric reads more than whether a rank holds the
+    query's class, so no column order is built.
 
     Each row is ranked by the key A = |q|^2 + |g|^2 - 2 q.g, from one BLAS
-    product written into the first len(Q) rows of `out`.  It serves both
-    metrics: the geodesic rows are unit vectors, on which the angle, like
-    the distance, grows as q.g falls.  The last mantissa bit of each key is
-    set to its column's `same_class` bit and the own column to -inf; an
-    in-place partition and a sort of the `width` + 1 smallest keys then
-    carry the relevance to its rank.  Past rank 0, every gap of those keys
-    must exceed the row's slack (`_euclidean_slack`, which allows for the
-    tag); then the key order is the distance order and no column past the
-    cut can enter it.  Other rows are ranked again from `_distances` with a
-    stable sort.
+    product of -2 Q (a power of two, so exact but for underflow) written
+    into the first len(Q) rows of `out`.  It serves both metrics: the
+    geodesic rows are unit vectors, on which the angle, like the distance,
+    grows as q.g falls.  The last mantissa bit of each key is cleared, then
+    set on the query's class range, once for each run of rows of one class,
+    and the own column is set to -inf; an in-place partition and a sort of
+    the `width` + 1 smallest keys then carry the relevance to its rank.
+    Past rank 0, every gap of those keys must exceed the row's slack
+    (`_euclidean_slack`, which allows for the tag); then the key order is
+    the distance order, no two distances tie, and no column past the cut
+    can enter it.  Other rows are ranked again from `_distances`, columns
+    in id order, with a stable sort.
     """
     rows, n = len(Q), gallery_t.shape[1]
     q_sq = np.einsum("ij,ij->i", Q, Q)
-    key = np.matmul(Q, gallery_t, out=out[:rows])
-    key *= -2.0
+    key = np.matmul(Q * -2.0, gallery_t, out=out[:rows])
     key += gallery_sq
     key += q_sq[:, None]
     slack = _euclidean_slack(q_sq, gallery_sq.max(), Q.shape[1])
     tagged = key.view(np.uint64)
     tagged &= ~np.uint64(1)
-    tagged |= same_class
-    key[np.arange(rows), own] = -np.inf
+    runs = [0, *(np.flatnonzero(np.diff(lo)) + 1).tolist(), rows]
+    for a, b in zip(runs, runs[1:]):
+        tagged[a:b, lo[a] : hi[a]] |= np.uint64(1)
+    np.fill_diagonal(key[:, start : start + rows], -np.inf)
     # the own column, the `width` - 1 ranks read and, where there is one, the next
     key.partition(min(width, n - 1), axis=1)
     near = key[:, : width + 1]
@@ -241,10 +267,11 @@ def _ranked_relevance(Q, gallery_t, gallery_sq, own, same_class, metric: str, wi
     relevant = (near[:, 1:width].view(np.uint64) & 1).astype(bool)
     redo = np.flatnonzero(~(np.diff(near[:, 1:], axis=1) > slack[:, None]).all(axis=1))
     if redo.size:
+        by_id = np.argsort(column_ids, kind="stable")
         exact = _distances(Q[redo], gallery_t, metric)
-        exact[np.arange(redo.size), own[redo]] = -np.inf
-        order = np.argsort(exact, axis=1, kind="stable")[:, 1:width]
-        relevant[redo] = np.take_along_axis(same_class[redo], order, axis=1) != 0
+        exact[np.arange(redo.size), start + redo] = -np.inf
+        ranked = by_id[np.argsort(exact[:, by_id], axis=1, kind="stable")[:, 1:width]]
+        relevant[redo] = (lo[redo, None] <= ranked) & (ranked < hi[redo, None])
     return relevant
 
 

@@ -142,7 +142,9 @@ def loss_dom(embeddings: Tensor, class_ids, config: LossConfig) -> Tensor:
         # -c; step s adds every row's s-th partner
         pair, sign = _partner_order(n)
         fold = Fold.empty(n - 1, E.shape)
-        parts = np.take(diff, pair, axis=0, out=fold.parts)
+        # `pair` is in range by construction; mode="clip" writes straight
+        # into `out`, which the default mode fills through a buffered copy
+        parts = np.take(diff, pair, axis=0, out=fold.parts, mode="clip")
         parts *= (scale[pair] * sign)[:, :, None]
         return (fold,)
 

@@ -244,7 +244,8 @@ def _class_balanced_batches(labels, batch_size: int, gen) -> list:
     """
     chunk = 4 if batch_size >= 8 else 2
     groups = []
-    for class_id in np.unique(labels):
+    # return_counts keeps np.unique off the path that imports numpy.ma
+    for class_id in np.unique(labels, return_counts=True)[0]:
         members = np.flatnonzero(labels == class_id)
         shuffled = members[gen.permutation(len(members))].tolist()
         class_groups = [shuffled[i : i + chunk] for i in range(0, len(shuffled), chunk)]

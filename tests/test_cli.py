@@ -829,6 +829,27 @@ def test_train_byte_identical_across_blas_threads(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def test_gen_data_and_train_leave_numpy_ma_unimported(tmp_path):
+    # a bare np.unique imports numpy.ma (milliseconds of set-up) on its first call
+    spec_path, cfg_path = tmp_path / "spec.json", tmp_path / "config.json"
+    spec_path.write_text(json.dumps(spec_dict()))
+    cfg_path.write_text(json.dumps(train_config_dict()))
+    data, run = tmp_path / "data", tmp_path / "run"
+    script = (
+        "import sys\n"
+        "from centerpolar.cli import main\n"
+        f"assert main(['gen-data', '--spec', {str(spec_path)!r}, '--out', {str(data)!r}]) == 0\n"
+        f"assert main(['train', '--data', {str(data)!r}, '--config', {str(cfg_path)!r},"
+        f" '--out', {str(run)!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize(
     "command, content, key",
     [

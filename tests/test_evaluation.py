@@ -119,6 +119,32 @@ class TestMetricHandValues:
         assert metric(within, R).tolist() == alone
 
 
+@st.composite
+def relevance_blocks(draw):
+    """The ranked relevance of one block's queries, each list with a hit."""
+    rows = draw(st.integers(1, 6))
+    relevance = st.lists(st.booleans(), min_size=1, max_size=40).filter(any)
+    return draw(st.lists(relevance, min_size=rows, max_size=rows))
+
+
+# eight ranks in one row, which numpy's pairwise sum would add out of order
+PAIRWISE_TRAP = [True] * 5 + [False, True, True]
+
+
+@given(relevance_blocks())
+@example([PAIRWISE_TRAP])
+@example([PAIRWISE_TRAP, [False, True]])
+def test_map_at_r_matches_the_oracle_row_by_row(rels):
+    # the block is as wide as its longest list; each row is cut at its own R
+    width = max(map(len, rels))
+    relevant = np.zeros((len(rels), width), dtype=bool)
+    for row, rel in zip(relevant, rels):
+        row[: len(rel)] = rel
+    R = relevant.sum(axis=1)
+    within = relevant & (np.arange(width) < R[:, None])
+    assert map_at_r(within, R).tolist() == [oracle_map_at_r(rel) for rel in rels]
+
+
 class TestRanking:
     """The ranking rule, on `oracle_rank` and through `evaluate`'s metrics."""
 
@@ -253,19 +279,21 @@ class TestAgainstOracle:
             assert m.map_at_r == means["map_at_r"]
             assert m.skipped_zero_relevant == means["skipped_zero_relevant"]
             if len(X) <= 30:  # and every query's whole ranked relevance, on the small domains
-                by_id = np.argsort(ids, kind="stable")
-                G = X[by_id].T.copy()
+                order = np.lexsort((ids, labels))  # class order
+                G = X[order].T.copy()
                 G_sq, keys = np.einsum("ij,ij->j", G, G), np.empty((len(X), len(X)))
-                same_class = (labels[:, None] == labels[by_id]).astype(np.uint64)
+                in_order = labels[order]
+                lo = np.searchsorted(in_order, in_order, "left")
+                hi = np.searchsorted(in_order, in_order, "right")
                 relevant = _ranked_relevance(
-                    X, G, G_sq, np.argsort(by_id), same_class, "euclidean", len(X), keys
+                    X[order], G, G_sq, 0, lo, hi, ids[order], "euclidean", len(X), keys
                 )
                 label_of = dict(zip(ids.tolist(), labels.tolist()))
-                for q in range(len(X)):
+                for row, q in enumerate(order.tolist()):
                     rest = [i for i in range(len(X)) if i != q]
                     gallery = [vectors[i] for i in rest]
                     ranked = oracle_rank(vectors[q], gallery, ids[rest].tolist())
-                    assert relevant[q].tolist() == [label_of[sid] == labels[q] for sid in ranked]
+                    assert relevant[row].tolist() == [label_of[sid] == labels[q] for sid in ranked]
 
     @pytest.mark.parametrize("metric", ["euclidean", "geodesic"])
     def test_one_block_mixes_unscored_short_and_long_rows(self, metric):
@@ -455,17 +483,18 @@ class TestBlockWidth:
         widths = []
         real = evaluation._ranked_relevance
 
-        def spied(Q, gallery_t, gallery_sq, own, same_class, metric, width, out):
-            widths.append((len(Q), width))
-            return real(Q, gallery_t, gallery_sq, own, same_class, metric, width, out)
+        def spied(Q, gallery_t, gallery_sq, first, lo, hi, column_ids, metric, width, out):
+            widths.append((first, len(Q), width))
+            return real(Q, gallery_t, gallery_sq, first, lo, hi, column_ids, metric, width, out)
 
         monkeypatch.setattr(evaluation, "_BLOCK_ENTRIES", block_entries)
         monkeypatch.setattr(evaluation, "_ranked_relevance", spied)
         got = evaluate(identity_model(1), {"d": ds}).domains["d"]
         sizes = {label: labels.count(label) for label in labels}
-        R = [sizes[label] - 1 for label in labels]
+        R = [sizes[label] - 1 for label in sorted(labels)]  # the rows in class order
         start = 0
-        for rows, width in widths:
+        for first, rows, width in widths:
+            assert first == start
             assert RECALL_KS[-1] + 1 <= width <= n
             assert width - 1 >= max(R[start : start + rows])
             start += rows
@@ -569,8 +598,15 @@ class TestMatchesReference:
 
     def test_mirrored_triples(self, metric):
         gen = np.random.default_rng(3)
-        ds = shuffled_domain(gen, mirrored_pairs(gen, 40, 6), 4)
-        assert_matches_reference(identity_model(6), ds, metric)
+        X = mirrored_pairs(gen, 40, 6)
+        shuffled = shuffled_domain(gen, X, 4)
+        # and ids that run against class order, so a cross-class tie goes to
+        # the item of the larger label, whose columns `evaluate` puts last
+        labels = gen.integers(0, 4, size=len(X))
+        ids = np.empty(len(X), dtype=int)
+        ids[np.argsort(labels, kind="stable")] = np.arange(len(X))[::-1]
+        for ds in (shuffled, DataSet(ids, labels, ["d"] * len(X), X)):
+            assert_matches_reference(identity_model(6), ds, metric)
 
     def test_duplicated_rows_tie_with_the_own_column(self, metric):
         gen = np.random.default_rng(4)
