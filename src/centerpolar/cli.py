@@ -10,7 +10,6 @@ is an existing file, or an `--out` file that is an existing directory.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -224,10 +223,8 @@ def cmd_train(args) -> int:
         traj_dir.mkdir(parents=True, exist_ok=True)
         traj_path = traj_dir / "trajectories.csv"
         with open(traj_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sample_id", "iter", "d_geo", "d_euclid", "loss"])
-            for sid, it, dg, de, lv in sink:
-                writer.writerow([sid, it, f"{dg:.17g}", f"{de:.17g}", f"{lv:.17g}"])
+            fh.write("sample_id,iter,d_geo,d_euclid,loss\r\n")
+            fh.writelines("%d,%d,%.17g,%.17g,%.17g\r\n" % row for row in sink)
         artifacts["trajectories"] = str(traj_path)
     _write_manifest(
         out_dir / "manifest.json",

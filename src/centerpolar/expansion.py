@@ -5,7 +5,8 @@ expansion objective: pushed away from its class centroid on the embedding
 sphere while the semantic terms bound the drift.  The encoder is frozen
 throughout; only the inputs move.  Samples are independent, so a block of
 them descends together in one graph per step; a block where a row diverges
-reruns row by row, so the error names the first sample to diverge.
+reruns row by row, so the error names the first sample to diverge.  An
+iterate's trajectory row is what the step from it computed.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import schema
-from .geometry import CentroidTable, Tensor, euclidean_distance, geodesic_distance
+from .geometry import CentroidTable, Tensor
+from .geometry import geodesic_distance  # noqa: F401  (perfbench's tracer rebinds this name here)
 from .losses import LossConfig, c3e_objective, c3e_reference
 from .tensor import DomainError, backward, record
 
@@ -59,7 +61,9 @@ def expand_batch(
     iterates as an (n, d) array in batch order; model parameters are not
     touched.  When `trajectory_sink` is given, rows (sample_id, iter,
     d_geo, d_euclid, loss) are appended for every iterate including the
-    initial one, sample by sample.
+    initial one, sample by sample: the values `c3e_objective` returned in
+    the step from that iterate, and for the last iterate those of one
+    unrecorded evaluation per block, under the same divergence guard.
 
     Rows are expanded together, one graph per iteration and block of
     `_BLOCK_ROWS` rows; each row gets the bits it gets expanded alone.  A
@@ -100,7 +104,7 @@ def _descend(ids, x0, class_ids, model, centroids, econfig, lconfig, sink):
     mu = centroids.vectors(class_ids)
     d_orig = c3e_reference(x0, mu, model)
 
-    def objective(x_tilde: Tensor) -> Tensor:
+    def objective(x_tilde: Tensor):
         return c3e_objective(x0, x_tilde, mu, d_orig, model, lconfig.margin_m)
 
     def diverged(t: int, reason) -> ExpansionDivergedError:
@@ -110,15 +114,18 @@ def _descend(ids, x0, class_ids, model, centroids, econfig, lconfig, sink):
         )
 
     x_cur = x0.copy()
-    trajectory = [] if sink is None else [_diagnose(x_cur, mu, model, objective)]
+    trajectory = []  # per iterate, each row's (d_geo, d_euclid, loss)
     for t in range(1, econfig.iterations_te + 1):
         try:
             with record():
                 xt = Tensor(x_cur, requires_grad=True)
-                backward(objective(xt).sum())
+                loss, d_geo, d_euclid = objective(xt)
+                backward(loss.sum())
         except (DomainError, FloatingPointError) as e:
             # a non-finite embedding means the iterate already ran away
             raise diverged(t, e) from e
+        if sink is not None:
+            trajectory.append(np.hstack([d_geo, d_euclid, loss.data]))
         g = xt.grad
         if not np.isfinite(g).all():
             raise diverged(t, "non-finite gradient")
@@ -126,18 +133,12 @@ def _descend(ids, x0, class_ids, model, centroids, econfig, lconfig, sink):
             x_cur = x_cur - econfig.step_size * g
         if not np.isfinite(x_cur).all():
             raise diverged(t, "non-finite iterate")
-        if sink is not None:
-            trajectory.append(_diagnose(x_cur, mu, model, objective))
     if sink is not None:
+        try:  # the last iterate, once, nothing recorded
+            loss, d_geo, d_euclid = objective(Tensor(x_cur))
+        except (DomainError, FloatingPointError) as e:
+            raise diverged(econfig.iterations_te, e) from e
+        trajectory.append(np.hstack([d_geo, d_euclid, loss.data]))
         for r, sample_id in enumerate(ids):
-            sink.extend((sample_id, t) + rows[r] for t, rows in enumerate(trajectory))
+            sink.extend((sample_id, t, *rows[r].tolist()) for t, rows in enumerate(trajectory))
     return x_cur
-
-
-def _diagnose(x_cur: np.ndarray, mu: np.ndarray, model, objective) -> list:
-    # (d_geo, d_euclid, loss) of each row's iterate
-    e = model.forward(Tensor(x_cur), frozen=True)
-    d_geo = geodesic_distance(Tensor(mu), e).numpy().ravel()
-    d_euclid = euclidean_distance(Tensor(mu), e).numpy().ravel()
-    loss = objective(Tensor(x_cur)).numpy().ravel()
-    return list(zip(d_geo.tolist(), d_euclid.tolist(), loss.tolist()))

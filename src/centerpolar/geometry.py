@@ -1,8 +1,9 @@
-"""Hypersphere geometry: distances and class centroids.
+"""Hypersphere geometry: the geodesic distance and class centroids.
 
-Distance helpers accept tensors or array-likes, one vector (k,) or a stack
-of rows (B, k), and return a scalar tensor or a (B, 1) column, so they
-can sit inside a differentiable graph or be evaluated standalone.
+`geodesic_distance` accepts tensors or array-likes, one vector (k,) or a
+stack of rows (B, k), and returns a scalar tensor or a (B, 1) column, so
+it can sit inside a differentiable graph or be evaluated standalone.  The
+Euclidean distances the objectives read are computed inside their heads.
 """
 
 from __future__ import annotations
@@ -42,11 +43,6 @@ def _check_direction(norm: np.ndarray) -> None:
         raise DegenerateVectorError(
             f"cannot project vector with norm {norm[short][0]:.3e} (<= {EPS_PROJECTION})"
         )
-
-
-def euclidean_distance(u, v) -> Tensor:
-    u, v = as_tensor(u), as_tensor(v)
-    return (u - v).l2_norm()
 
 
 def geodesic_distance(u, v) -> Tensor:
@@ -103,7 +99,7 @@ _PI = np.array(math.pi)  # the chain divides by a constant tensor of pi
 
 
 def _projection_parts(g: np.ndarray, rows: np.ndarray, norm: np.ndarray, parts) -> None:
-    # the gradients that `rows / norm` with `norm = rows.l2_norm()` passes
+    # the gradients that `rows / norm` with `norm = l2_norm(rows)` passes
     # to `rows`, in the reversed chain's order: the quotient's, then the norm's
     np.divide(g, norm, out=parts[0])
     gnorm = _reduce_to(-g * rows / (norm * norm), norm.shape)

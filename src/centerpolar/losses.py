@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import schema
-from .geometry import CentroidTable, _geodesic, as_tensor, euclidean_distance, geodesic_distance
+from .geometry import CentroidTable, _geodesic, as_tensor, geodesic_distance
 from .tensor import (
     Fold,
     ShapeError,
@@ -56,18 +56,22 @@ class LossConfig:
 def c3e_reference(x, centroid, model) -> np.ndarray:
     """Hinge reference of `c3e_objective`: the centroid distance of the
     unperturbed input's embedding, fixed while that input is expanded."""
-    return euclidean_distance(Tensor(centroid), model.forward(x, frozen=True)).numpy()
+    E = model.forward(x, frozen=True).data
+    return _row_norm(np.asarray(centroid, dtype=np.float64) - E)
 
 
-def c3e_objective(x, x_tilde, centroid, d_orig, model, margin: float) -> Tensor:
+def c3e_objective(x, x_tilde, centroid, d_orig, model, margin: float) -> tuple:
     """Expansion objective per row, unit weights: geo + sem_low + sem_high,
     -geodesic(mu, e) + |x - x_tilde|^2 + [|mu - e| - d_orig + margin]+, with
     e the frozen encoder's embedding of `x_tilde`, mu the `centroid` and
     `d_orig` from `c3e_reference`.
 
-    The head is one op over (e, x_tilde), so gradients flow to `x_tilde`
-    only.  e adds the hinge's gradient first, then the geodesic's two parts,
-    and `x_tilde` takes the quadratic term's before the encoder's.
+    Returns `(objective, d_geo, d_euclid)`: the objective tensor and, as
+    arrays in its shape, the two centroid distances it reads,
+    geodesic(mu, e) and |mu - e|.  The head is one op over (e, x_tilde),
+    so gradients flow to `x_tilde` only.  e adds the hinge's gradient
+    first, then the geodesic's two parts, and `x_tilde` takes the
+    quadratic term's before the encoder's.
     """
     x_tilde = as_tensor(x_tilde)
     e_tilde = model.forward(x_tilde, frozen=True)
@@ -94,7 +98,8 @@ def c3e_objective(x, x_tilde, centroid, d_orig, model, margin: float) -> Tensor:
             gx = -(g * (2.0 * step))
         return ge, gx
 
-    return _record(Tensor._wrap(value), (e_tilde, x_tilde), vjp, "c3e_objective")
+    objective = _record(Tensor._wrap(value), (e_tilde, x_tilde), vjp, "c3e_objective")
+    return objective, geo, dist
 
 
 def loss_dom(embeddings: Tensor, class_ids, config: LossConfig) -> Tensor:
@@ -103,9 +108,10 @@ def loss_dom(embeddings: Tensor, class_ids, config: LossConfig) -> Tensor:
 
     Same-class pairs pay [d - margin_pos]+, cross-class pairs pay
     [margin_neg - d]+; each group is averaged over its pair count, and a
-    group with no pairs contributes zero.  Each d is `(e_i - e_j).l2_norm()`
-    of the rows alone, and row i takes its gradient contributions one per
-    partner, in descending partner index, as that chain's tape adds them.
+    group with no pairs contributes zero.  Each d is the chain
+    `l2_norm(e_i - e_j)` of `tests/scalar_oracle.py` on the rows alone, and
+    row i takes its gradient contributions one per partner, in descending
+    partner index, as that chain's tape adds them.
     """
     n = len(embeddings)
     if len(class_ids) != n:

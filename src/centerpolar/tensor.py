@@ -23,11 +23,10 @@ Rows.  The leading axis of a 2-D tensor is the sample: a (B, k) tensor is
 a batch of B rows, and every op gives each row exactly the bits it gives
 that row alone as a 1-D (k,) tensor, gradients included, so one graph
 over a batch replaces B per-sample graphs.  `dense` is a whole layer,
-matrix, bias and activation, applied to every row; `l2_norm` and
-`sum(axis=-1)` reduce each row to one value and keep it as a column
-(B, 1); `mean` averages over the leading axis, adding rows left to
-right; `losses.loss_dom` measures every pair of rows.  `len` is the row
-count.
+matrix, bias and activation, applied to every row; `sum(axis=-1)`
+reduces each row to one value and keeps it as a column (B, 1); `mean`
+averages over the leading axis, adding rows left to right;
+`losses.loss_dom` measures every pair of rows.  `len` is the row count.
 
 Broadcasting.  Elementwise ops take equal shapes, or a scalar () against
 any shape.  A bias shared by every row is `dense`'s own operand.
@@ -194,9 +193,9 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _row_norm(A: np.ndarray) -> np.ndarray:
-    # each row's Euclidean norm, as `l2_norm` computes it
+    # each row's Euclidean norm: (k,) -> (), (R, k) -> (R, 1)
     if A.ndim not in (1, 2):
-        raise ShapeError(f"l2_norm: shape {A.shape} is not 1-D or 2-D")
+        raise ShapeError(f"row norm: shape {A.shape} is not 1-D or 2-D")
     return np.sqrt(_rowdot(A, A))
 
 
@@ -318,16 +317,6 @@ class Tensor:
         return _record(
             Tensor._wrap(total / n), (self,), lambda g, _: (np.full(A.shape, g / n),), "mean"
         )
-
-    def l2_norm(self) -> "Tensor":
-        """Row-wise Euclidean norm: (k,) -> (), (B, k) -> (B, 1)."""
-        A = self.data
-        norm = _row_norm(A)
-
-        def vjp(g, _):
-            return (_norm_grad(g, norm, A),)
-
-        return _record(Tensor._wrap(norm), (self,), vjp, "l2_norm")
 
 
 def _acos(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,7 @@ The unfused 1-D ops that `tensor.dense` and `geometry.geodesic_distance`
 replace live here, recorded through `tensor._record`: `matvec`, `dot`,
 `tanh`, `acos` and `div`, and with them `project_to_sphere` and the
 unbatched `loss_sem_high`.  The ops that only tests use live here too:
-`relu`, `square` and `take`.
+`relu`, `square`, `take`, `l2_norm` and `euclidean_distance`.
 
 So do the batched chains of small ops that the one-op heads of
 `centerpolar.losses` replace: `pair_distances`, `loss_geo`, `loss_sem_low`
@@ -26,12 +26,7 @@ import math
 import numpy as np
 
 from centerpolar.expansion import ExpansionDivergedError
-from centerpolar.geometry import (
-    _check_direction,
-    as_tensor,
-    euclidean_distance,
-    geodesic_distance,
-)
+from centerpolar.geometry import _check_direction, as_tensor, geodesic_distance
 from centerpolar.tensor import (
     DomainError,
     Fold,
@@ -42,6 +37,7 @@ from centerpolar.tensor import (
     _norm_grad,
     _partner_order,
     _record,
+    _row_norm,
     _rowdot,
     backward,
     pair_index,
@@ -115,6 +111,17 @@ def square(t: Tensor) -> Tensor:
     return _record(Tensor._wrap(ad * ad), (t,), lambda g, _: (g * (2.0 * ad),), "square")
 
 
+def l2_norm(t: Tensor) -> Tensor:
+    """Row-wise Euclidean norm: (k,) -> (), (B, k) -> (B, 1)."""
+    A = t.data
+    norm = _row_norm(A)
+    return _record(Tensor._wrap(norm), (t,), lambda g, _: (_norm_grad(g, norm, A),), "l2_norm")
+
+
+def euclidean_distance(u, v) -> Tensor:
+    return l2_norm(as_tensor(u) - as_tensor(v))
+
+
 def acos(t: Tensor) -> Tensor:
     """arccos with the flat cap of `tensor._acos` next to the endpoints."""
     c = t.data
@@ -131,7 +138,7 @@ def div(a: Tensor, b) -> Tensor:
 def project_to_sphere(v) -> Tensor:
     """v / ||v||, rejecting a vector too short to carry a direction."""
     v = _t(v)
-    n = v.l2_norm()
+    n = l2_norm(v)
     _check_direction(n.data)
     return div(v, n)
 
@@ -159,7 +166,7 @@ def pair_distances(rows: Tensor) -> Tensor:
     tensor, as a (P,) tensor.
 
     Pairs (i, j), i < j, come in row-major order, the order of the loop
-    `for i: for j > i`.  Each distance is `(e_i - e_j).l2_norm()` of the
+    `for i: for j > i`.  Each distance is `l2_norm(e_i - e_j)` of the
     rows alone to the bit, and row i takes its gradient contributions one
     per partner, in descending partner index, as that loop's reversed tape
     would add them.
@@ -244,10 +251,6 @@ def oracle_geodesic(u, v) -> Tensor:
     return div(acos(dot(project_to_sphere(u), project_to_sphere(v))), math.pi)
 
 
-def oracle_euclidean(u, v) -> Tensor:
-    return (_t(u) - _t(v)).l2_norm()
-
-
 def mean_scalars(terms: list[Tensor]) -> Tensor:
     """The terms added left to right, over their count: `Tensor.mean`'s order."""
     acc = terms[0]
@@ -261,12 +264,12 @@ def oracle_c3e_objective(x, x_tilde, centroid, d_orig: float, model, margin: flo
     e_tilde = oracle_forward(model, x_tilde, frozen=True)
     geo = -oracle_geodesic(mu, e_tilde)
     sem_low = square(_t(x) - _t(x_tilde)).sum()
-    hinge = relu(oracle_euclidean(mu, e_tilde) - d_orig + float(margin))
+    hinge = relu(euclidean_distance(mu, e_tilde) - d_orig + float(margin))
     return geo + sem_low + hinge
 
 
 def _reference(x, centroid, model) -> float:
-    return oracle_euclidean(Tensor(centroid), oracle_forward(model, x, frozen=True)).item()
+    return euclidean_distance(Tensor(centroid), oracle_forward(model, x, frozen=True)).item()
 
 
 def oracle_c3e_mean(x, x_tildes, class_ids, model, centroids, margin: float) -> Tensor:
@@ -296,7 +299,7 @@ def oracle_loss_dom(embeddings, class_ids, config) -> Tensor:
         e_i, y_i = rows[i], class_ids[i]
         for j in range(i + 1, len(rows)):
             e_j, y_j = rows[j], class_ids[j]
-            d = (e_i - e_j).l2_norm()
+            d = l2_norm(e_i - e_j)
             if y_i == y_j:
                 h = relu(d - config.margin_pos)
                 pos_sum = h if pos_sum is None else pos_sum + h

@@ -175,7 +175,7 @@ def test_criterion_1_gradient_correctness():
                 grad_check(
                     lambda t, model=model, x=x, mu=mu: c3e_objective(
                         x, t, mu, c3e_reference(x, mu, model), model, lconf.margin_m
-                    ),
+                    )[0],
                     Tensor(xt),
                 )
                 < 1e-4

@@ -15,13 +15,19 @@ import numpy as np
 import pytest
 from grad_oracle import grad_check
 from scalar_oracle import (
+    _reference,
     chain_c3e_objective,
     chain_loss_dom,
+    euclidean_distance,
+    l2_norm,
     matvec,
     mean_scalars,
     oracle_c3e_mean,
+    oracle_c3e_objective,
     oracle_expand_batch,
+    oracle_expand_sample,
     oracle_forward,
+    oracle_geodesic,
     oracle_loss_c4,
     oracle_loss_dom,
     pair_distances,
@@ -160,7 +166,7 @@ def test_c3e_objective_matches_its_chain(n):
             return lambda: (objective(X, x_tilde, mu, d_orig, model, margin) * weights).sum()
 
         _assert_same(
-            _grads(weighted(c3e_objective), [x_tilde]),
+            _grads(weighted(lambda *args: c3e_objective(*args)[0]), [x_tilde]),
             _grads(weighted(chain_c3e_objective), [x_tilde]),
         )
 
@@ -207,7 +213,7 @@ def test_c3e_objective_matches_per_sample_graphs(n):
     mu = table.vectors(labels)
     d_orig = c3e_reference(X, mu, model)
     _assert_same(
-        _grads(lambda: c3e_objective(X, stacked, mu, d_orig, model, 0.4).mean(), [stacked]),
+        _grads(lambda: c3e_objective(X, stacked, mu, d_orig, model, 0.4)[0].mean(), [stacked]),
         _grads(lambda: oracle_c3e_mean(X, rows, labels, model, table, 0.4), rows),
     )
 
@@ -262,6 +268,37 @@ def test_expansion_blocks_give_rows_their_alone_bits():
         one = ([i], X[i : i + 1], labels[i : i + 1])
         (alone,) = expand_batch(one, model, table, econf, LossConfig())
         assert row.tobytes() == alone.tobytes()
+
+
+def test_trajectory_rows_are_the_per_sample_values(monkeypatch):
+    # 10 rows in blocks of 4: each sink row (sample, t, d_geo, d_euclid, loss)
+    # holds the oracle's distances and objective at that sample's iterate t
+    monkeypatch.setattr(expansion, "_BLOCK_ROWS", 4)
+    gen = np.random.default_rng(41)
+    model = EncoderModel.default(4, embed_dim=3, hidden_dim=6, seed=5)
+    labels = gen.integers(0, 3, size=10).tolist()
+    X = gen.normal(size=(10, 4))
+    table = compute_centroids(labels, model.embed_many(X) + 0.2)
+    ids = list(range(50, 60))
+    econf = ExpansionConfig(iterations_te=3, step_size=0.05)
+    lconf = LossConfig(margin_m=0.5)
+    sink = []
+    expand_batch((ids, X, labels), model, table, econf, lconf, trajectory_sink=sink)
+    assert [row[:2] for row in sink] == [(i, t) for i in ids for t in range(4)]
+    for sample_id, t, *values in sink:
+        r = ids.index(sample_id)
+        mu = table.vectors([labels[r]])[0]
+        x_t = oracle_expand_sample(
+            X[r], labels[r], model, table, t, econf.step_size, lconf.margin_m, sample_id
+        )
+        e = oracle_forward(model, x_t, frozen=True)
+        d_orig = _reference(X[r], mu, model)
+        expected = (
+            oracle_geodesic(mu, e),
+            euclidean_distance(mu, e),
+            oracle_c3e_objective(X[r], x_t, mu, d_orig, model, lconf.margin_m),
+        )
+        assert np.array(values).tobytes() == np.array([v.item() for v in expected]).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -344,7 +381,7 @@ def test_row_reductions_match_one_dimensional_formulas():
     for k in (1, 2, 3, 7, 16, 33, 64):
         X = gen.normal(size=(9, k))
         W = gen.normal(size=(5, k))
-        norms = Tensor(X).l2_norm().numpy()
+        norms = l2_norm(Tensor(X)).numpy()
         sums = Tensor(X).sum(axis=-1).numpy()
         mapped = dense(Tensor(W), Tensor(X), Tensor(np.zeros(5)), "identity").numpy()
         assert norms.shape == sums.shape == (9, 1)
@@ -401,8 +438,8 @@ def _layer(w, x, b, activation="identity"):
 @pytest.mark.parametrize(
     "f, shape",
     [
-        (lambda t: (t.l2_norm() * (t * (t + 1.0)).sum(axis=-1)).mean().sum(), (5, 3)),
-        (lambda t: square(t.l2_norm() * t.sum(axis=-1)).mean().sum(), (4, 3)),
+        (lambda t: (l2_norm(t) * (t * (t + 1.0)).sum(axis=-1)).mean().sum(), (5, 3)),
+        (lambda t: square(l2_norm(t) * t.sum(axis=-1)).mean().sum(), (4, 3)),
         (lambda t: _layer(np.ones((3, 2)), take(t, [2, 0, 2]), np.zeros(3), "tanh").sum(), (4, 2)),
         (lambda t: square(_layer(t, np.arange(12.0).reshape(4, 3), np.zeros(2))).sum(), (2, 3)),
         (lambda t: _layer(np.eye(3, 2) / 4.0, np.ones((4, 2)), t, "tanh").sum(), (3,)),

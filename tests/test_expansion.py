@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from centerpolar import expansion
 from centerpolar.encoder import EncoderModel, Layer
 from centerpolar.expansion import ExpansionConfig, ExpansionDivergedError, expand_batch
 from centerpolar.geometry import compute_centroids, geodesic_distance
@@ -266,6 +267,59 @@ def test_divergence_in_a_block_names_the_diverged_sample():
     assert [r[:2] for r in sink] == [(7, t) for t in range(11)]
 
 
+def _overflowing_case():
+    # a gain of 1e10 overflows the embedding once the iterate is near 1e300
+    model = linear_encoder(1e10 * np.eye(2))
+    cents = compute_centroids([0], [[1.0, 0.0]])
+    return ([7], [[0.5, 0.5]], [0]), model, cents
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("sink", [None, []], ids=["no-sink", "sink"])
+def test_divergence_with_a_sink_is_the_divergence_without(sink):
+    batch, model, cents = _overflowing_case()
+    cfg = ExpansionConfig(iterations_te=3, step_size=1e290)
+    with pytest.raises(ExpansionDivergedError, match="sample 7, iteration 2"):
+        expand_batch(batch, model, cents, cfg, LossConfig(), trajectory_sink=sink)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_last_iterate_that_overflows_diverges_with_a_sink():
+    # no step reads the last iterate, so only its trajectory row overflows
+    batch, model, cents = _overflowing_case()
+    cfg = ExpansionConfig(iterations_te=1, step_size=1e290)
+    (out,) = expand_batch(batch, model, cents, cfg, LossConfig())
+    assert np.isfinite(out).all()
+    sink = []
+    with pytest.raises(ExpansionDivergedError, match="sample 7, iteration 1"):
+        expand_batch(batch, model, cents, cfg, LossConfig(), trajectory_sink=sink)
+    assert sink == []
+
+
+def test_a_sink_costs_one_forward_per_block(monkeypatch):
+    # the trajectory reads what each step computed, plus the last iterate once
+    monkeypatch.setattr(expansion, "_BLOCK_ROWS", 4)
+    calls = []
+    forward = EncoderModel.forward
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(EncoderModel, "forward", counted)
+    gen = np.random.default_rng(8)
+    model = EncoderModel.build([3, 4, 2], ["tanh", "identity"], seed=8)
+    cents = compute_centroids([0, 1], [[0.6, -0.2], [-0.3, 0.5]])
+    batch = list(range(10)), gen.normal(size=(10, 3)), [i % 2 for i in range(10)]
+    cfg = ExpansionConfig(iterations_te=3, step_size=1e-2)
+    expand_batch(batch, model, cents, cfg, LossConfig())
+    without = len(calls)
+    calls.clear()
+    expand_batch(batch, model, cents, cfg, LossConfig(), trajectory_sink=[])
+    assert without == 3 * (1 + cfg.iterations_te)  # three blocks: 4, 4 and 2 rows
+    assert len(calls) == without + 3
+
+
 @pytest.mark.parametrize(
     "batch, shape",
     [
@@ -296,5 +350,5 @@ def test_one_step_is_a_gradient_step_on_c3e_objective(seed):
         with record():
             xt = Tensor(x, requires_grad=True)
             d_orig = c3e_reference(x, mu, model)
-            backward(c3e_objective(x, xt, mu, d_orig, model, lconf.margin_m))
+            backward(c3e_objective(x, xt, mu, d_orig, model, lconf.margin_m)[0])
         assert np.array_equal(out, x - econf.step_size * xt.grad)

@@ -6,14 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from centerpolar.geometry import (
-    DegenerateVectorError,
-    compute_centroids,
-    euclidean_distance,
-    geodesic_distance,
-)
+from centerpolar.geometry import DegenerateVectorError, compute_centroids, geodesic_distance
 from centerpolar.tensor import DomainError, ShapeError, Tensor, backward, record
-from scalar_oracle import oracle_geodesic, project_to_sphere
+from scalar_oracle import euclidean_distance, oracle_geodesic, project_to_sphere
 
 unit_range = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False)
 

@@ -78,7 +78,7 @@ def test_loss_sem_high_zero_gradient_when_inactive():
 def c3e_mean(x, x_tilde, class_ids, model, cents, margin=1.0):
     # the mean expansion objective over a batch, as expansion descends it
     mu = cents.vectors(class_ids)
-    return c3e_objective(x, x_tilde, mu, c3e_reference(x, mu, model), model, margin).mean()
+    return c3e_objective(x, x_tilde, mu, c3e_reference(x, mu, model), model, margin)[0].mean()
 
 
 def test_c3e_objective_identity_case_equals_margin():
@@ -116,7 +116,7 @@ def test_c3e_objective_grad_check():
     x = np.array([0.5, -0.1, 0.3, 0.9])
 
     def f(t):
-        return c3e_objective(x, t, mu, c3e_reference(x, mu, model), model, 1.0)
+        return c3e_objective(x, t, mu, c3e_reference(x, mu, model), model, 1.0)[0]
 
     assert grad_check(f, Tensor([0.6, 0.1, 0.2, 0.8])) < 1e-4
 
@@ -267,6 +267,6 @@ def test_tape_entries_per_graph_pinned():
 
     def expansion_step():
         x_tilde = Tensor(x, requires_grad=True)
-        c3e_objective(x, x_tilde, mu, d_orig, model, LossConfig().margin_m).sum()
+        c3e_objective(x, x_tilde, mu, d_orig, model, LossConfig().margin_m)[0].sum()
 
     assert _tape_size(expansion_step) == 4
